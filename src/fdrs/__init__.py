@@ -8,9 +8,6 @@ cross-validator, and diversity-order slope fitting.
 from fdrs.specfun import (
     Accuracy,
     NonConvergenceError,
-    beta_fn,
-    compositions,
-    kummer_m,
     ln_gamma,
     reg_lower_gamma,
     reg_upper_gamma,

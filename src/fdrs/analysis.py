@@ -127,11 +127,12 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
         for proto in spec.protocols:
             for method in active.get(proto, ()):
                 if method == "analytic":
+                    # closed forms exist only for full-duplex protocols,
+                    # whose threshold ignores the half-duplex rate rule,
+                    # so the outage doubles as the throughput outage
                     p_out = analytic.outage(point_cfg, proto, rate, cognitive)
-                    p_thr = analytic.outage(point_cfg, proto, rate, cognitive,
-                                            hd_equal_delivered_rate=False)
                     rows.append(SweepRow(value, proto, "analytic", p_out,
-                                         analytic.throughput_from_outage(proto, rate, p_thr)))
+                                         analytic.throughput_from_outage(proto, rate, p_out)))
                 else:
                     est = montecarlo.estimate_outage(
                         point_cfg, proto, rate, spec.trials, spec.seed,

@@ -4,10 +4,24 @@ and throughput, plus adaptive-quadrature oracles for every closed form.
 Notation used throughout: the first hop of each relayed path is the
 ratio Z = X1 / (X2 + 1) of the desired-signal gain over the residual
 self-interference, both Gamma distributed.  The second hop is Gamma,
-conditioned on the direct-link SNR where one exists.  End-to-end CDFs
-follow by binomial/multinomial expansion of the per-path CDF raised to
-the number of relays; the surviving one-dimensional integrals reduce to
-confluent hypergeometric and incomplete-Gamma terms.
+conditioned on the direct-link SNR where one exists.
+
+Every direct-link CDF is one alternating binomial sum over positive
+blocks,
+    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k,
+    I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db,
+where s is the first-hop tail P(Z > x), and the feasibility
+distribution is an alternating sum of blocks of the same form.  For
+integer m the identity
+    Q(m, y)^k = e^(-k y) (sum_{j<m} y^j/j!)^k
+              = e^(-k y) sum_d c_{k,m}(d) y^d
+collapses the multinomial expansion to one term per degree d, with
+positive coefficients c_{k,m}(d) (specfun.ln_truncated_exp_power).
+Each degree leaves a one-dimensional inner integral that reduces to
+confluent hypergeometric or incomplete-Gamma terms; the protocols
+differ only in that inner integral.  The blocks I_k do not depend on
+L, so one block vector serves every relay count of the cognitive
+mixture.
 
 Alternating outer sums are accumulated with math.fsum and every
 inner positive block is assembled in log space, so the expressions stay
@@ -18,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from scipy import integrate
 
@@ -218,22 +231,10 @@ def _lse_signed(ln_mags: list[float], signs: list[float]) -> float:
     return m + math.log(s)
 
 
-@lru_cache(maxsize=None)
-def _compositions_with_degree(total: int, parts: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Cached compositions paired with their degree sum_n k_n (n-1)."""
-    out = []
-    for comp in sf.compositions(total, parts):
-        deg = sum(j * kn for j, kn in enumerate(comp))
-        out.append((comp, deg))
-    return tuple(out)
-
-
-def _ln_multinomial_coeff(comp: tuple[int, ...], total: int) -> float:
-    """ln of total! / prod_n (k_n! * Gamma(n)^k_n) for composition {k_n}."""
-    val = math.lgamma(total + 1)
-    for j, kn in enumerate(comp):
-        val -= math.lgamma(kn + 1) + kn * math.lgamma(j + 1)
-    return val
+def _alternating_sum(ln_mags) -> float:
+    """sum_k (-1)^k exp(ln_mags[k]) by exact float summation, clamped to [0, 1]."""
+    terms = [(-1.0 if k % 2 else 1.0) * math.exp(v) for k, v in enumerate(ln_mags)]
+    return min(max(math.fsum(terms), 0.0), 1.0)
 
 
 def _ln_tail_integral(deg: int, shape: float, rate: float) -> float:
@@ -246,17 +247,27 @@ def _ln_tail_integral(deg: int, shape: float, rate: float) -> float:
     return sf.ln_gamma(shape) - (shape + deg) * math.log(rate) + math.log(u)
 
 
-def _ln_trunc_integral(deg: int, shape: float, rate: float, upper: float) -> float:
-    """ln of integral_0^upper (t+1)^deg t^(shape-1) e^(-rate t) dt, rate > 0."""
+def _ln_tail_integrals(count: int, shape: float, rate: float, _upper: float) -> list[float]:
+    """_ln_tail_integral for degrees 0..count-1."""
+    return [_ln_tail_integral(d, shape, rate) for d in range(count)]
+
+
+def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
+    """ln of integral_0^upper (t+1)^d t^(shape-1) e^(-rate t) dt for
+    d = 0..count-1, rate > 0.
+
+    Expanding (t+1)^d binomially leaves the incomplete-Gamma moments
+    Gamma(r+shape) P(r+shape, rate upper) rate^-(r+shape), which every
+    degree shares.
+    """
     w = rate * upper
-    lns = []
-    for r in range(deg + 1):
+    moments = []
+    for r in range(count):
         plo = sf.reg_lower_gamma(r + shape, w)
-        if plo == 0.0:
-            continue
-        lns.append(_ln_binom(deg, r) + sf.ln_gamma(r + shape)
-                   - (r + shape) * math.log(rate) + math.log(plo))
-    return _lse(lns)
+        moments.append(sf.ln_gamma(r + shape) - (r + shape) * math.log(rate)
+                       + math.log(plo) if plo > 0.0 else -math.inf)
+    return [_lse([_ln_binom(d, r) + moments[r] for r in range(d + 1)])
+            for d in range(count)]
 
 
 _KUMMER_BRANCH_CAP = 30.0
@@ -313,8 +324,86 @@ def _ln_conv_integral(deg: int, shape: float, rate: float, upper: float) -> floa
             + sf.ln_kummer_m(shape, deg + shape + 1.0, -w))
 
 
+def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
+    """_ln_conv_integral for degrees 0..count-1."""
+    return [_ln_conv_integral(d, shape, rate, upper) for d in range(count)]
+
+
+def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
+               theta0: float, ln_inner, convolved: bool) -> list[float]:
+    """ln I_k for k = 0..count, I_k = integral Q(m, y(b)/theta)^k f(b) db.
+
+    f is the Gamma(shape, theta0) density and m an integer.  The hop
+    argument is y(b) = x (b + 1) (shifted) or x - b (convolved); the
+    range of b and the rest of the inner integral are ln_inner's.
+
+    Degree form: for integer m, Q(m, y)^k = e^(-k y) sum_d c_{k,m}(d) y^d
+    (sf.ln_truncated_exp_power).  Pulling e^(-k x/theta) out leaves
+    I_k = e^(-k x/theta) sum_d c_{k,m}(d) w^d J_d(rate_k) / (Gamma(shape)
+    theta0^shape), with w = x/theta and rate_k = 1/theta0 + k x/theta
+    when shifted, w = 1/theta and rate_k = 1/theta0 - k/theta when
+    convolved; ln_inner(n, shape, rate_k, x) lists ln J_d for d < n,
+    so work shared across degrees is done once per block.  All terms are
+    positive.  No block depends on the relay count L, so one vector
+    serves every F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count.
+    """
+    ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
+    ln_weight = -math.log(theta) if convolved else math.log(x / theta)
+    blocks = []
+    for k in range(count + 1):
+        rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
+        coeffs = sf.ln_truncated_exp_power(k, m)
+        inner = ln_inner(len(coeffs), shape, rate, x)
+        lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
+        blocks.append(-k * x / theta + ln_norm + _lse(lns))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # end-to-end SINR CDFs without the interference constraint
+
+# inner integrals of each degree against the direct-link density, and
+# whether the hop argument is convolved (x - b) or shifted (x (b + 1))
+_DIRECT_LINK_INNER = {
+    Protocol.IDL: (_ln_tail_integrals, False),
+    Protocol.IDL_DT: (_ln_trunc_integrals, False),
+    Protocol.SDF: (_ln_conv_integrals, True),
+}
+
+
+def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
+                      relays: int) -> list[float]:
+    """F(x | L) for L = 0..relays from one evaluation shared by every L.
+
+    NDL keeps its product form per_path^L.  The direct-link protocols
+    integrate (1 - s Q)^L over the direct-link SNR, s = P(Z > x), and
+    the binomial expansion of the power gives the alternating sum
+    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k, accumulated with exact
+    float summation; the positive blocks I_k come from _ln_blocks and
+    do not depend on L.
+    """
+    if relays < 1:
+        raise ValueError("relays must be >= 1")
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x == 0:
+        return [0.0] * (relays + 1)
+    p1 = first_hop_ratio_params(cfg)
+    th_rd = cfg.p_r * cfg.rd.theta
+    if protocol is Protocol.NDL:
+        fz = cdf_ratio_gamma(x, p1)
+        per_path = fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd)
+        return [per_path ** n for n in range(relays + 1)]
+    fzbar = ratio_ccdf(x, p1)
+    ln_inner, convolved = _DIRECT_LINK_INNER[protocol]
+    count = relays if fzbar > 0.0 else 0   # s = 0 leaves only the k = 0 block
+    ln_s = math.log(fzbar) if count else 0.0
+    ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x,
+                      cfg.sd.m, cfg.p_s * cfg.sd.theta, ln_inner, convolved)
+    return [_alternating_sum(_ln_binom(n, k) + k * ln_s + ln_i[k]
+                             for k in range(min(n, count) + 1))
+            for n in range(relays + 1)]
+
 
 def cdf_ndl(x: float, cfg: NetworkConfig, relays: int) -> float:
     """End-to-end SINR CDF with no direct link and `relays` relays.
@@ -323,82 +412,26 @@ def cdf_ndl(x: float, cfg: NetworkConfig, relays: int) -> float:
     single per-path CDF thanks to i.i.d. paths.
     """
     validate_config(cfg, Protocol.NDL, "analytic")
-    if relays < 1:
-        raise ValueError("relays must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0.0
-    p1 = first_hop_ratio_params(cfg)
-    fz = cdf_ratio_gamma(x, p1)
-    plow = sf.reg_lower_gamma(cfg.rd.m, x / (cfg.p_r * cfg.rd.theta))
-    per_path = fz + (1.0 - fz) * plow
-    return per_path ** relays
-
-
-def _cdf_direct_link_family(x: float, cfg: NetworkConfig, relays: int,
-                            ln_inner_integral) -> float:
-    """Shared outer assembly of the three direct-link CDFs.
-
-    ln_inner_integral(deg, eta) must return the log of the inner
-    integral against the direct-link density for one multinomial
-    composition degree.  The binomial-in-k outer sum alternates in
-    sign and is accumulated with exact float summation.
-    """
-    if relays < 1:
-        raise ValueError("relays must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0.0
-    p1 = first_hop_ratio_params(cfg)
-    fzbar = ratio_ccdf(x, p1)
-    m_sd = cfg.sd.m
-    m_rd = int(round(cfg.rd.m))
-    th_sd = cfg.p_s * cfg.sd.theta
-    th_rd = cfg.p_r * cfg.rd.theta
-    ln_norm = -sf.ln_gamma(m_sd) - m_sd * math.log(th_sd)
-    terms = []
-    for k in range(relays + 1):
-        if k > 0 and fzbar == 0.0:
-            continue
-        eta = 1.0 / th_sd + x * k / th_rd
-        lns = []
-        for comp, deg in _compositions_with_degree(k, m_rd):
-            ln_c = (_ln_multinomial_coeff(comp, k)
-                    + (deg * math.log(x / th_rd) if deg else 0.0))
-            lns.append(ln_c + ln_inner_integral(deg, eta, k))
-        ln_pos = -k * x / th_rd + ln_norm + _lse(lns)
-        ln_mag = _ln_binom(relays, k) + (k * math.log(fzbar) if k else 0.0) + ln_pos
-        terms.append((-1.0 if k % 2 else 1.0) * math.exp(ln_mag))
-    return min(max(math.fsum(terms), 0.0), 1.0)
+    return _conditional_cdfs(x, cfg, Protocol.NDL, relays)[relays]
 
 
 def cdf_idl(x: float, cfg: NetworkConfig, relays: int) -> float:
     """End-to-end SINR CDF when the direct link only interferes.
 
-    The direct-link SNR is integrated out over (0, inf); each
-    multinomial term reduces to a Whittaker factor of
+    The direct-link SNR is integrated out over (0, inf); each degree
+    term reduces to a Whittaker factor of
     eta_k = 1/(P_S theta_SD) + x k/(P_R theta_RD), evaluated here
     through its exact Tricomi polynomial form.
     """
     validate_config(cfg, Protocol.IDL, "analytic")
-
-    def inner(deg, eta, _k):
-        return _ln_tail_integral(deg, cfg.sd.m, eta)
-
-    return _cdf_direct_link_family(x, cfg, relays, inner)
+    return _conditional_cdfs(x, cfg, Protocol.IDL, relays)[relays]
 
 
 def cdf_idl_dt(x: float, cfg: NetworkConfig, relays: int) -> float:
     """Hybrid CDF: direct link interferes, but direct transmission is a
     fallback decoding branch, so the integration stops at x."""
     validate_config(cfg, Protocol.IDL_DT, "analytic")
-
-    def inner(deg, eta, _k):
-        return _ln_trunc_integral(deg, cfg.sd.m, eta, x)
-
-    return _cdf_direct_link_family(x, cfg, relays, inner)
+    return _conditional_cdfs(x, cfg, Protocol.IDL_DT, relays)[relays]
 
 
 def cdf_sdf(x: float, cfg: NetworkConfig, relays: int) -> float:
@@ -411,37 +444,8 @@ def cdf_sdf(x: float, cfg: NetworkConfig, relays: int) -> float:
     k/(P_R theta_RD); both confluent branches, and the common limit at
     eta_k = 0, live in _ln_conv_integral.
     """
-    # not routed through _cdf_direct_link_family: the selective form
-    # pairs the multinomial weight (1/th_rd)^deg with the decay
-    # eta_hat = 1/th_sd - k/th_rd instead of (x/th_rd)^deg with
-    # eta_k = 1/th_sd + x k/th_rd
     validate_config(cfg, Protocol.SDF, "analytic")
-    th_rd = cfg.p_r * cfg.rd.theta
-    if relays < 1:
-        raise ValueError("relays must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0.0
-    p1 = first_hop_ratio_params(cfg)
-    fzbar = ratio_ccdf(x, p1)
-    m_sd = cfg.sd.m
-    m_rd = int(round(cfg.rd.m))
-    th_sd = cfg.p_s * cfg.sd.theta
-    ln_norm = -sf.ln_gamma(m_sd) - m_sd * math.log(th_sd)
-    terms = []
-    for k in range(relays + 1):
-        if k > 0 and fzbar == 0.0:
-            continue
-        eta_hat = 1.0 / th_sd - k / th_rd
-        lns = []
-        for comp, deg in _compositions_with_degree(k, m_rd):
-            ln_c = _ln_multinomial_coeff(comp, k) - deg * math.log(th_rd)
-            lns.append(ln_c + _ln_conv_integral(deg, m_sd, eta_hat, x))
-        ln_pos = -k * x / th_rd + ln_norm + _lse(lns)
-        ln_mag = _ln_binom(relays, k) + (k * math.log(fzbar) if k else 0.0) + ln_pos
-        terms.append((-1.0 if k % 2 else 1.0) * math.exp(ln_mag))
-    return min(max(math.fsum(terms), 0.0), 1.0)
+    return _conditional_cdfs(x, cfg, Protocol.SDF, relays)[relays]
 
 
 _CDF_BY_PROTOCOL = {
@@ -460,7 +464,6 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     except KeyError:
         raise ConfigError([f"{protocol.value} has no closed-form CDF"])
     return fn(x, cfg, relays)
-
 
 # ---------------------------------------------------------------------------
 # quadrature oracles for the end-to-end CDFs
@@ -543,33 +546,20 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     if not cfg.rp.integer_m:
         raise ConfigError([f"feasibility closed form requires integer m_rp (got {cfg.rp.m})"])
     k_total = cfg.k
-    m_sp, m_rp = cfg.sp.m, int(round(cfg.rp.m))
     th_sp = cfg.p_s * cfg.sp.theta
-    th_rp = cfg.p_r * cfg.rp.theta
     cap = cfg.i_th
-    ln_norm = -sf.ln_gamma(m_sp) - m_sp * math.log(th_sp)
-
-    @lru_cache(maxsize=None)
-    def ln_block(q: int) -> float:
-        """ln integral_0^cap Q(m_rp, (cap-b)/th_rp)^q f_I_SP(b) db (unnormalized)."""
-        eta = 1.0 / th_sp - q / th_rp
-        lns = []
-        for comp, deg in _compositions_with_degree(q, m_rp):
-            ln_c = _ln_multinomial_coeff(comp, q) - deg * math.log(th_rp)
-            lns.append(ln_c + _ln_conv_integral(deg, m_sp, eta, cap))
-        return -q * cap / th_rp + _lse(lns) + ln_norm
-
-    probs = []
-    p_tilde0 = math.exp(ln_block(k_total))
-    p0 = sf.reg_upper_gamma(m_sp, cap / th_sp) + p_tilde0
-    probs.append(min(p0, 1.0))
+    # B_q = integral_0^cap Q(m_rp, (cap-b)/th_rp)^q f_I_SP(b) db is the
+    # chance that the source meets the cap and q given relays do not;
+    # expanding (1 - Q)^n gives
+    # P(exactly n feasible) = C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
+    ln_b = _ln_blocks(k_total, int(round(cfg.rp.m)), cfg.p_r * cfg.rp.theta, cap,
+                      cfg.sp.m, th_sp, _ln_conv_integrals, True)
+    p_tilde0 = math.exp(ln_b[k_total])
+    probs = [min(sf.reg_upper_gamma(cfg.sp.m, cap / th_sp) + p_tilde0, 1.0)]
     for feasible in range(1, k_total + 1):
-        terms = []
-        for l in range(feasible + 1):
-            ln_mag = (_ln_binom(k_total, feasible) + _ln_binom(feasible, l)
-                      + ln_block(k_total - feasible + l))
-            terms.append((-1.0 if l % 2 else 1.0) * math.exp(ln_mag))
-        probs.append(min(max(math.fsum(terms), 0.0), 1.0))
+        probs.append(_alternating_sum(
+            _ln_binom(k_total, feasible) + _ln_binom(feasible, l)
+            + ln_b[k_total - feasible + l] for l in range(feasible + 1)))
     return FeasibilityDist(p=tuple(probs), p_tilde0=min(p_tilde0, probs[0]))
 
 
@@ -608,7 +598,8 @@ def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol,
     source alone meets the cap, giving
     F(x) = P0 - Q_SD(x) P~0 + sum_{L>=1} F(x|L) P_L, which jumps by
     P0 - P~0 at x = 0 (communication is cut off outright when even the
-    source violates the cap).
+    source violates the cap).  Every F(x|L) comes from one shared
+    evaluation (_conditional_cdfs) up to the largest L with P_L > 0.
     """
     _require_cognitive(cfg)
     validate_config(cfg, protocol, "analytic")
@@ -618,9 +609,10 @@ def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol,
     if protocol.has_dt_branch:
         q_sd = sf.reg_upper_gamma(cfg.sd.m, x / (cfg.p_s * cfg.sd.theta))
         parts.append(-q_sd * feas.p_tilde0)
-    for relays in range(1, feas.k + 1):
-        if feas.p[relays] > 0.0:
-            parts.append(feas.p[relays] * cdf_conditional(x, cfg, protocol, relays))
+    top = max((n for n in range(1, feas.k + 1) if feas.p[n] > 0.0), default=0)
+    if top:
+        cond = _conditional_cdfs(x, cfg, protocol, top)
+        parts.extend(feas.p[n] * cond[n] for n in range(1, top + 1) if feas.p[n] > 0.0)
     return min(max(math.fsum(parts), 0.0), 1.0)
 
 

@@ -333,7 +333,7 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,14 @@ values taken from the outage-threshold grid.  The confluent
 hypergeometric family (Kummer M, Tricomi U, Whittaker W) is evaluated
 through series and finite polynomial forms rather than a general-purpose
 implementation; the supported region is documented per function.
+The coefficient table of a truncated-exponential power, into which the
+closed forms expand integer-shape Gamma tails, is computed exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
 
 from scipy import special as sc
 
@@ -23,13 +25,11 @@ __all__ = [
     "ln_gamma",
     "reg_lower_gamma",
     "reg_upper_gamma",
-    "beta_fn",
     "ln_beta",
-    "kummer_m",
     "ln_kummer_m",
     "tricomi_u",
     "whittaker_w",
-    "compositions",
+    "ln_truncated_exp_power",
 ]
 
 
@@ -56,10 +56,6 @@ class NonConvergenceError(ArithmeticError):
 
 def _is_nonpos_int(x: float, tol: float = 1e-9) -> bool:
     return x <= tol and abs(x - round(x)) < tol
-
-
-def _is_int(x: float, tol: float = 1e-9) -> bool:
-    return abs(x - round(x)) < tol
 
 
 def ln_gamma(a: float) -> float:
@@ -90,50 +86,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
 def ln_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Euler Beta function for positive arguments."""
-    return math.exp(ln_beta(a, b))
-
-
-def kummer_m(a: float, b: float, z: float,
-             accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Confluent hypergeometric function M(a; b; z) = 1F1(a; b; z).
-
-    Evaluated by the ascending series with compensated summation.  For
-    z < 0 the Kummer transformation M(a,b,z) = e^z M(b-a, b, -z) is
-    applied first so the series has eventually-positive terms and no
-    catastrophic cancellation.  b must not be zero or a negative
-    integer.  When a is a non-positive integer the series terminates
-    and the result is exact up to rounding.
-    """
-    if _is_nonpos_int(b):
-        raise ValueError(f"kummer_m undefined for b a non-positive integer, got b={b}")
-    if z < 0:
-        return math.exp(z) * kummer_m(b - a, b, -z, accuracy)
-    total = 1.0
-    comp = 0.0  # Neumaier compensation
-    term = 1.0
-    for n in range(accuracy.max_terms):
-        term *= (a + n) / (b + n) * z / (n + 1)
-        if term == 0.0:
-            break
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if math.isinf(total):
-            raise OverflowError(
-                "kummer_m overflowed float64; use ln_kummer_m for large z")
-        if n + 1 > abs(z) and abs(term) <= accuracy.rel_tol * abs(total):
-            break
-    else:
-        raise NonConvergenceError(
-            f"kummer_m({a}, {b}, {z}) did not converge in {accuracy.max_terms} terms")
-    return total + comp
 
 
 def ln_kummer_m(a: float, b: float, z: float,
@@ -234,20 +186,6 @@ def _u_asymptotic(a: float, b: float, z: float, accuracy: Accuracy) -> float:
     return z ** (-a) * total
 
 
-def _u_connection(a: float, b: float, z: float, accuracy: Accuracy) -> float:
-    """U via the two-part M connection formula; b must be non-integer.
-
-    Reciprocal Gammas are used for the denominators so parameter
-    combinations where one part vanishes (poles of Gamma) are handled
-    without special-casing.  The two parts cancel to about e^z times
-    machine epsilon, so this path is reserved for small z.
-    """
-    t1 = sc.gamma(1.0 - b) * sc.rgamma(a - b + 1.0) * kummer_m(a, b, z, accuracy)
-    t2 = (sc.gamma(b - 1.0) * sc.rgamma(a) * z ** (1.0 - b)
-          * kummer_m(a - b + 1.0, 2.0 - b, z, accuracy))
-    return float(t1 + t2)
-
-
 def _is_pos_int(x: float, tol: float = 1e-9) -> bool:
     return x >= 1 - tol and abs(x - round(x)) < tol
 
@@ -268,15 +206,10 @@ def tricomi_u(a: float, b: float, z: float,
        path 3, again exact.  This covers the ratio-distribution
        parameter family for non-integer Gamma shapes at every z.
     5. z >= 50: optimally truncated asymptotic series.
-    6. b non-integer: M-based connection formula (small z only; its
-       cancellation grows like e^z).
-    7. b integer: removable singularity of the connection formula,
-       evaluated as the average of the two eps-shifted values
-       b +/- 1e-6, which cancels the O(eps) error.
 
     Validated region: the parameter combinations produced by
-    whittaker_w for the outage CDFs land on paths 1-5; paths 6-7 carry
-    a few digits less accuracy and exist for completeness.
+    whittaker_w for the outage CDFs land on paths 1-5.  Anything else
+    raises NonConvergenceError.
     """
     if not z > 0:
         raise ValueError(f"tricomi_u requires z > 0, got z={z}")
@@ -295,15 +228,8 @@ def tricomi_u(a: float, b: float, z: float,
         return _u_gamma_sum(int(round(a)), b, z)
     if _is_pos_int(a - b + 1.0) and a < 1.0 - 1e-9 and z <= 700.0:
         return z ** (1.0 - b) * _u_gamma_sum(int(round(a - b + 1.0)), 2.0 - b, z)
-    if z >= 45.0:
-        raise NonConvergenceError(
-            f"U({a}, {b}, {z}) outside the validated parameter region")
-    if not _is_int(b):
-        return _u_connection(a, b, z, accuracy)
-    eps = 1e-6
-    hi = _u_connection(a, round(b) + eps, z, accuracy)
-    lo = _u_connection(a, round(b) - eps, z, accuracy)
-    return 0.5 * (hi + lo)
+    raise NonConvergenceError(
+        f"U({a}, {b}, {z}) outside the validated parameter region")
 
 
 def whittaker_w(a: float, b: float, z: float,
@@ -325,23 +251,33 @@ def whittaker_w(a: float, b: float, z: float,
     return math.exp(scale) * u if scale > -745 else 0.0
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield all tuples of `parts` non-negative ints summing to `total`.
+@lru_cache(maxsize=None)
+def _truncated_exp_power_ints(k: int, m: int) -> tuple[int, ...]:
+    """Coefficients of ((m-1)! sum_{j<m} t^j/j!)^k, which are integers."""
+    if k == 0:
+        return (1,)
+    prev = _truncated_exp_power_ints(k - 1, m)
+    base = [math.factorial(m - 1) // math.factorial(j) for j in range(m)]
+    out = [0] * (len(prev) + m - 1)
+    for i, c in enumerate(prev):
+        for j, b in enumerate(base):
+            out[i + j] += c * b
+    return tuple(out)
 
-    Stars-and-bars enumeration: C(total + parts - 1, parts - 1) tuples,
-    each exactly once, first slot ascending.
+
+@lru_cache(maxsize=None)
+def ln_truncated_exp_power(k: int, m: int) -> tuple[float, ...]:
+    """ln c_{k,m}(d) = ln [t^d] (sum_{j<m} t^j/j!)^k for d = 0..k(m-1).
+
+    The multinomial expansion of the power has one term per composition
+    (k_0..k_{m-1}) of k, weighted k!/prod_j (k_j! j!^k_j) and of degree
+    d = sum_j j k_j; c_{k,m}(d) is the sum of the weights of degree d.
+    Every coefficient is positive, and scaled by (m-1)!^k they are
+    integers, computed exactly here, so each entry is rounded once.
     """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        raise ValueError("total must be >= 0")
-
-    def rec(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    yield from rec(total, parts)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    shift = k * math.lgamma(m)
+    return tuple(math.log(c) - shift for c in _truncated_exp_power_ints(k, m))

@@ -20,3 +20,8 @@ def fig2b_cfg():
 @pytest.fixture(scope="session")
 def fig4_cfg():
     return parse_config(str(CONFIG_DIR / "fig4.cfg"))
+
+
+@pytest.fixture(scope="session")
+def fig3_cfg():
+    return parse_config(str(CONFIG_DIR / "fig3.cfg"))

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdrs import analysis
+from fdrs import analysis, analytic
 from fdrs.channel import ConfigError, Protocol
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
@@ -112,6 +112,17 @@ class TestRunSweep:
         res = analysis.run_sweep(spec, fig2a_cfg)
         for r in res.rows:
             assert r.throughput == pytest.approx(r.axis_value * (1 - r.outage), rel=1e-12)
+
+    def test_analytic_throughput_from_row_outage(self, fig2b_cfg):
+        spec = analysis.SweepSpec(axis="rate_bpcu", start=0.5, stop=6, steps=4,
+                                  protocols=FD)
+        res = analysis.run_sweep(spec, fig2b_cfg)
+        assert len(res.rows) == 4 * len(FD)
+        for r in res.rows:
+            rate = r.axis_value
+            assert r.throughput == analytic.throughput_from_outage(r.protocol, rate, r.outage)
+            assert r.throughput == analytic.throughput(fig2b_cfg, r.protocol, rate,
+                                                       cognitive=True)
 
     def test_validation_errors_are_aggregated(self, fig4_cfg):
         stripped = dataclasses.replace(fig4_cfg, sd=None)

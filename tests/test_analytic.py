@@ -205,6 +205,20 @@ class TestDirectLinkCdfs:
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), fn
 
 
+class TestRelayCountGrid:
+    # fig3 at relay counts and shapes beyond the reference K=3, at the
+    # rates 2..4 bpcu, where the alternating sums keep their digits
+    @pytest.mark.parametrize("m_rd", [1, 2, 4])
+    @pytest.mark.parametrize("relays", [8, 12, 16])
+    def test_quadrature(self, fig3_cfg, relays, m_rd):
+        cfg = dataclasses.replace(fig3_cfg, rd=LinkSpec(m_rd, fig3_cfg.rd.avg_power))
+        for fn, quad in ((an.cdf_idl, an.cdf_idl_quad), (an.cdf_idl_dt, an.cdf_idl_dt_quad),
+                         (an.cdf_sdf, an.cdf_sdf_quad)):
+            for rate in (2.0, 3.0, 4.0):
+                x = 2.0 ** rate - 1.0
+                assert abs(fn(x, cfg, relays) - quad(x, cfg, relays)) <= 1e-8, (fn, rate)
+
+
 class TestRayleighReduction:
     # all shapes 1: the general Nakagami forms must collapse to the
     # elementary expressions within 1e-10 across the power grid
@@ -292,6 +306,24 @@ class TestCognitiveMixture:
         for proto in (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF):
             assert an.cdf_cognitive(3.0, fig2b_cfg, proto, feas=delta) == \
                 an.cdf_conditional(3.0, fig2b_cfg, proto, 3)
+
+    @pytest.mark.parametrize("proto", [Protocol.NDL, Protocol.IDL, Protocol.IDL_DT,
+                                       Protocol.SDF])
+    def test_mixture_of_conditional_cdfs(self, fig3_cfg, proto):
+        # the shared block vector gives the same F(x | L) as a separate
+        # cdf_conditional call for every L
+        cfg = dataclasses.replace(fig3_cfg, k=8, rd=LinkSpec(4, fig3_cfg.rd.avg_power),
+                                  rp=LinkSpec(2, fig3_cfg.rp.avg_power))
+        f = an.feasibility_dist(cfg)
+        from fdrs import specfun as sf
+        for x in (0.5, 3.0, 15.0):
+            parts = [f.p[0]]
+            if proto.has_dt_branch:
+                parts.append(-sf.reg_upper_gamma(cfg.sd.m, x / (cfg.p_s * cfg.sd.theta))
+                             * f.p_tilde0)
+            parts += [f.p[n] * an.cdf_conditional(x, cfg, proto, n) for n in range(1, 9)]
+            assert an.cdf_cognitive(x, cfg, proto) == pytest.approx(
+                math.fsum(parts), abs=1e-14)
 
     def test_jump_at_zero_for_direct_branch(self, fig2b_cfg):
         f = an.feasibility_dist(fig2b_cfg)

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from fdrs import analytic
 from fdrs.channel import ConfigError
 from fdrs.cli import main, parse_config
+from fdrs.specfun import NonConvergenceError
 from tests.conftest import CONFIG_DIR
 
 NDL_RAYLEIGH = """\
@@ -103,6 +105,15 @@ class TestOutageCommand:
         rc = main(["outage", "--config", str(p), "--protocol", "ndl", "--rate", "2"])
         assert rc == 1
         assert "integer m_rr" in capsys.readouterr().err
+
+    def test_numeric_failure_exit_code(self, ndl_rayleigh_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonConvergenceError("series did not converge")
+        monkeypatch.setattr(analytic, "outage", fail)
+        rc = main(["outage", "--config", ndl_rayleigh_path, "--protocol", "ndl",
+                   "--rate", "2"])
+        assert rc == 2
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestSweepCommand:
