@@ -19,9 +19,7 @@ from fdrs.channel import (
     LinkSpec,
     NetworkConfig,
     Protocol,
-    Realization,
     sample_gamma,
-    sample_realization,
     validate_config,
 )
 from fdrs.analytic import (
@@ -39,7 +37,7 @@ from fdrs.analytic import (
     outage_threshold,
     throughput,
 )
-from fdrs.montecarlo import OutageEstimate, e2e_sinr, estimate_feasibility, estimate_outage
+from fdrs.montecarlo import OutageEstimate, estimate_feasibility, estimate_outage, outage_counts
 from fdrs.analysis import DiversityFit, SweepSpec, diversity_fit, run_sweep, validate_report
 
 __version__ = "0.1.0"

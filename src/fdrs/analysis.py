@@ -120,10 +120,12 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
         if ok:
             active[proto] = ok
 
+    values = spec.axis_values()
+    points = [(_apply_axis(cfg, spec.axis, v), v if spec.axis == "rate_bpcu" else spec.rate)
+              for v in values]
+    hits = _sweep_hits(spec, points, [p for p in active if "mc" in active[p]], cognitive)
     rows = []
-    for value in spec.axis_values():
-        point_cfg = _apply_axis(cfg, spec.axis, value)
-        rate = value if spec.axis == "rate_bpcu" else spec.rate
+    for i, (value, (point_cfg, rate)) in enumerate(zip(values, points)):
         for proto in spec.protocols:
             for method in active.get(proto, ()):
                 if method == "analytic":
@@ -134,21 +136,36 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
                     rows.append(SweepRow(value, proto, "analytic", p_out,
                                          analytic.throughput_from_outage(proto, rate, p_out)))
                 else:
-                    est = montecarlo.estimate_outage(
-                        point_cfg, proto, rate, spec.trials, spec.seed,
-                        cognitive, spec.workers)
-                    if proto.half_duplex:
-                        thr_est = montecarlo.estimate_outage(
-                            point_cfg, proto, rate, spec.trials, spec.seed,
-                            cognitive, spec.workers, hd_equal_delivered_rate=False)
-                        thr_p = thr_est.p_hat
-                    else:
-                        thr_p = est.p_hat
+                    est = montecarlo.OutageEstimate.from_hits(
+                        hits[i, proto, True], spec.trials, spec.seed)
+                    thr_p = hits[i, proto, False] / spec.trials
                     rows.append(SweepRow(value, proto, "mc", est.p_hat,
                                          analytic.throughput_from_outage(proto, rate, thr_p),
                                          stderr=est.stderr, trials=est.trials,
                                          seed=est.seed))
     return SweepResult(rows=tuple(rows), errors=errors)
+
+
+def _sweep_hits(spec: SweepSpec, points, protocols, cognitive: bool) -> dict:
+    """Monte Carlo outage counts keyed (point index, protocol, convention).
+
+    The convention is hd_equal_delivered_rate: True gives the outage
+    column, False the throughput outage (the two differ only for the
+    half-duplex baselines).  Points that draw the same gains share one
+    simulation: the whole axis, except relay_count, where every k draws
+    its own.
+    """
+    groups = ([[i] for i in range(len(points))] if spec.axis == "relay_count"
+              else [range(len(points))])
+    hits = {}
+    for group in groups:
+        keys = [(i, proto, equal) for i in group for proto in protocols
+                for equal in (True, False)]
+        cells = [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
+                 for i, proto, equal in keys]
+        hits.update(zip(keys, montecarlo.outage_counts(
+            points[group[0]][0], cells, spec.trials, spec.seed, cognitive, spec.workers)))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +240,16 @@ def diversity_sweep(cfg: NetworkConfig, protocol: Protocol, rate: float,
     fit: simulated outage needs at least 100 hits, analytic outage must
     clear the float64 cancellation floor of the closed forms.
     """
-    grid_db = np.linspace(pmin_db, pmax_db, points)
-    kept = []
-    for pdb in grid_db:
-        p = db_to_linear(float(pdb))
-        point_cfg = dataclasses.replace(cfg, p_s=p, p_r=p)
-        if method == "mc":
-            est = montecarlo.estimate_outage(point_cfg, protocol, rate, trials,
-                                             seed, cfg.is_cognitive, workers)
-            if est.p_hat * trials >= 100:
-                kept.append((p, est.p_hat))
-        else:
-            p_out = analytic.outage(point_cfg, protocol, rate, cfg.is_cognitive)
-            if p_out > ANALYTIC_P_FLOOR:
-                kept.append((p, p_out))
+    powers = [db_to_linear(float(pdb)) for pdb in np.linspace(pmin_db, pmax_db, points)]
+    cfgs = [dataclasses.replace(cfg, p_s=p, p_r=p) for p in powers]
+    if method == "mc":
+        gamma_th = analytic.outage_threshold(protocol, rate)
+        hits = montecarlo.outage_counts(cfg, [(c, protocol, gamma_th) for c in cfgs],
+                                        trials, seed, cfg.is_cognitive, workers)
+        kept = [(p, h / trials) for p, h in zip(powers, hits) if h >= 100]
+    else:
+        outs = [analytic.outage(c, protocol, rate, cfg.is_cognitive) for c in cfgs]
+        kept = [(p, q) for p, q in zip(powers, outs) if q > ANALYTIC_P_FLOOR]
     if len(kept) < 4:
         raise ValueError("fewer than 4 usable points above the resolution floor")
     return diversity_fit(kept)
@@ -264,13 +277,16 @@ def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
     binomial standard error collapses).
     """
     cognitive = cfg.is_cognitive
+    protocols = list(protocols)
+    p_an = [analytic.outage(cfg, proto, rate, cognitive) for proto in protocols]
+    hits = montecarlo.outage_counts(
+        cfg, [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],
+        trials, seed, cognitive, workers)
     rows = []
-    for proto in protocols:
-        p_an = analytic.outage(cfg, proto, rate, cognitive)
-        est = montecarlo.estimate_outage(cfg, proto, rate, trials, seed,
-                                         cognitive, workers)
-        delta = est.p_hat - p_an
+    for proto, pa, h in zip(protocols, p_an, hits):
+        est = montecarlo.OutageEstimate.from_hits(h, trials, seed)
+        delta = est.p_hat - pa
         z = delta / est.stderr if est.stderr > 0 else (0.0 if delta == 0 else math.inf)
-        rows.append(ValidationRow(proto, p_an, est.p_hat, est.stderr, z,
+        rows.append(ValidationRow(proto, pa, est.p_hat, est.stderr, z,
                                   passed=abs(z) <= 3.0 or abs(delta) <= 1e-3))
     return rows

@@ -156,31 +156,6 @@ class NetworkConfig:
         return self.p_r ** self.rsi_lambda * self.rr.theta
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One block-fading draw of all channel gains, linear units."""
-
-    g_sr: np.ndarray
-    g_rd: np.ndarray
-    g_rr: np.ndarray
-    g_sd: float = 0.0
-    g_sp: float | None = None
-    g_rp: np.ndarray | None = None
-
-    def __post_init__(self):
-        k = len(self.g_sr)
-        if len(self.g_rd) != k or len(self.g_rr) != k:
-            raise ValueError("gain arrays must all have length k")
-        if self.g_rp is not None and len(self.g_rp) != k:
-            raise ValueError("g_rp must have length k")
-        arrays = [self.g_sr, self.g_rd, self.g_rr]
-        if self.g_rp is not None:
-            arrays.append(self.g_rp)
-        if any(np.any(a < 0) for a in arrays) or self.g_sd < 0 or (
-                self.g_sp is not None and self.g_sp < 0):
-            raise ValueError("channel power gains must be non-negative")
-
-
 def _integrality_requirements(protocol: Protocol, cognitive: bool) -> list[str]:
     req = {
         Protocol.NDL: ["rr"],
@@ -266,19 +241,6 @@ def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
         gains["sp"] = rng.gamma(cfg.sp.m, cfg.sp.theta, n)
         gains["rp"] = _draw_class(cfg, "rp", rng, n)
     return gains
-
-
-def sample_realization(cfg: NetworkConfig, rng: np.random.Generator) -> Realization:
-    """Draw one block-fading Realization of the whole scenario."""
-    g = draw_gains(cfg, rng, 1)
-    return Realization(
-        g_sr=g["sr"][:, 0],
-        g_rd=g["rd"][:, 0],
-        g_rr=g["rr"][:, 0],
-        g_sd=float(g["sd"][0]) if "sd" in g else 0.0,
-        g_sp=float(g["sp"][0]) if "sp" in g else None,
-        g_rp=g["rp"][:, 0] if "rp" in g else None,
-    )
 
 
 def db_to_linear(x_db: float) -> float:

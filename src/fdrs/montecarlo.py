@@ -5,12 +5,19 @@ counter-based Philox stream keyed by (seed, chunk index).  The chunk
 layout and the reduction (integer success counts) are independent of
 how chunks are scheduled, so estimates are bit-identical for any worker
 count.
+
+The gains of a chunk depend only on the seed, the chunk index and the
+link statistics, not on protocol, rate, power or interference cap.
+`outage_counts` therefore draws each chunk once and counts the outages
+of every (scenario point, protocol, threshold) cell from that one draw
+(common random numbers); each cell's count is the one a separate
+simulation with the same seed would give.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,12 +25,11 @@ from fdrs.analytic import FeasibilityDist, outage_threshold
 from fdrs.channel import (
     NetworkConfig,
     Protocol,
-    Realization,
     draw_gains,
     validate_config,
 )
 
-__all__ = ["OutageEstimate", "CHUNK_TRIALS", "e2e_sinr", "estimate_outage",
+__all__ = ["OutageEstimate", "CHUNK_TRIALS", "outage_counts", "estimate_outage",
            "estimate_feasibility"]
 
 CHUNK_TRIALS = 65536
@@ -44,6 +50,13 @@ class OutageEstimate:
             raise ValueError("p_hat must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+
+    @classmethod
+    def from_hits(cls, hits: int, trials: int, seed: int) -> "OutageEstimate":
+        """Estimate from an outage count over `trials` trials."""
+        p_hat = hits / trials
+        return cls(p_hat=p_hat, stderr=math.sqrt(p_hat * (1.0 - p_hat) / trials),
+                   trials=trials, seed=seed)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -113,27 +126,71 @@ def _feasibility_masks(gains: dict, cfg: NetworkConfig, protocol: Protocol):
     return feasible, dt_allowed
 
 
-def e2e_sinr(r: Realization, cfg: NetworkConfig, protocol: Protocol) -> float:
-    """End-to-end SINR of one realization, all relays available."""
-    gains = {"sr": r.g_sr[:, None], "rd": r.g_rd[:, None], "rr": r.g_rr[:, None],
-             "sd": np.asarray([r.g_sd])}
-    return float(_batch_sinr(gains, cfg, protocol)[0])
-
-
-def _outage_chunk(cfg, protocol, gamma_th, cognitive, seed, chunk_index, n) -> int:
+def _count_chunk(cfg, groups, n_cells, cognitive, seed, chunk_index, n):
     gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
-    feasible = dt_allowed = None
-    if cognitive:
-        feasible, dt_allowed = _feasibility_masks(gains, cfg, protocol)
-    sinr = _batch_sinr(gains, cfg, protocol, feasible, dt_allowed)
-    return int(np.count_nonzero(sinr < gamma_th))
+    hits = np.zeros(n_cells, dtype=np.int64)
+    for point_cfg, protocol, thresholds in groups:
+        masks = _feasibility_masks(gains, point_cfg, protocol) if cognitive else ()
+        sinr = _batch_sinr(gains, point_cfg, protocol, *masks)
+        for i, gamma_th in thresholds:
+            hits[i] = np.count_nonzero(sinr < gamma_th)
+        del masks, sinr  # free before the next pair's arrays exist
+    return hits
 
 
 def _run_chunks(fn, sizes, workers):
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         return [fn(i, n) for i, n in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(len(sizes)), sizes))
+
+
+# fields a cell may change without changing the gains drawn for it
+_POINT_FIELDS = ("p_s", "p_r", "i_th")
+
+
+def _draw_fields(cfg: NetworkConfig) -> list:
+    return [getattr(cfg, f.name) for f in fields(cfg) if f.name not in _POINT_FIELDS]
+
+
+def outage_counts(cfg: NetworkConfig, cells: list[tuple[NetworkConfig, Protocol, float]],
+                  trials: int, seed: int, cognitive: bool = False,
+                  workers: int = 1) -> list[int]:
+    """Outage hit counts of many cells from one set of draws.
+
+    A cell is (point_cfg, protocol, gamma_th): the scenario point, the
+    protocol and the SINR threshold whose outages are counted.  Every
+    chunk is drawn once from cfg, and each (point_cfg, protocol) pair
+    evaluates its SINR on it once for all of its thresholds.  A cell's
+    point_cfg may differ from cfg only in p_s, p_r and i_th, the
+    fields that leave the drawn gains unchanged; anything else raises
+    ValueError.  Counts are returned in cell order, each equal to
+    the count of a one-cell simulation with the same seed.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    groups: list[tuple[NetworkConfig, Protocol, list]] = []
+    for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
+        validate_config(point_cfg, protocol, "mc")
+        if cognitive and not point_cfg.is_cognitive:
+            raise ValueError("cognitive=True requires sp/rp/ith in the scenario")
+        if _draw_fields(point_cfg) != _draw_fields(cfg):
+            raise ValueError("cells must share the drawn gains: they may differ "
+                             f"from the drawing scenario only in {_POINT_FIELDS}")
+        for g_cfg, g_protocol, thresholds in groups:
+            if g_protocol is protocol and g_cfg == point_cfg:
+                thresholds.append((i, gamma_th))
+                break
+        else:
+            groups.append((point_cfg, protocol, [(i, gamma_th)]))
+    if not groups:
+        return []
+    counts = _run_chunks(
+        lambda i, n: _count_chunk(cfg, groups, len(cells), cognitive, seed, i, n),
+        _chunk_sizes(trials), workers)
+    return np.sum(counts, axis=0).tolist()
 
 
 def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
@@ -148,22 +205,13 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     meets the cap); outage iff the resulting SINR < threshold.  An
     empty candidate set yields SINR 0.  Feasibility and outage use the
     same realization, preserving the correlation through the shared
-    source-to-primary gain.
+    source-to-primary gain.  This is the one-cell case of
+    `outage_counts`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    validate_config(cfg, protocol, "mc")
-    if cognitive and not cfg.is_cognitive:
-        raise ValueError("cognitive=True requires sp/rp/ith in the scenario")
     gamma_th = outage_threshold(protocol, rate, hd_equal_delivered_rate)
-    sizes = _chunk_sizes(trials)
-    counts = _run_chunks(
-        lambda i, n: _outage_chunk(cfg, protocol, gamma_th, cognitive, seed, i, n),
-        sizes, workers)
-    hits = sum(counts)
-    p_hat = hits / trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return OutageEstimate(p_hat=p_hat, stderr=stderr, trials=trials, seed=seed)
+    [hits] = outage_counts(cfg, [(cfg, protocol, gamma_th)], trials, seed,
+                           cognitive, workers)
+    return OutageEstimate.from_hits(hits, trials, seed)
 
 
 def _feasibility_chunk(cfg, seed, chunk_index, n):

@@ -13,8 +13,9 @@ import pytest
 from fdrs import analysis
 from fdrs import analytic as an
 from fdrs import montecarlo as mc
-from fdrs import rayleigh as ray
 from fdrs.channel import LinkSpec, NetworkConfig, Protocol, db_to_linear
+
+import rayleigh as ray
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
 SEED = 12345
@@ -34,18 +35,21 @@ def test_criterion_1_closed_form_vs_simulation(fig2a_cfg, fig2b_cfg):
     max(3 stderr, 1e-3) at 1e6 trials, on both scenarios."""
     start = time.time()
     failures = []
+    cells = [(proto, rate) for proto in FD for rate in (1.0, 2.0, 3.0)]
     for cfg, cognitive, name in ((fig2a_cfg, False, "fig2a"),
                                  (fig2b_cfg, True, "fig2b")):
-        for proto in FD:
-            for rate in (1.0, 2.0, 3.0):
-                p_an = an.outage(cfg, proto, rate, cognitive=cognitive)
-                est = mc.estimate_outage(cfg, proto, rate, 10 ** 6, seed=SEED,
-                                         cognitive=cognitive)
-                tol = max(3 * est.stderr, 1e-3)
-                if abs(est.p_hat - p_an) > tol:
-                    failures.append(
-                        f"{name} {proto.value} R={rate}: |{est.p_hat:.6f} - "
-                        f"{p_an:.6f}| > {tol:.2e}")
+        # one shared-draw simulation per scenario
+        hits = mc.outage_counts(
+            cfg, [(cfg, proto, an.outage_threshold(proto, rate)) for proto, rate in cells],
+            10 ** 6, seed=SEED, cognitive=cognitive)
+        for (proto, rate), h in zip(cells, hits):
+            p_an = an.outage(cfg, proto, rate, cognitive=cognitive)
+            est = mc.OutageEstimate.from_hits(h, 10 ** 6, SEED)
+            tol = max(3 * est.stderr, 1e-3)
+            if abs(est.p_hat - p_an) > tol:
+                failures.append(
+                    f"{name} {proto.value} R={rate}: |{est.p_hat:.6f} - "
+                    f"{p_an:.6f}| > {tol:.2e}")
     elapsed = time.time() - start
     if elapsed > 120:
         failures.append(f"runtime {elapsed:.0f}s exceeds 2 min")

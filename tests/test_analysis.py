@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdrs import analysis, analytic
-from fdrs.channel import ConfigError, Protocol
+from fdrs import analysis, analytic, montecarlo
+from fdrs.channel import ConfigError, Protocol, db_to_linear
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
 
@@ -186,3 +186,57 @@ class TestValidateReport:
     def test_zero_probability_edge(self, fig2a_cfg):
         rows = analysis.validate_report(fig2a_cfg, (Protocol.NDL,), 0.0, 1000, seed=0)
         assert rows[0].p_analytic == 0.0 and rows[0].p_hat == 0.0 and rows[0].passed
+
+
+class TestSharedDrawDrivers:
+    """The batched drivers give what one simulation per cell gives."""
+
+    @staticmethod
+    def per_cell_rows(spec, cfg):
+        rows = []
+        for value in spec.axis_values():
+            point = analysis._apply_axis(cfg, spec.axis, value)
+            rate = value if spec.axis == "rate_bpcu" else spec.rate
+            for proto in spec.protocols:
+                est, thr = (montecarlo.estimate_outage(
+                    point, proto, rate, spec.trials, spec.seed, cfg.is_cognitive,
+                    hd_equal_delivered_rate=equal) for equal in (True, False))
+                rows.append(analysis.SweepRow(
+                    value, proto, "mc", est.p_hat,
+                    analytic.throughput_from_outage(proto, rate, thr.p_hat),
+                    stderr=est.stderr, trials=est.trials, seed=est.seed))
+        return rows
+
+    @pytest.mark.parametrize("axis,start,stop", [
+        ("power_db", 0, 20), ("rate_bpcu", 1, 3), ("relay_count", 1, 3), ("ith_db", -5, 10)])
+    def test_sweep_matches_per_cell_calls(self, fig2b_cfg, axis, start, stop):
+        spec = analysis.SweepSpec(axis=axis, start=start, stop=stop, steps=3,
+                                  protocols=(Protocol.IDL_DT, Protocol.HD_SDF),
+                                  method="mc", trials=5000, seed=3, workers=2)
+        rows = analysis.run_sweep(spec, fig2b_cfg).rows
+        assert list(rows) == self.per_cell_rows(spec, fig2b_cfg)
+
+    def test_validate_report_matches_per_cell_calls(self, fig2b_cfg):
+        rows = analysis.validate_report(fig2b_cfg, FD, 2.0, 20_000, seed=7, workers=2)
+        for r in rows:
+            est = montecarlo.estimate_outage(fig2b_cfg, r.protocol, 2.0, 20_000, seed=7,
+                                             cognitive=True)
+            assert (r.p_hat, r.stderr) == (est.p_hat, est.stderr)
+
+    def test_diversity_mc_matches_per_cell_calls(self, fig4_cfg):
+        # without RSI scaling the outage falls fast enough for the top
+        # points to drop below 100 hits
+        cfg = dataclasses.replace(fig4_cfg, rsi_lambda=0.0)
+        trials = 20_000
+        fit = analysis.diversity_sweep(cfg, Protocol.NDL, 2.0, 0, 14, 8,
+                                       method="mc", trials=trials, seed=5)
+        kept = []
+        for pdb in np.linspace(0, 14, 8):
+            p = db_to_linear(float(pdb))
+            est = montecarlo.estimate_outage(dataclasses.replace(cfg, p_s=p, p_r=p),
+                                             Protocol.NDL, 2.0, trials, 5,
+                                             cfg.is_cognitive)
+            if round(est.p_hat * trials) >= 100:
+                kept.append((p, est.p_hat))
+        assert 4 <= len(kept) < 8
+        assert fit == analysis.diversity_fit(kept)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fdrs import analytic as an
-from fdrs import rayleigh as ray
 from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol, db_to_linear
+
+import rayleigh as ray
 
 dB = db_to_linear
 

@@ -10,11 +10,10 @@ from fdrs.channel import (
     LinkSpec,
     NetworkConfig,
     Protocol,
-    Realization,
     config_violations,
     db_to_linear,
+    draw_gains,
     sample_gamma,
-    sample_realization,
     validate_config,
 )
 
@@ -153,23 +152,22 @@ class TestGammaSampling:
 class TestRealizationSampling:
     def test_seed_determinism(self):
         cfg = make_cfg(sp=LinkSpec(1, 1.0), rp=LinkSpec(1, 1.26), i_th=2.0)
-        a = [sample_realization(cfg, np.random.default_rng(42)) for _ in range(3)]
-        b = [sample_realization(cfg, np.random.default_rng(42)) for _ in range(3)]
+        a = [draw_gains(cfg, np.random.default_rng(42), 1) for _ in range(3)]
+        b = [draw_gains(cfg, np.random.default_rng(42), 1) for _ in range(3)]
         for ra, rb in zip(a, b):
-            assert np.array_equal(ra.g_sr, rb.g_sr)
-            assert np.array_equal(ra.g_rp, rb.g_rp)
-            assert ra.g_sd == rb.g_sd and ra.g_sp == rb.g_sp
+            assert np.array_equal(ra["sr"], rb["sr"])
+            assert np.array_equal(ra["rp"], rb["rp"])
+            assert ra["sd"] == rb["sd"] and ra["sp"] == rb["sp"]
 
     def test_shapes_and_optional_fields(self):
         rng = np.random.default_rng(1)
-        r = sample_realization(make_cfg(sd=None), rng)
-        assert r.g_sr.shape == (3,) and r.g_sd == 0.0 and r.g_sp is None
+        g = draw_gains(make_cfg(sd=None), rng, 1)
+        assert g["sr"].shape == (3, 1) and "sd" not in g and "sp" not in g
 
     def test_stream_independence(self):
         cfg = make_cfg()
         rng = np.random.default_rng(9)
         n = 10 ** 5
-        from fdrs.channel import draw_gains
         g = draw_gains(cfg, rng, n)
         streams = [g["sr"][0], g["sr"][1], g["rd"][0], g["rr"][2], g["sd"]]
         for i in range(len(streams)):
@@ -180,7 +178,6 @@ class TestRealizationSampling:
     def test_symmetric_classes_share_parameters(self):
         cfg = make_cfg()
         rng = np.random.default_rng(2)
-        from fdrs.channel import draw_gains
         g = draw_gains(cfg, rng, 200_000)
         for row in range(cfg.k):
             mean = g["sr"][row].mean()
@@ -190,15 +187,10 @@ class TestRealizationSampling:
     def test_per_relay_overrides_change_marginals(self):
         cfg = make_cfg(relay_overrides={
             "sr": (LinkSpec(1, 1.0), LinkSpec(1, 10.0), LinkSpec(1, 100.0))})
-        from fdrs.channel import draw_gains
         g = draw_gains(cfg, np.random.default_rng(3), 100_000)
         means = g["sr"].mean(axis=1)
         assert means[0] < means[1] < means[2]
         assert means[2] == pytest.approx(100.0, rel=0.05)
-
-    def test_realization_length_check(self):
-        with pytest.raises(ValueError):
-            Realization(g_sr=np.ones(2), g_rd=np.ones(3), g_rr=np.ones(3))
 
 
 def test_db_conversion():

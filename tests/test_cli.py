@@ -212,3 +212,11 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    def test_zero_workers_exit_code(self, capsys):
+        for argv in (["validate", "--rate", "2", "--trials", "1000"],
+                     ["pl", "--trials", "1000"]):
+            rc = main([argv[0], "--config", str(CONFIG_DIR / "fig2b.cfg"), *argv[1:],
+                       "--workers", "0"])
+            assert rc == 2
+            assert "workers must be >= 1" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from fdrs import analytic as an
 from fdrs import montecarlo as mc
-from fdrs.channel import LinkSpec, NetworkConfig, Protocol, Realization, draw_gains
+from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol, draw_gains
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
 
@@ -21,24 +21,31 @@ def single_relay_cfg(**kw):
     return NetworkConfig(**base)
 
 
+def one_trial(g_sr, g_rd, g_rr, g_sd=0.0) -> dict:
+    """Gains of a single trial, in the (k, n) layout of draw_gains."""
+    return {"sr": np.asarray(g_sr, float)[:, None], "rd": np.asarray(g_rd, float)[:, None],
+            "rr": np.asarray(g_rr, float)[:, None], "sd": np.array([g_sd])}
+
+
+def trial_sinr(gains, cfg, protocol) -> float:
+    return float(mc._batch_sinr(gains, cfg, protocol)[0])
+
+
 class TestE2eSinr:
     def test_balanced_single_relay(self):
-        r = Realization(g_sr=np.array([1.0]), g_rd=np.array([1.0]),
-                        g_rr=np.array([0.0]), g_sd=0.0)
-        assert mc.e2e_sinr(r, single_relay_cfg(), Protocol.NDL) == 1.0
+        g = one_trial([1.0], [1.0], [0.0])
+        assert trial_sinr(g, single_relay_cfg(), Protocol.NDL) == 1.0
 
     def test_huge_self_interference_kills_first_hop(self):
-        r = Realization(g_sr=np.array([1.0]), g_rd=np.array([1.0]),
-                        g_rr=np.array([1e15]), g_sd=0.0)
-        assert mc.e2e_sinr(r, single_relay_cfg(), Protocol.NDL) < 1e-12
+        g = one_trial([1.0], [1.0], [1e15])
+        assert trial_sinr(g, single_relay_cfg(), Protocol.NDL) < 1e-12
 
     def test_no_direct_gain_makes_idl_equal_ndl(self):
         rng = np.random.default_rng(0)
         cfg = single_relay_cfg(k=3)
         for _ in range(20):
-            r = Realization(g_sr=rng.gamma(1, 1, 3), g_rd=rng.gamma(1, 1, 3),
-                            g_rr=rng.gamma(1, 1, 3), g_sd=0.0)
-            assert mc.e2e_sinr(r, cfg, Protocol.IDL) == mc.e2e_sinr(r, cfg, Protocol.NDL)
+            g = one_trial(rng.gamma(1, 1, 3), rng.gamma(1, 1, 3), rng.gamma(1, 1, 3))
+            assert trial_sinr(g, cfg, Protocol.IDL) == trial_sinr(g, cfg, Protocol.NDL)
 
     def test_per_realization_dominance(self, fig2a_cfg):
         # selective >= hybrid >= interference-only, realization by realization
@@ -54,9 +61,9 @@ class TestE2eSinr:
         for proto in FD + (Protocol.HD_MRC, Protocol.HD_SDF):
             batch = mc._batch_sinr(gains, fig2a_cfg, proto)
             for i in (0, 17, 49):
-                r = Realization(g_sr=gains["sr"][:, i], g_rd=gains["rd"][:, i],
-                                g_rr=gains["rr"][:, i], g_sd=float(gains["sd"][i]))
-                assert mc.e2e_sinr(r, fig2a_cfg, proto) == pytest.approx(
+                g = one_trial(gains["sr"][:, i], gains["rd"][:, i], gains["rr"][:, i],
+                              float(gains["sd"][i]))
+                assert trial_sinr(g, fig2a_cfg, proto) == pytest.approx(
                     float(batch[i]), rel=1e-14)
 
 
@@ -125,6 +132,69 @@ class TestEstimateOutage:
         assert mc._chunk_sizes(mc.CHUNK_TRIALS * 2 + 5) == [mc.CHUNK_TRIALS,
                                                             mc.CHUNK_TRIALS, 5]
         assert mc._chunk_sizes(10) == [10]
+
+
+class TestOutageCounts:
+    TRIALS = 2 * mc.CHUNK_TRIALS + 5
+
+    @staticmethod
+    def scenario(name, fig2a_cfg, fig2b_cfg):
+        if name == "overrides":
+            # asymmetric first hops and primary links, non-integer shape
+            return dataclasses.replace(fig2b_cfg, relay_overrides={
+                "sr": (LinkSpec(1, 10.0), LinkSpec(2, 31.6), LinkSpec(0.7, 50.0)),
+                "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
+        return {"fig2a": fig2a_cfg, "fig2b": fig2b_cfg}[name]
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "overrides"])
+    def test_grid_matches_per_cell_calls(self, name, fig2a_cfg, fig2b_cfg):
+        base = self.scenario(name, fig2a_cfg, fig2b_cfg)
+        cognitive = base.is_cognitive
+        moved = dict(p_s=3.0, p_r=2.0, i_th=0.5) if cognitive else dict(p_s=3.0, p_r=2.0)
+        points = [base, dataclasses.replace(base, **moved)]
+        # (protocol, rate, hd_equal_delivered_rate), both half-duplex conventions
+        cases = [(Protocol.SDF, 2.0, True), (Protocol.IDL_DT, 1.0, True),
+                 (Protocol.HD_MRC, 1.0, True), (Protocol.HD_MRC, 1.0, False)]
+        cells, expected = [], []
+        for point in points:
+            for proto, rate, equal in cases:
+                cells.append((point, proto, an.outage_threshold(proto, rate, equal)))
+                expected.append(mc.estimate_outage(
+                    point, proto, rate, self.TRIALS, seed=21, cognitive=cognitive,
+                    hd_equal_delivered_rate=equal))
+        for workers in (1, 2):
+            hits = mc.outage_counts(base, cells, self.TRIALS, seed=21,
+                                    cognitive=cognitive, workers=workers)
+            assert [mc.OutageEstimate.from_hits(h, self.TRIALS, 21) for h in hits] == expected
+
+    def test_cells_with_different_draws_raise(self, fig2a_cfg, fig2b_cfg):
+        for other in (dataclasses.replace(fig2a_cfg, k=4),
+                      dataclasses.replace(fig2a_cfg, sr=LinkSpec(1, 31.6)),
+                      fig2b_cfg):
+            cells = [(fig2a_cfg, Protocol.SDF, 3.0), (other, Protocol.SDF, 3.0)]
+            with pytest.raises(ValueError, match="share the drawn gains"):
+                mc.outage_counts(fig2a_cfg, cells, 100, seed=0)
+
+    def test_every_cell_is_validated(self, fig2a_cfg):
+        no_sd = dataclasses.replace(fig2a_cfg, sd=None)
+        with pytest.raises(ConfigError):
+            mc.outage_counts(no_sd, [(no_sd, Protocol.NDL, 3.0), (no_sd, Protocol.SDF, 3.0)],
+                             100, seed=0)
+        with pytest.raises(ValueError):
+            mc.outage_counts(fig2a_cfg, [(fig2a_cfg, Protocol.NDL, 3.0)], 100, seed=0,
+                             cognitive=True)
+        with pytest.raises(ValueError):
+            mc.outage_counts(fig2a_cfg, [(fig2a_cfg, Protocol.NDL, 3.0)], 0, seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_must_be_positive(self, fig2b_cfg, workers):
+        with pytest.raises(ValueError, match="workers"):
+            mc.outage_counts(fig2b_cfg, [(fig2b_cfg, Protocol.SDF, 3.0)], 100, seed=0,
+                             workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            mc.estimate_outage(fig2b_cfg, Protocol.SDF, 2.0, 100, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            mc.estimate_feasibility(fig2b_cfg, 100, seed=0, workers=workers)
 
 
 class TestEstimateFeasibility:
