@@ -6,7 +6,6 @@ primary-receiver interference constraint, a seeded Monte Carlo
 cross-validator, and diversity-order slope fitting.
 """
 from fdrs.specfun import (
-    Accuracy,
     NonConvergenceError,
     ln_gamma,
     reg_lower_gamma,
@@ -19,19 +18,15 @@ from fdrs.channel import (
     LinkSpec,
     NetworkConfig,
     Protocol,
-    sample_gamma,
     validate_config,
 )
 from fdrs.analytic import (
     FeasibilityDist,
     RatioParams,
     cdf_cognitive,
-    cdf_idl,
-    cdf_idl_dt,
-    cdf_ndl,
+    cdf_conditional,
     cdf_ratio_gamma,
     cdf_ratio_gamma_quad,
-    cdf_sdf,
     feasibility_dist,
     outage,
     outage_threshold,

@@ -17,9 +17,11 @@ integer m the identity
               = e^(-k y) sum_d c_{k,m}(d) y^d
 collapses the multinomial expansion to one term per degree d, with
 positive coefficients c_{k,m}(d) (specfun.ln_truncated_exp_power).
-Each degree leaves a one-dimensional inner integral that reduces to
-confluent hypergeometric or incomplete-Gamma terms; the protocols
-differ only in that inner integral.  The blocks I_k do not depend on
+Each degree leaves a one-dimensional inner integral: incomplete-Gamma
+moments up to inf (idl) or x (idl_dt) for the shifted argument
+x (b + 1), Kummer or incomplete-Gamma sums for the convolved argument
+x - b (sdf, feasibility); the protocols differ only in that inner
+integral and its upper limit.  The blocks I_k do not depend on
 L, so one block vector serves every relay count of the cognitive
 mixture.
 
@@ -44,10 +46,6 @@ __all__ = [
     "first_hop_ratio_params",
     "cdf_ratio_gamma",
     "cdf_ratio_gamma_quad",
-    "cdf_ndl",
-    "cdf_idl",
-    "cdf_idl_dt",
-    "cdf_sdf",
     "cdf_conditional",
     "cdf_ndl_quad",
     "cdf_idl_quad",
@@ -121,25 +119,23 @@ def first_hop_ratio_params(cfg: NetworkConfig) -> RatioParams:
 def _ratio_whittaker_sum(z: float, p: RatioParams) -> float:
     """sum_k B c^-d theta2^-k W_{a,b}(c) of the ratio CDF, in [0, 1-ish].
 
-    Equals F_Z(z) - P(m1, z/theta1) >= 0.  Each term is evaluated as
-    exp(log prefactor) * W so the pairing of a decaying prefactor with a
-    growing Whittaker magnitude (or vice versa) cannot overflow.
+    Equals F_Z(z) - P(m1, z/theta1) >= 0.  Writing W_{a,b}(c) =
+    e^(-c/2) c^(b+1/2) U(b-a+1/2, 1+2b, c) and folding e^(-c/2) into B
+    leaves the term e^(-z/theta1) (z/theta1)^m1 c^-(m1+k) theta2^-k
+    U(1-m1, 1-m1-k, c) / Gamma(m1), evaluated as exp(log prefactor) * U:
+    no factor underflows on its own when c = z/theta1 + 1/theta2 is
+    large (small RSI), and none overflows against the others.
     """
     m1, th1, th2 = p.m1, p.theta1, p.theta2
     m2 = int(round(p.m2))
     zt = z / th1
     c = zt + 1.0 / th2
-    ln_b = -0.5 * (zt - 1.0 / th2) + m1 * math.log(zt) - sf.ln_gamma(m1)
+    ln_b = -zt + m1 * math.log(zt) - sf.ln_gamma(m1)
     terms = []
     for k in range(m2):
-        a = 0.5 * (m1 - k - 1.0)
-        b = -0.5 * (m1 + k)
-        d = 0.5 * (m1 + k + 1.0)
-        w = sf.whittaker_w(a, b, c)
-        if w == 0.0:
-            continue
-        ln_pref = ln_b - d * math.log(c) - k * math.log(th2)
-        terms.append(math.copysign(math.exp(ln_pref + math.log(abs(w))), w))
+        u = sf.tricomi_u(1.0 - m1, 1.0 - m1 - k, c)
+        ln_pref = ln_b - (m1 + k) * math.log(c) - k * math.log(th2)
+        terms.append(math.copysign(math.exp(ln_pref + math.log(abs(u))), u))
     return math.fsum(terms)
 
 
@@ -237,36 +233,24 @@ def _alternating_sum(ln_mags) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
-def _ln_tail_integral(deg: int, shape: float, rate: float) -> float:
-    """ln of integral_0^inf (t+1)^deg t^(shape-1) e^(-rate t) dt.
-
-    Equals Gamma(shape) rate^-(shape+deg) U(-deg, 1-shape-deg, rate);
-    the Tricomi factor is an exact positive polynomial here.
-    """
-    u = sf.tricomi_u(-float(deg), 1.0 - shape - deg, rate) if deg else 1.0
-    return sf.ln_gamma(shape) - (shape + deg) * math.log(rate) + math.log(u)
-
-
-def _ln_tail_integrals(count: int, shape: float, rate: float, _upper: float) -> list[float]:
-    """_ln_tail_integral for degrees 0..count-1."""
-    return [_ln_tail_integral(d, shape, rate) for d in range(count)]
-
-
 def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
     """ln of integral_0^upper (t+1)^d t^(shape-1) e^(-rate t) dt for
-    d = 0..count-1, rate > 0.
+    d = 0..count-1, rate > 0 and upper <= inf.
 
     Expanding (t+1)^d binomially leaves the incomplete-Gamma moments
     Gamma(r+shape) P(r+shape, rate upper) rate^-(r+shape), which every
-    degree shares.
+    degree shares; at upper = inf they are complete Gammas.
     """
+    ln_rate = math.log(rate)
     w = rate * upper
+    ln_fact = [math.lgamma(n + 1) for n in range(count)]
     moments = []
     for r in range(count):
         plo = sf.reg_lower_gamma(r + shape, w)
-        moments.append(sf.ln_gamma(r + shape) - (r + shape) * math.log(rate)
+        moments.append(sf.ln_gamma(r + shape) - (r + shape) * ln_rate
                        + math.log(plo) if plo > 0.0 else -math.inf)
-    return [_lse([_ln_binom(d, r) + moments[r] for r in range(d + 1)])
+    return [_lse([ln_fact[d] - ln_fact[r] - ln_fact[d - r] + moments[r]
+                  for r in range(d + 1)])
             for d in range(count)]
 
 
@@ -330,30 +314,32 @@ def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> l
 
 
 def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
-               theta0: float, ln_inner, convolved: bool) -> list[float]:
-    """ln I_k for k = 0..count, I_k = integral Q(m, y(b)/theta)^k f(b) db.
+               theta0: float, convolved: bool, upper: float) -> list[float]:
+    """ln I_k for k = 0..count, I_k = integral_0^upper Q(m, y(b)/theta)^k f(b) db.
 
     f is the Gamma(shape, theta0) density and m an integer.  The hop
-    argument is y(b) = x (b + 1) (shifted) or x - b (convolved); the
-    range of b and the rest of the inner integral are ln_inner's.
+    argument is y(b) = x (b + 1) (shifted, upper <= inf) or x - b
+    (convolved, upper = x).
 
     Degree form: for integer m, Q(m, y)^k = e^(-k y) sum_d c_{k,m}(d) y^d
     (sf.ln_truncated_exp_power).  Pulling e^(-k x/theta) out leaves
     I_k = e^(-k x/theta) sum_d c_{k,m}(d) w^d J_d(rate_k) / (Gamma(shape)
     theta0^shape), with w = x/theta and rate_k = 1/theta0 + k x/theta
     when shifted, w = 1/theta and rate_k = 1/theta0 - k/theta when
-    convolved; ln_inner(n, shape, rate_k, x) lists ln J_d for d < n,
-    so work shared across degrees is done once per block.  All terms are
-    positive.  No block depends on the relay count L, so one vector
-    serves every F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count.
+    convolved; _ln_trunc_integrals (shifted) or _ln_conv_integrals
+    (convolved) lists ln J_d for every degree, so work shared across
+    degrees is done once per block.  All terms are positive.  No block
+    depends on the relay count L, so one vector serves every
+    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count.
     """
     ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
     ln_weight = -math.log(theta) if convolved else math.log(x / theta)
+    ln_inner = _ln_conv_integrals if convolved else _ln_trunc_integrals
     blocks = []
     for k in range(count + 1):
         rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
         coeffs = sf.ln_truncated_exp_power(k, m)
-        inner = ln_inner(len(coeffs), shape, rate, x)
+        inner = ln_inner(len(coeffs), shape, rate, upper)
         lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
         blocks.append(-k * x / theta + ln_norm + _lse(lns))
     return blocks
@@ -362,12 +348,12 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
 # ---------------------------------------------------------------------------
 # end-to-end SINR CDFs without the interference constraint
 
-# inner integrals of each degree against the direct-link density, and
-# whether the hop argument is convolved (x - b) or shifted (x (b + 1))
+# whether the hop argument is convolved (x - b) or shifted (x (b + 1)),
+# and the upper limit of the direct-link SNR b in units of x
 _DIRECT_LINK_INNER = {
-    Protocol.IDL: (_ln_tail_integrals, False),
-    Protocol.IDL_DT: (_ln_trunc_integrals, False),
-    Protocol.SDF: (_ln_conv_integrals, True),
+    Protocol.IDL: (False, math.inf),
+    Protocol.IDL_DT: (False, 1.0),
+    Protocol.SDF: (True, 1.0),
 }
 
 
@@ -395,75 +381,39 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
         per_path = fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd)
         return [per_path ** n for n in range(relays + 1)]
     fzbar = ratio_ccdf(x, p1)
-    ln_inner, convolved = _DIRECT_LINK_INNER[protocol]
+    convolved, upper = _DIRECT_LINK_INNER[protocol]
     count = relays if fzbar > 0.0 else 0   # s = 0 leaves only the k = 0 block
     ln_s = math.log(fzbar) if count else 0.0
     ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x,
-                      cfg.sd.m, cfg.p_s * cfg.sd.theta, ln_inner, convolved)
+                      cfg.sd.m, cfg.p_s * cfg.sd.theta, convolved, upper * x)
     return [_alternating_sum(_ln_binom(n, k) + k * ln_s + ln_i[k]
                              for k in range(min(n, count) + 1))
             for n in range(relays + 1)]
 
 
-def cdf_ndl(x: float, cfg: NetworkConfig, relays: int) -> float:
-    """End-to-end SINR CDF with no direct link and `relays` relays.
-
-    Product form: (1 - P(Z > x) P(hop2 > x))^relays, every factor a
-    single per-path CDF thanks to i.i.d. paths.
-    """
-    validate_config(cfg, Protocol.NDL, "analytic")
-    return _conditional_cdfs(x, cfg, Protocol.NDL, relays)[relays]
-
-
-def cdf_idl(x: float, cfg: NetworkConfig, relays: int) -> float:
-    """End-to-end SINR CDF when the direct link only interferes.
-
-    The direct-link SNR is integrated out over (0, inf); each degree
-    term reduces to a Whittaker factor of
-    eta_k = 1/(P_S theta_SD) + x k/(P_R theta_RD), evaluated here
-    through its exact Tricomi polynomial form.
-    """
-    validate_config(cfg, Protocol.IDL, "analytic")
-    return _conditional_cdfs(x, cfg, Protocol.IDL, relays)[relays]
-
-
-def cdf_idl_dt(x: float, cfg: NetworkConfig, relays: int) -> float:
-    """Hybrid CDF: direct link interferes, but direct transmission is a
-    fallback decoding branch, so the integration stops at x."""
-    validate_config(cfg, Protocol.IDL_DT, "analytic")
-    return _conditional_cdfs(x, cfg, Protocol.IDL_DT, relays)[relays]
-
-
-def cdf_sdf(x: float, cfg: NetworkConfig, relays: int) -> float:
-    """Selective-cooperation CDF: second hop is the relay-destination
-    link MRC-combined with the direct signal (virtual two-transmitter
-    array), and direct transmission is favored when sufficient.
-
-    The inner integral carries the convolution kernel (x - beta)^deg
-    and the sign-indefinite decay eta_k = 1/(P_S theta_SD) -
-    k/(P_R theta_RD); both confluent branches, and the common limit at
-    eta_k = 0, live in _ln_conv_integral.
-    """
-    validate_config(cfg, Protocol.SDF, "analytic")
-    return _conditional_cdfs(x, cfg, Protocol.SDF, relays)[relays]
-
-
-_CDF_BY_PROTOCOL = {
-    Protocol.NDL: cdf_ndl,
-    Protocol.IDL: cdf_idl,
-    Protocol.IDL_DT: cdf_idl_dt,
-    Protocol.SDF: cdf_sdf,
-}
-
-
 def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
                     relays: int) -> float:
-    """CDF of the end-to-end SINR given `relays` usable relays."""
-    try:
-        fn = _CDF_BY_PROTOCOL[protocol]
-    except KeyError:
-        raise ConfigError([f"{protocol.value} has no closed-form CDF"])
-    return fn(x, cfg, relays)
+    """CDF of the end-to-end SINR given `relays` usable relays.
+
+    ndl: no direct link; product form (1 - P(Z > x) P(hop2 > x))^relays,
+    every factor a single per-path CDF thanks to i.i.d. paths.
+    idl: the direct link only interferes with the second hop; the
+    direct-link SNR is integrated out over (0, inf), each degree term a
+    complete-Gamma moment sum at decay eta_k = 1/(P_S theta_SD) +
+    x k/(P_R theta_RD).
+    idl_dt: as idl, but direct transmission is a fallback decoding
+    branch, so the integration stops at x.
+    sdf: selective cooperation; the second hop is the relay-destination
+    link MRC-combined with the direct signal (virtual two-transmitter
+    array), and direct transmission is favored when sufficient.  The
+    inner integral carries the convolution kernel (x - beta)^deg and
+    the sign-indefinite decay eta_k = 1/(P_S theta_SD) - k/(P_R theta_RD);
+    both confluent branches, and the common limit at eta_k = 0, live in
+    _ln_conv_integral.
+    """
+    validate_config(cfg, protocol, "analytic")
+    return _conditional_cdfs(x, cfg, protocol, relays)[relays]
+
 
 # ---------------------------------------------------------------------------
 # quadrature oracles for the end-to-end CDFs
@@ -487,7 +437,7 @@ def _direct_link_quad(x, cfg, relays, hop2_tail, lo, hi, tol):
 
 
 def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
-    """Oracle for cdf_ndl built on the ratio-CDF quadrature."""
+    """Oracle for the ndl conditional CDF built on the ratio-CDF quadrature."""
     if x == 0:
         return 0.0
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
@@ -553,7 +503,7 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     # expanding (1 - Q)^n gives
     # P(exactly n feasible) = C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
     ln_b = _ln_blocks(k_total, int(round(cfg.rp.m)), cfg.p_r * cfg.rp.theta, cap,
-                      cfg.sp.m, th_sp, _ln_conv_integrals, True)
+                      cfg.sp.m, th_sp, True, cap)
     p_tilde0 = math.exp(ln_b[k_total])
     probs = [min(sf.reg_upper_gamma(cfg.sp.m, cap / th_sp) + p_tilde0, 1.0)]
     for feasible in range(1, k_total + 1):
@@ -644,7 +594,6 @@ def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
         return 0.0
     if cognitive:
         return cdf_cognitive(gamma_th, cfg, protocol)
-    validate_config(cfg, protocol, "analytic")
     return cdf_conditional(gamma_th, cfg, protocol, cfg.k)
 
 

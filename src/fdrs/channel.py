@@ -10,7 +10,6 @@ conversion happens at configuration ingestion.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -204,15 +203,6 @@ def validate_config(cfg: NetworkConfig, protocol: Protocol, method: str) -> Netw
     return cfg
 
 
-def sample_gamma(m: float, theta: float, rng: np.random.Generator, size=None):
-    """Draw Gamma(m, theta) power gains; exact for every shape m >= 0.5."""
-    if not m >= 0.5:
-        raise ValueError(f"shape must be >= 0.5, got {m}")
-    if not theta > 0:
-        raise ValueError(f"scale must be > 0, got {theta}")
-    return rng.gamma(m, theta, size)
-
-
 def _draw_class(cfg: NetworkConfig, name: str, rng: np.random.Generator,
                 n: int) -> np.ndarray:
     """(k, n) gains for a relay-indexed link class, honoring overrides."""
@@ -245,7 +235,3 @@ def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)

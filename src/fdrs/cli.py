@@ -328,6 +328,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked here because analytic-only runs never read them
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
+        min_trials = 0 if args.subcommand == "pl" else 1   # pl: 0 = no simulation
+        if args.trials < min_trials:
+            raise ValueError(f"trials must be >= {min_trials}")
         return args.fn(args)
     except ConfigError as exc:
         for e in exc.errors:

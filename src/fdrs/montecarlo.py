@@ -216,11 +216,11 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
 
 def _feasibility_chunk(cfg, seed, chunk_index, n):
     gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
-    i_sp = cfg.p_s * gains["sp"]
-    i_rp = cfg.p_r * gains["rp"]
-    feasible_count = np.count_nonzero((i_sp[None, :] + i_rp) <= cfg.i_th, axis=0)
+    # any full-duplex protocol: they share the cap rule
+    feasible, dt_allowed = _feasibility_masks(gains, cfg, Protocol.NDL)
+    feasible_count = np.count_nonzero(feasible, axis=0)
     counts = np.bincount(feasible_count, minlength=cfg.k + 1)
-    tilde0 = int(np.count_nonzero((feasible_count == 0) & (i_sp <= cfg.i_th)))
+    tilde0 = int(np.count_nonzero((feasible_count == 0) & dt_allowed))
     return counts, tilde0
 
 

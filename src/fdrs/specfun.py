@@ -13,14 +13,11 @@ closed forms expand integer-shape Gamma tails, is computed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from scipy import special as sc
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
     "NonConvergenceError",
     "ln_gamma",
     "reg_lower_gamma",
@@ -33,25 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Series evaluation controls: relative tolerance and term budget."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_ACCURACY = Accuracy()
+# series evaluation controls: relative tolerance and term budget
+REL_TOL = 1e-12
+MAX_TERMS = 10000
 
 
 class NonConvergenceError(ArithmeticError):
-    """A series did not reach the requested tolerance within max_terms."""
+    """A series did not reach the requested tolerance within MAX_TERMS."""
 
 
 def _is_nonpos_int(x: float, tol: float = 1e-9) -> bool:
@@ -88,8 +73,7 @@ def ln_beta(a: float, b: float) -> float:
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 
 
-def ln_kummer_m(a: float, b: float, z: float,
-                accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
+def ln_kummer_m(a: float, b: float, z: float) -> float:
     """ln M(a; b; z) for a > 0, b > 0, z >= 0.
 
     All series terms are positive, so the sum can be tracked with a
@@ -104,7 +88,7 @@ def ln_kummer_m(a: float, b: float, z: float,
     total = 1.0
     term = 1.0
     # positive series needs roughly z + O(sqrt(z)) terms before decay
-    budget = max(accuracy.max_terms, int(4 * z) + 100)
+    budget = max(MAX_TERMS, int(4 * z) + 100)
     for n in range(budget):
         term *= (a + n) / (b + n) * z / (n + 1)
         total += term
@@ -112,7 +96,7 @@ def ln_kummer_m(a: float, b: float, z: float,
             offset += math.log(total)
             term /= total
             total = 1.0
-        if n + 1 > z and term <= accuracy.rel_tol * total:
+        if n + 1 > z and term <= REL_TOL * total:
             return offset + math.log(total)
     raise NonConvergenceError(
         f"ln_kummer_m({a}, {b}, {z}) did not converge in {budget} terms")
@@ -124,7 +108,7 @@ def _u_poly(n: int, b: float, z: float) -> float:
     Uses the descending-power expansion
         U(-n, b, z) = sum_{r=0..n} C(n, r) (1 - b - n)_r z^(n-r),
     whose terms are all positive whenever 1 - b - n > 0, which covers
-    every parameter pattern generated by whittaker_w below.
+    every parameter pattern of the ratio CDF, U(1-m1, 1-m1-k, c).
     """
     total = 0.0
     term = z ** n  # r = 0
@@ -161,7 +145,7 @@ def _u_gamma_sum(n: int, b: float, z: float) -> float:
     return math.exp(z) * total / math.gamma(n)
 
 
-def _u_asymptotic(a: float, b: float, z: float, accuracy: Accuracy) -> float:
+def _u_asymptotic(a: float, b: float, z: float) -> float:
     """Poincare expansion U(a,b,z) ~ z^-a 2F0(a, a-b+1; ; -1/z).
 
     Divergent series summed to its smallest term; the remainder is of
@@ -171,14 +155,14 @@ def _u_asymptotic(a: float, b: float, z: float, accuracy: Accuracy) -> float:
     total = 1.0
     term = 1.0
     smallest = math.inf
-    for s in range(accuracy.max_terms):
+    for s in range(MAX_TERMS):
         nxt = term * (a + s) * (a - b + 1.0 + s) / ((s + 1) * (-z))
         if abs(nxt) >= smallest:
             break
         term = nxt
         smallest = abs(term)
         total += term
-        if smallest <= accuracy.rel_tol * abs(total):
+        if smallest <= REL_TOL * abs(total):
             break
     if smallest > 1e-9 * abs(total):
         raise NonConvergenceError(
@@ -190,8 +174,7 @@ def _is_pos_int(x: float, tol: float = 1e-9) -> bool:
     return x >= 1 - tol and abs(x - round(x)) < tol
 
 
-def tricomi_u(a: float, b: float, z: float,
-              accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
+def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric function U(a, b, z) for z > 0.
 
     Evaluation paths, in order:
@@ -207,9 +190,9 @@ def tricomi_u(a: float, b: float, z: float,
        parameter family for non-integer Gamma shapes at every z.
     5. z >= 50: optimally truncated asymptotic series.
 
-    Validated region: the parameter combinations produced by
-    whittaker_w for the outage CDFs land on paths 1-5.  Anything else
-    raises NonConvergenceError.
+    Validated region: the parameter combinations of the ratio CDF
+    (U(1-m1, 1-m1-k, c)) land on paths 1-5.  Anything else raises
+    NonConvergenceError.
     """
     if not z > 0:
         raise ValueError(f"tricomi_u requires z > 0, got z={z}")
@@ -221,7 +204,7 @@ def tricomi_u(a: float, b: float, z: float,
         # the finite Gamma sums below cancel like z^(n-1) at large z,
         # where the asymptotic series is already at full precision
         try:
-            return _u_asymptotic(a, b, z, accuracy)
+            return _u_asymptotic(a, b, z)
         except NonConvergenceError:
             pass
     if _is_pos_int(a) and b - a > 1e-9 and z <= 700.0:
@@ -232,8 +215,7 @@ def tricomi_u(a: float, b: float, z: float,
         f"U({a}, {b}, {z}) outside the validated parameter region")
 
 
-def whittaker_w(a: float, b: float, z: float,
-                accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
+def whittaker_w(a: float, b: float, z: float) -> float:
     """Whittaker function W_{a,b}(z) for z > 0.
 
     Computed through Tricomi U:
@@ -244,7 +226,7 @@ def whittaker_w(a: float, b: float, z: float,
     """
     if not z > 0:
         raise ValueError(f"whittaker_w requires z > 0, got z={z}")
-    u = tricomi_u(b - a + 0.5, 1.0 + 2.0 * b, z, accuracy)
+    u = tricomi_u(b - a + 0.5, 1.0 + 2.0 * b, z)
     scale = -0.5 * z + (b + 0.5) * math.log(z)
     # e^scale underflows to 0 for very large z; U stays finite there, so
     # the product degrades gracefully instead of producing NaN.

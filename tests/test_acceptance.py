@@ -66,10 +66,12 @@ def test_criterion_2_closed_form_vs_quadrature(fig2a_cfg):
         x = float(x)
         pairs = [
             ("ratio", an.cdf_ratio_gamma(x, p1), an.cdf_ratio_gamma_quad(x, p1)),
-            ("idl", an.cdf_idl(x, fig2a_cfg, 3), an.cdf_idl_quad(x, fig2a_cfg, 3)),
-            ("idl_dt", an.cdf_idl_dt(x, fig2a_cfg, 3),
+            ("idl", an.cdf_conditional(x, fig2a_cfg, Protocol.IDL, 3),
+             an.cdf_idl_quad(x, fig2a_cfg, 3)),
+            ("idl_dt", an.cdf_conditional(x, fig2a_cfg, Protocol.IDL_DT, 3),
              an.cdf_idl_dt_quad(x, fig2a_cfg, 3)),
-            ("sdf", an.cdf_sdf(x, fig2a_cfg, 3), an.cdf_sdf_quad(x, fig2a_cfg, 3)),
+            ("sdf", an.cdf_conditional(x, fig2a_cfg, Protocol.SDF, 3),
+             an.cdf_sdf_quad(x, fig2a_cfg, 3)),
         ]
         for name, closed, oracle in pairs:
             if abs(closed - oracle) > 1e-8:
@@ -141,12 +143,14 @@ def test_criterion_5_rayleigh_reduction(fig4_cfg):
             p = dB(float(p_db))
             cfg = dataclasses.replace(fig4_cfg, p_s=p, p_r=p, rsi_lambda=lam)
             checks = [
-                ("ndl", an.cdf_ndl(x, cfg, 3),
+                ("ndl", an.cdf_conditional(x, cfg, Protocol.NDL, 3),
                  ray.outage_ndl(p, x, 3, lam, pis["pi_sr"], pis["pi_rd"], pis["pi_rr"])),
-                ("idl", an.cdf_idl(x, cfg, 3), ray.outage_idl(p, x, 3, lam, **pis)),
-                ("idl_dt", an.cdf_idl_dt(x, cfg, 3),
+                ("idl", an.cdf_conditional(x, cfg, Protocol.IDL, 3),
+                 ray.outage_idl(p, x, 3, lam, **pis)),
+                ("idl_dt", an.cdf_conditional(x, cfg, Protocol.IDL_DT, 3),
                  ray.outage_idl_dt(p, x, 3, lam, **pis)),
-                ("sdf", an.cdf_sdf(x, cfg, 3), ray.outage_sdf(p, x, 3, lam, **pis)),
+                ("sdf", an.cdf_conditional(x, cfg, Protocol.SDF, 3),
+                 ray.outage_sdf(p, x, 3, lam, **pis)),
             ]
             for name, general, special in checks:
                 if abs(general - special) > 1e-10:

@@ -78,6 +78,18 @@ class TestRatioCdf:
         for z in (0.1, 1.0, 10.0):
             assert an.ratio_ccdf(z, p) == pytest.approx(1 - an.cdf_ratio_gamma(z, p), abs=1e-14)
 
+    def test_small_rsi_scale_against_quadrature(self):
+        # c = z/theta1 + 1/theta2 reaches 1e4: e^(-c/2) underflows on its
+        # own, yet every Whittaker term still carries an O(theta2)
+        # correction; theta2 = 1e-3 sits just below that underflow
+        for th2 in (1e-3, 6e-4, 1e-4):
+            for m1, m2 in ((1.0, 1), (2.0, 2), (1.5, 3)):
+                p = an.RatioParams(m1, 1.0, m2, th2)
+                for z in (0.5, 3.0):
+                    oracle = an.cdf_ratio_gamma_quad(z, p)
+                    assert abs(an.cdf_ratio_gamma(z, p) - oracle) <= 1e-12, (th2, m1, z)
+                    assert abs(an.ratio_ccdf(z, p) - (1.0 - oracle)) <= 1e-12, (th2, m1, z)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             an.RatioParams(0.4, 1, 1, 1)
@@ -89,12 +101,12 @@ class TestRatioCdf:
 
 class TestTailIntegralIdentity:
     def test_matches_literal_whittaker_composition(self):
-        # the semi-infinite direct-link integral used inside cdf_idl,
+        # the semi-infinite direct-link integral of the idl CDF,
         # integral_0^inf (t+1)^deg t^(m-1) e^(-eta t) dt, equals
         # e^(eta/2) eta^(-(m+deg+1)/2) Gamma(m) W_{(deg-m+1)/2, -(m+deg)/2}(eta);
-        # the U-based route must agree with the literal W pairing
+        # the complete-Gamma moment route must agree with the literal W pairing
         from fdrs import specfun as sf
-        from fdrs.analytic import _ln_tail_integral
+        from fdrs.analytic import _ln_trunc_integrals
         for deg in (0, 1, 2, 3):
             for m in (1.0, 2.0, 2.5):
                 for eta in (0.3, 1.7, 12.0):
@@ -102,80 +114,95 @@ class TestTailIntegralIdentity:
                                * eta ** (-(m + deg + 1) / 2)
                                * math.exp(sf.ln_gamma(m))
                                * sf.whittaker_w((deg - m + 1) / 2, -(m + deg) / 2, eta))
-                    assert _ln_tail_integral(deg, m, eta) == pytest.approx(
-                        math.log(literal), rel=1e-11), (deg, m, eta)
+                    got = _ln_trunc_integrals(deg + 1, m, eta, math.inf)[deg]
+                    assert got == pytest.approx(math.log(literal), rel=1e-11), (deg, m, eta)
 
 
 class TestNdlCdf:
     def test_zero(self, fig2a_cfg):
-        assert an.cdf_ndl(0.0, fig2a_cfg, 3) == 0.0
+        assert an.cdf_conditional(0.0, fig2a_cfg, Protocol.NDL, 3) == 0.0
 
     def test_product_form(self, fig2a_cfg):
         for x in (0.3, 3.0, 12.0):
-            single = an.cdf_ndl(x, fig2a_cfg, 1)
+            single = an.cdf_conditional(x, fig2a_cfg, Protocol.NDL, 1)
             for relays in (2, 3, 5):
-                assert an.cdf_ndl(x, fig2a_cfg, relays) == pytest.approx(
-                    single ** relays, rel=1e-12)
+                assert an.cdf_conditional(x, fig2a_cfg, Protocol.NDL,
+                                          relays) == pytest.approx(single ** relays, rel=1e-12)
 
     def test_rayleigh_value(self):
         # all m=1, P=10, pi_sr=pi_rd=10, pi_rr=1, lambda=1, x=3, 2 relays
         cfg = rayleigh_cfg()
         expect = (1 - math.exp(-0.06) / 1.3) ** 2
-        assert an.cdf_ndl(3.0, cfg, 2) == pytest.approx(expect, rel=1e-12)
+        assert an.cdf_conditional(3.0, cfg, Protocol.NDL, 2) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.075936, abs=5e-7)
 
     def test_quadrature(self, fig2a_cfg):
         for x in X_GRID:
-            assert abs(an.cdf_ndl(float(x), fig2a_cfg, 3)
+            assert abs(an.cdf_conditional(float(x), fig2a_cfg, Protocol.NDL, 3)
                        - an.cdf_ndl_quad(float(x), fig2a_cfg, 3)) <= 1e-8
 
     def test_ignores_direct_link_presence(self, fig2a_cfg):
         stripped = dataclasses.replace(fig2a_cfg, sd=None)
-        assert an.cdf_ndl(3.0, fig2a_cfg, 3) == an.cdf_ndl(3.0, stripped, 3)
+        assert (an.cdf_conditional(3.0, fig2a_cfg, Protocol.NDL, 3)
+                == an.cdf_conditional(3.0, stripped, Protocol.NDL, 3))
 
     def test_integrality_enforced(self, fig2a_cfg):
         bad = dataclasses.replace(fig2a_cfg, rr=LinkSpec(1.5, 2.0))
         with pytest.raises(ConfigError, match="m_rr"):
-            an.cdf_ndl(1.0, bad, 3)
+            an.cdf_conditional(1.0, bad, Protocol.NDL, 3)
 
 
 class TestDirectLinkCdfs:
     def test_zero(self, fig2a_cfg):
-        for fn in (an.cdf_idl, an.cdf_idl_dt, an.cdf_sdf):
-            assert fn(0.0, fig2a_cfg, 3) == 0.0
+        for proto in (Protocol.IDL, Protocol.IDL_DT, Protocol.SDF):
+            assert an.cdf_conditional(0.0, fig2a_cfg, proto, 3) == 0.0
 
     def test_idl_rayleigh_value(self):
         cfg = rayleigh_cfg(k=1, pi_sd=1.0)
         expect = 1 - (math.exp(-0.06) / 1.3) / 1.3
-        assert an.cdf_idl(3.0, cfg, 1) == pytest.approx(expect, rel=1e-12)
+        assert an.cdf_conditional(3.0, cfg, Protocol.IDL, 1) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.442742, abs=1e-6)
 
-    @pytest.mark.parametrize("fn,quad", [
-        (an.cdf_idl, an.cdf_idl_quad),
-        (an.cdf_idl_dt, an.cdf_idl_dt_quad),
-        (an.cdf_sdf, an.cdf_sdf_quad),
+    @pytest.mark.parametrize("proto,quad", [
+        (Protocol.IDL, an.cdf_idl_quad),
+        (Protocol.IDL_DT, an.cdf_idl_dt_quad),
+        (Protocol.SDF, an.cdf_sdf_quad),
     ])
-    def test_quadrature_20_points(self, fig2a_cfg, fn, quad):
+    def test_quadrature_20_points(self, fig2a_cfg, proto, quad):
         for x in X_GRID:
-            assert abs(fn(float(x), fig2a_cfg, 3) - quad(float(x), fig2a_cfg, 3)) <= 1e-8
+            assert abs(an.cdf_conditional(float(x), fig2a_cfg, proto, 3)
+                       - quad(float(x), fig2a_cfg, 3)) <= 1e-8
 
     def test_dominance_ordering(self, fig2a_cfg):
         # pointwise SINR dominance: selective >= hybrid >= interference-only
         for x in X_GRID:
-            s = an.cdf_sdf(float(x), fig2a_cfg, 3)
-            h = an.cdf_idl_dt(float(x), fig2a_cfg, 3)
-            i = an.cdf_idl(float(x), fig2a_cfg, 3)
+            s = an.cdf_conditional(float(x), fig2a_cfg, Protocol.SDF, 3)
+            h = an.cdf_conditional(float(x), fig2a_cfg, Protocol.IDL_DT, 3)
+            i = an.cdf_conditional(float(x), fig2a_cfg, Protocol.IDL, 3)
             assert s <= h + 1e-12 and h <= i + 1e-12
 
     def test_vanishing_direct_link_reduces_to_ndl(self, fig2a_cfg):
         tiny = dataclasses.replace(fig2a_cfg, sd=LinkSpec(2, 1e-8))
         for x in (0.5, 3.0, 20.0):
-            ndl = an.cdf_ndl(x, fig2a_cfg, 3)
-            assert an.cdf_idl(x, tiny, 3) == pytest.approx(ndl, abs=1e-5)
-            assert an.cdf_sdf(x, tiny, 3) == pytest.approx(ndl, abs=1e-5)
+            ndl = an.cdf_conditional(x, fig2a_cfg, Protocol.NDL, 3)
+            assert an.cdf_conditional(x, tiny, Protocol.IDL, 3) == pytest.approx(ndl, abs=1e-5)
+            assert an.cdf_conditional(x, tiny, Protocol.SDF, 3) == pytest.approx(ndl, abs=1e-5)
+
+    def test_sublinear_rsi_against_quadrature(self, fig2a_cfg):
+        # lambda = 0 with a -30 dB RSI link: RSI scale 5e-4, where the
+        # first-hop ratio CDF needs its Whittaker terms at c ~ 2000
+        cfg = dataclasses.replace(fig2a_cfg, rsi_lambda=0.0,
+                                  rr=LinkSpec(fig2a_cfg.rr.m, dB(-30.0)))
+        assert cfg.rsi_scale == pytest.approx(5e-4)
+        for proto, quad in ((Protocol.NDL, an.cdf_ndl_quad),
+                            (Protocol.IDL, an.cdf_idl_quad),
+                            (Protocol.IDL_DT, an.cdf_idl_dt_quad),
+                            (Protocol.SDF, an.cdf_sdf_quad)):
+            assert abs(an.cdf_conditional(3.0, cfg, proto, 3)
+                       - quad(3.0, cfg, 3)) <= 1e-8, proto
 
     def test_sdf_tends_to_one(self, fig2a_cfg):
-        assert an.cdf_sdf(1e6, fig2a_cfg, 3) >= 1 - 1e-6
+        assert an.cdf_conditional(1e6, fig2a_cfg, Protocol.SDF, 3) >= 1 - 1e-6
 
     def test_sdf_continuous_at_decay_sign_change(self):
         # P_S theta_SD = 1, P_R theta_RD = 2: the k=2 term's decay rate
@@ -184,26 +211,29 @@ class TestDirectLinkCdfs:
                             sr=LinkSpec(1, 8.0), rd=LinkSpec(1, 2.0),
                             rr=LinkSpec(1, 0.5), sd=LinkSpec(1, 1.0))
         for x in (0.5, 2.0, 6.0):
-            assert an.cdf_sdf(x, cfg, 3) == pytest.approx(
+            assert an.cdf_conditional(x, cfg, Protocol.SDF, 3) == pytest.approx(
                 an.cdf_sdf_quad(x, cfg, 3), abs=1e-9)
         # nearby scenarios on both sides agree to first order
         lo = dataclasses.replace(cfg, rd=LinkSpec(1, 2.0 * (1 - 1e-7)))
         hi = dataclasses.replace(cfg, rd=LinkSpec(1, 2.0 * (1 + 1e-7)))
-        assert an.cdf_sdf(2.0, lo, 3) == pytest.approx(an.cdf_sdf(2.0, hi, 3), rel=1e-5)
+        assert an.cdf_conditional(2.0, lo, Protocol.SDF, 3) == pytest.approx(
+            an.cdf_conditional(2.0, hi, Protocol.SDF, 3), rel=1e-5)
 
     def test_monotone_in_threshold(self, fig2a_cfg):
-        for fn in (an.cdf_idl, an.cdf_idl_dt, an.cdf_sdf):
-            vals = [fn(float(x), fig2a_cfg, 3) for x in np.linspace(0.01, 60, 40)]
+        for proto in (Protocol.IDL, Protocol.IDL_DT, Protocol.SDF):
+            vals = [an.cdf_conditional(float(x), fig2a_cfg, proto, 3)
+                    for x in np.linspace(0.01, 60, 40)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rsi_scaling_monotone_in_lambda(self, fig2a_cfg):
         # P_R > 1 makes the RSI scale grow with lambda, degrading every CDF
         cfg10 = dataclasses.replace(fig2a_cfg, p_s=10.0, p_r=10.0)
         for x in (0.5, 3.0, 20.0):
-            for fn in (an.cdf_ndl, an.cdf_idl, an.cdf_idl_dt, an.cdf_sdf):
-                vals = [fn(x, dataclasses.replace(cfg10, rsi_lambda=lam), 3)
+            for proto in (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF):
+                vals = [an.cdf_conditional(x, dataclasses.replace(cfg10, rsi_lambda=lam),
+                                           proto, 3)
                         for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
-                assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), fn
+                assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), proto
 
 
 class TestRelayCountGrid:
@@ -213,11 +243,13 @@ class TestRelayCountGrid:
     @pytest.mark.parametrize("relays", [8, 12, 16])
     def test_quadrature(self, fig3_cfg, relays, m_rd):
         cfg = dataclasses.replace(fig3_cfg, rd=LinkSpec(m_rd, fig3_cfg.rd.avg_power))
-        for fn, quad in ((an.cdf_idl, an.cdf_idl_quad), (an.cdf_idl_dt, an.cdf_idl_dt_quad),
-                         (an.cdf_sdf, an.cdf_sdf_quad)):
+        for proto, quad in ((Protocol.IDL, an.cdf_idl_quad),
+                            (Protocol.IDL_DT, an.cdf_idl_dt_quad),
+                            (Protocol.SDF, an.cdf_sdf_quad)):
             for rate in (2.0, 3.0, 4.0):
                 x = 2.0 ** rate - 1.0
-                assert abs(fn(x, cfg, relays) - quad(x, cfg, relays)) <= 1e-8, (fn, rate)
+                assert abs(an.cdf_conditional(x, cfg, proto, relays)
+                           - quad(x, cfg, relays)) <= 1e-8, (proto, rate)
 
 
 class TestRayleighReduction:
@@ -231,13 +263,15 @@ class TestRayleighReduction:
         for p_db in np.linspace(0, 50, 50):
             p = dB(float(p_db))
             cfg = rayleigh_cfg(k=3, p=p, lam=lam, **self.PIS)
-            assert abs(an.cdf_ndl(x, cfg, 3) - ray.outage_ndl(
+            assert abs(an.cdf_conditional(x, cfg, Protocol.NDL, 3) - ray.outage_ndl(
                 p, x, 3, lam, self.PIS["pi_sr"], self.PIS["pi_rd"],
                 self.PIS["pi_rr"])) <= 1e-10
-            assert abs(an.cdf_idl(x, cfg, 3) - ray.outage_idl(p, x, 3, lam, **self.PIS)) <= 1e-10
-            assert abs(an.cdf_idl_dt(x, cfg, 3)
+            assert abs(an.cdf_conditional(x, cfg, Protocol.IDL, 3)
+                       - ray.outage_idl(p, x, 3, lam, **self.PIS)) <= 1e-10
+            assert abs(an.cdf_conditional(x, cfg, Protocol.IDL_DT, 3)
                        - ray.outage_idl_dt(p, x, 3, lam, **self.PIS)) <= 1e-10
-            assert abs(an.cdf_sdf(x, cfg, 3) - ray.outage_sdf(p, x, 3, lam, **self.PIS)) <= 1e-10
+            assert abs(an.cdf_conditional(x, cfg, Protocol.SDF, 3)
+                       - ray.outage_sdf(p, x, 3, lam, **self.PIS)) <= 1e-10
 
 
 class TestFeasibility:

@@ -13,7 +13,6 @@ from fdrs.channel import (
     config_violations,
     db_to_linear,
     draw_gains,
-    sample_gamma,
     validate_config,
 )
 
@@ -121,9 +120,15 @@ class TestValidation:
 
 
 class TestGammaSampling:
+    # each link class draws Gamma(m, avg_power/m) gains; one relay's
+    # source-relay row is a plain Gamma sample
+    @staticmethod
+    def draws(m, theta, seed, n):
+        cfg = make_cfg(k=1, sr=LinkSpec(m, m * theta))
+        return draw_gains(cfg, np.random.default_rng(seed), n)["sr"][0]
+
     def test_moments(self):
-        rng = np.random.default_rng(0)
-        draws = sample_gamma(2.0, 3.0, rng, 10 ** 6)
+        draws = self.draws(2.0, 3.0, 0, 10 ** 6)
         n = draws.size
         mean_se = math.sqrt(2 * 3 ** 2 / n)
         assert abs(draws.mean() - 6.0) < 5 * mean_se
@@ -131,22 +136,13 @@ class TestGammaSampling:
         assert abs(draws.var() - 18.0) < 5 * var_se
 
     def test_exponential_case_ks(self):
-        rng = np.random.default_rng(1)
-        draws = sample_gamma(1.0, 2.5, rng, 50_000)
+        draws = self.draws(1.0, 2.5, 1, 50_000)
         stat, pvalue = stats.kstest(draws, "expon", args=(0, 2.5))
         assert pvalue > 0.05
 
     def test_half_integer_shape(self):
-        rng = np.random.default_rng(7)
-        draws = sample_gamma(0.5, 1.0, rng, 10 ** 6)
+        draws = self.draws(0.5, 1.0, 7, 10 ** 6)
         assert abs(draws.mean() - 0.5) < 5 * math.sqrt(0.5 / draws.size)
-
-    def test_domain(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_gamma(0.3, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_gamma(1.0, -1.0, rng)
 
 
 class TestRealizationSampling:

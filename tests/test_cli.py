@@ -214,9 +214,25 @@ class TestValidateCommand:
         assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_zero_workers_exit_code(self, capsys):
+        # analytic-only runs never simulate, but reject the flag all the same
         for argv in (["validate", "--rate", "2", "--trials", "1000"],
-                     ["pl", "--trials", "1000"]):
+                     ["pl", "--trials", "1000"],
+                     ["outage", "--protocol", "ndl", "--rate", "2"],
+                     ["sweep", "--axis", "rate_bpcu", "--from", "1", "--to", "2",
+                      "--steps", "2", "--protocols", "ndl"],
+                     ["diversity", "--protocol", "ndl", "--pmin-db", "10",
+                      "--pmax-db", "30", "--points", "3"]):
             rc = main([argv[0], "--config", str(CONFIG_DIR / "fig2b.cfg"), *argv[1:],
                        "--workers", "0"])
             assert rc == 2
             assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_zero_trials_exit_code(self, capsys):
+        cfg = str(CONFIG_DIR / "fig2b.cfg")
+        rc = main(["outage", "--config", cfg, "--protocol", "ndl", "--rate", "2",
+                   "--trials", "0"])
+        assert rc == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        # pl reads --trials 0 as "no simulation"
+        assert main(["pl", "--config", cfg, "--trials", "0"]) == 0
+        assert main(["pl", "--config", cfg, "--trials", "-1"]) == 2
