@@ -17,11 +17,14 @@ integer m the identity
               = e^(-k y) sum_d c_{k,m}(d) y^d
 collapses the multinomial expansion to one term per degree d, with
 positive coefficients c_{k,m}(d) (specfun.ln_truncated_exp_power).
-Each degree leaves a one-dimensional inner integral: incomplete-Gamma
-moments up to inf (idl) or x (idl_dt) for the shifted argument
-x (b + 1), Kummer or incomplete-Gamma sums for the convolved argument
-x - b (sdf, feasibility); the protocols differ only in that inner
-integral and its upper limit.  The blocks I_k do not depend on
+Each degree leaves a one-dimensional inner integral over one table of
+incomplete-Gamma moments per block: a positive sum up to inf (idl) or
+x (idl_dt) for the shifted argument x (b + 1); for the convolved
+argument x - b (sdf, feasibility) a positive Kummer series, replaced
+only beyond |w| = 30 (w the decay rate times x) by an alternating
+moment sum whose Higham cancellation bound stays within
+specfun.REL_TOL.  The protocols differ only in that inner integral and
+its upper limit.  The blocks I_k do not depend on
 L, so one block vector serves every relay count of the cognitive
 mixture.
 
@@ -180,6 +183,16 @@ def _gamma_pdf(t: float, m: float, theta: float) -> float:
                     - sf.ln_gamma(m) - m * math.log(theta))
 
 
+def _quad(integrand, lo: float, hi: float, tol: float, points=None) -> float:
+    """integrate.quad with the oracles' tolerances; raises ArithmeticError
+    when quad's own error estimate exceeds 10 tol max(1, |value|)."""
+    val, err = integrate.quad(integrand, lo, hi, epsabs=tol * 1e-2,
+                              epsrel=tol * 1e-1, limit=300, points=points)
+    if err > 10 * tol * max(1.0, abs(val)):
+        raise ArithmeticError(f"quadrature error estimate {err} too large for {val}")
+    return val
+
+
 def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
     """Quadrature oracle for the ratio CDF; supports non-integer m2.
 
@@ -194,11 +207,7 @@ def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
         return (sf.reg_lower_gamma(p.m1, z * (x + 1.0) / p.theta1)
                 * _gamma_pdf(x, p.m2, p.theta2))
 
-    val, err = integrate.quad(integrand, 0.0, math.inf,
-                              epsabs=tol * 1e-2, epsrel=tol * 1e-1, limit=300)
-    if err > 10 * tol * max(1.0, abs(val)):
-        raise ArithmeticError(f"ratio CDF quadrature error estimate {err} too large")
-    return min(max(val, 0.0), 1.0)
+    return min(max(_quad(integrand, 0.0, math.inf, tol), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +225,17 @@ def _lse(values: list[float]) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def _lse_signed(ln_mags: list[float], signs: list[float]) -> float:
-    """log of a signed sum known to be nonnegative analytically."""
+def _lse_alternating(ln_mags: list[float]) -> float | None:
+    """log of sum_j (-1)^j exp(ln_mags[j]), or None when that sum is not
+    positive or its Higham bound u sum|t| / |sum t|, u taken as ulp(1)
+    (twice the unit roundoff), exceeds sf.REL_TOL."""
     m = max(ln_mags, default=-math.inf)
     if m == -math.inf:
-        return -math.inf
-    s = math.fsum(sg * math.exp(v - m) for v, sg in zip(ln_mags, signs))
-    if s <= 0.0:
-        return -math.inf
+        return None
+    mags = [math.exp(v - m) for v in ln_mags]
+    s = math.fsum(-t if j % 2 else t for j, t in enumerate(mags))
+    if not s > 0.0 or math.ulp(1.0) * math.fsum(mags) > sf.REL_TOL * s:
+        return None
     return m + math.log(s)
 
 
@@ -233,22 +245,29 @@ def _alternating_sum(ln_mags) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
+def _ln_moments(count: int, shape: float, rate: float, upper: float) -> list[float]:
+    """ln of integral_0^upper t^(r+shape-1) e^(-rate t) dt
+    = ln Gamma(r+shape) P(r+shape, rate upper) rate^-(r+shape) for
+    r = 0..count-1, rate > 0 and upper <= inf (where P = 1)."""
+    ln_rate = math.log(rate)
+    w = rate * upper
+    moments = []
+    for r in range(count):
+        plo = 1.0 if math.isinf(upper) else sf.reg_lower_gamma(r + shape, w)
+        moments.append(sf.ln_gamma(r + shape) - (r + shape) * ln_rate
+                       + math.log(plo) if plo > 0.0 else -math.inf)
+    return moments
+
+
 def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
     """ln of integral_0^upper (t+1)^d t^(shape-1) e^(-rate t) dt for
     d = 0..count-1, rate > 0 and upper <= inf.
 
-    Expanding (t+1)^d binomially leaves the incomplete-Gamma moments
-    Gamma(r+shape) P(r+shape, rate upper) rate^-(r+shape), which every
-    degree shares; at upper = inf they are complete Gammas.
+    Expanding (t+1)^d binomially leaves a positive sum over the moments
+    of _ln_moments, which every degree shares.
     """
-    ln_rate = math.log(rate)
-    w = rate * upper
     ln_fact = [math.lgamma(n + 1) for n in range(count)]
-    moments = []
-    for r in range(count):
-        plo = sf.reg_lower_gamma(r + shape, w)
-        moments.append(sf.ln_gamma(r + shape) - (r + shape) * ln_rate
-                       + math.log(plo) if plo > 0.0 else -math.inf)
+    moments = _ln_moments(count, shape, rate, upper)
     return [_lse([ln_fact[d] - ln_fact[r] - ln_fact[d - r] + moments[r]
                   for r in range(d + 1)])
             for d in range(count)]
@@ -257,60 +276,44 @@ def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> 
 _KUMMER_BRANCH_CAP = 30.0
 
 
-def _ln_conv_integral(deg: int, shape: float, rate: float, upper: float) -> float:
-    """ln of integral_0^upper (upper-t)^deg t^(shape-1) e^(-rate t) dt.
+def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
+    """ln J_d = ln integral_0^upper (upper-t)^d t^(shape-1) e^(-rate t) dt
+    for d = 0..count-1, rate of either sign and w = rate upper.
 
-    rate may take either sign.  Near rate*upper = 0 both confluent
-    branches collapse to upper^(deg+shape) B(deg+1, shape) since
-    M(., ., 0) = 1; that common limit is evaluated directly.  Large
-    |rate*upper| is rerouted to finite incomplete-Gamma sums so the
-    Kummer series never has to chase a huge argument.
+    J_d = upper^(d+shape) B(shape, d+1) M(shape, d+shape+1, -w), or by
+    Kummer's transformation e^(-w) M(d+1, d+shape+1, w) in place of M:
+    each degree takes the form whose series has positive terms, exact
+    at w = 0.  Beyond |w| = _KUMMER_BRANCH_CAP, where that series needs
+    about |w| terms, alternating sums over one moment table per block
+    come first: for w > 0 (upper-t)^d expanded,
+    sum_r (-1)^r C(d, r) upper^(d-r) G_r; for w < 0 and integer shape n,
+    (upper-u)^(n-1) expanded after u = upper - t,
+    e^(-w) sum_j (-1)^j C(n-1, j) upper^(n-1-j) H_(d+j); G and H are the
+    _ln_moments of (shape, rate) and (1, -rate).  A degree whose sum
+    fails _lse_alternating's cancellation bound takes the Kummer form.
     """
     w = rate * upper
     ln_u = math.log(upper)
-    if abs(w) < 1e-9:
-        return (deg + shape) * ln_u + sf.ln_beta(deg + 1.0, shape)
-    if 0 < w <= _KUMMER_BRANCH_CAP:
-        return (-w + (deg + shape) * ln_u + sf.ln_beta(shape, deg + 1.0)
-                + sf.ln_kummer_m(deg + 1.0, deg + shape + 1.0, w))
-    if -_KUMMER_BRANCH_CAP <= w < 0:
-        return ((deg + shape) * ln_u + sf.ln_beta(deg + 1.0, shape)
-                + sf.ln_kummer_m(shape, deg + shape + 1.0, -w))
-    if w > _KUMMER_BRANCH_CAP:
-        # expand (upper-t)^deg binomially; leading r term dominates
-        lns, signs = [], []
-        for r in range(deg + 1):
-            plo = sf.reg_lower_gamma(r + shape, w)
-            if plo == 0.0:
-                continue
-            lns.append(_ln_binom(deg, r) + (deg - r) * ln_u
-                       - (r + shape) * math.log(rate)
-                       + sf.ln_gamma(r + shape) + math.log(plo))
-            signs.append(-1.0 if r % 2 else 1.0)
-        return _lse_signed(lns, signs)
-    # w < -cap: for integer shape, substitute u = upper - t and expand
-    if abs(shape - round(shape)) < 1e-9:
-        n = int(round(shape))
-        neg = -rate
-        lns, signs = [], []
-        for s in range(n):
-            plo = sf.reg_lower_gamma(deg + s + 1.0, -w)
-            if plo == 0.0:
-                continue
-            lns.append(_ln_binom(n - 1, s) + (n - 1 - s) * ln_u
-                       - (deg + s + 1.0) * math.log(neg)
-                       + sf.ln_gamma(deg + s + 1.0) + math.log(plo))
-            signs.append(-1.0 if s % 2 else 1.0)
-        return -w + _lse_signed(lns, signs)
-    # non-integer shape with a strongly growing exponential: positive
-    # Kummer series still converges, just slowly
-    return ((deg + shape) * ln_u + sf.ln_beta(deg + 1.0, shape)
-            + sf.ln_kummer_m(shape, deg + shape + 1.0, -w))
-
-
-def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
-    """_ln_conv_integral for degrees 0..count-1."""
-    return [_ln_conv_integral(d, shape, rate, upper) for d in range(count)]
+    n = int(round(shape))
+    out = [None] * count
+    if w > _KUMMER_BRANCH_CAP or (w < -_KUMMER_BRANCH_CAP and abs(shape - n) < 1e-9):
+        if w > 0:
+            moments = _ln_moments(count, shape, rate, upper)
+        else:
+            moments = _ln_moments(count + n - 1, 1.0, -rate, upper)
+        ln_fact = [math.lgamma(i + 1) for i in range(max(count, n))]
+        for d in range(count):
+            top, first, ln_pref = (d, 0, 0.0) if w > 0 else (n - 1, d, -w)
+            ln_j = _lse_alternating([ln_fact[top] - ln_fact[j] - ln_fact[top - j]
+                                     + (top - j) * ln_u + moments[first + j]
+                                     for j in range(top + 1)])
+            if ln_j is not None:
+                out[d] = ln_pref + ln_j
+    for d in range(count):
+        if out[d] is None:
+            out[d] = (-max(w, 0.0) + (d + shape) * ln_u + sf.ln_beta(shape, d + 1.0)
+                      + sf.ln_kummer_m(d + 1.0 if w > 0 else shape, d + shape + 1.0, abs(w)))
+    return out
 
 
 def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
@@ -408,8 +411,8 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     array), and direct transmission is favored when sufficient.  The
     inner integral carries the convolution kernel (x - beta)^deg and
     the sign-indefinite decay eta_k = 1/(P_S theta_SD) - k/(P_R theta_RD);
-    both confluent branches, and the common limit at eta_k = 0, live in
-    _ln_conv_integral.
+    both confluent branches, exact at eta_k = 0, live in
+    _ln_conv_integrals.
     """
     validate_config(cfg, protocol, "analytic")
     return _conditional_cdfs(x, cfg, protocol, relays)[relays]
@@ -427,13 +430,9 @@ def _direct_link_quad(x, cfg, relays, hop2_tail, lo, hi, tol):
         return ((1.0 - fzbar * hop2_tail(beta)) ** relays
                 * _gamma_pdf(beta, m_sd, th_sd))
 
-    kwargs = dict(epsabs=tol * 1e-2, epsrel=tol * 1e-1, limit=300)
-    if math.isfinite(hi):
-        scale = 50.0 * m_sd * th_sd
-        if hi > scale:
-            kwargs["points"] = [scale]
-    val, _ = integrate.quad(integrand, lo, hi, **kwargs)
-    return min(max(val, 0.0), 1.0)
+    scale = 50.0 * m_sd * th_sd
+    points = [scale] if scale < hi < math.inf else None
+    return min(max(_quad(integrand, lo, hi, tol, points), 0.0), 1.0)
 
 
 def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
@@ -489,7 +488,7 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     The source interference is common to all relays, so feasibility
     events are only conditionally independent given it; integrating the
     conditional binomial over the source-interference density yields
-    finite sums of the convolution integrals in _ln_conv_integral.
+    finite sums of the convolution integrals in _ln_conv_integrals.
     Requires integer m_rp (series expansion of the per-relay tail).
     """
     _require_cognitive(cfg)
@@ -521,7 +520,6 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
     th_sp = cfg.p_s * cfg.sp.theta
     th_rp = cfg.p_r * cfg.rp.theta
     cap = cfg.i_th
-    kwargs = dict(epsabs=tol * 1e-2, epsrel=tol * 1e-1, limit=300)
 
     def p_exactly(feasible):
         def integrand(beta):
@@ -529,8 +527,7 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
             return (math.comb(k_total, feasible) * f ** feasible
                     * (1.0 - f) ** (k_total - feasible)
                     * _gamma_pdf(beta, m_sp, th_sp))
-        val, _ = integrate.quad(integrand, 0.0, cap, **kwargs)
-        return val
+        return _quad(integrand, 0.0, cap, tol)
 
     probs = [p_exactly(i) for i in range(k_total + 1)]
     p_tilde0 = probs[0]
@@ -583,13 +580,14 @@ def outage_threshold(protocol: Protocol, rate: float,
 
 
 def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
-           cognitive: bool = False, hd_equal_delivered_rate: bool = True) -> float:
-    """Closed-form outage probability P(SINR < threshold).
+           cognitive: bool = False) -> float:
+    """Closed-form outage probability P(SINR < threshold), full-duplex
+    protocols only, so no half-duplex rate convention applies.
 
     The strict inequality matters only at threshold 0, where the atom
     the constraint puts at SINR = 0 does not count as outage.
     """
-    gamma_th = outage_threshold(protocol, rate, hd_equal_delivered_rate)
+    gamma_th = outage_threshold(protocol, rate)
     if gamma_th == 0.0:
         return 0.0
     if cognitive:
@@ -607,5 +605,5 @@ def throughput(cfg: NetworkConfig, protocol: Protocol, rate: float,
                cognitive: bool = False) -> float:
     """Fixed-rate throughput in bpcu; both duplex classes run the same
     source rate, the half-duplex rate loss lands as the factor 1/2."""
-    p = outage(cfg, protocol, rate, cognitive, hd_equal_delivered_rate=False)
+    p = outage(cfg, protocol, rate, cognitive)
     return throughput_from_outage(protocol, rate, p)

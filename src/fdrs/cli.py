@@ -24,10 +24,12 @@ from pathlib import Path
 
 from fdrs import __version__, analysis, analytic, montecarlo
 from fdrs.channel import (
+    FD_PROTOCOLS,
     ConfigError,
     LinkSpec,
     NetworkConfig,
     Protocol,
+    config_violations,
     db_to_linear,
 )
 
@@ -245,8 +247,7 @@ def cmd_diversity(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = parse_config(args.config)
-    protos = [p for p in (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
-              if not analysis.config_violations(cfg, p, "analytic")]
+    protos = [p for p in FD_PROTOCOLS if not config_violations(cfg, p, "analytic")]
     if args.protocols:
         protos = _protocol_list(args.protocols)
     rows = analysis.validate_report(cfg, protos, args.rate, args.trials,

@@ -118,6 +118,39 @@ class TestTailIntegralIdentity:
                     assert got == pytest.approx(math.log(literal), rel=1e-11), (deg, m, eta)
 
 
+class TestConvolvedIntegral:
+    # J_d = integral_0^U (U-t)^d t^(s-1) e^(-rho t) dt
+    #     = U^(d+s) B(s, d+1) M(s, d+s+1, -rho U), the sdf and feasibility
+    # inner integral, on both sides of the signed-sum cap |rho U| = 30
+    def test_against_mpmath_kummer(self):
+        import mpmath as mp
+        upper = 2.0
+        with mp.workdps(40):
+            for s in (0.5, 1.0, 2.0, 2.5, 4.0, 6.0):
+                for mag in (0.0, 1e-10, 5.0, 29.0, 31.0, 45.0, 100.0, 500.0):
+                    for w in (mag, -mag):
+                        got = an._ln_conv_integrals(61, s, w / upper, upper)
+                        for d, ln_j in enumerate(got):
+                            ref = ((d + s) * mp.log(upper) + mp.log(mp.beta(s, d + 1))
+                                   + mp.log(mp.hyp1f1(s, d + s + 1, -w)))
+                            assert abs(ln_j - float(ref)) <= 1e-10, (d, s, w)
+
+    def test_block_against_mpmath_quadrature(self):
+        # K = 12, m = 6, shape 6: every block has rho U between 48 and 120,
+        # where the binomial sums of the high degrees cancel
+        import mpmath as mp
+        count, m, theta, x, shape, theta0 = 12, 6, 1.0, 6.0, 6.0, 0.05
+        got = an._ln_blocks(count, m, theta, x, shape, theta0, True, x)
+        with mp.workdps(30):
+            for k, ln_i in enumerate(got):
+                def integrand(b):
+                    q = mp.gammainc(m, (x - b) / theta, mp.inf, regularized=True)
+                    return (q ** k * b ** (shape - 1) * mp.exp(-b / theta0)
+                            / (mp.gamma(shape) * theta0 ** shape))
+                ref = mp.quad(integrand, [0, 0.1, 0.3, 0.6, 1, 2, x])
+                assert abs(ln_i - float(mp.log(ref))) <= 1e-11, k
+
+
 class TestNdlCdf:
     def test_zero(self, fig2a_cfg):
         assert an.cdf_conditional(0.0, fig2a_cfg, Protocol.NDL, 3) == 0.0
@@ -200,6 +233,18 @@ class TestDirectLinkCdfs:
                             (Protocol.SDF, an.cdf_sdf_quad)):
             assert abs(an.cdf_conditional(3.0, cfg, proto, 3)
                        - quad(3.0, cfg, 3)) <= 1e-8, proto
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("x", [3.0, 15.0])
+    def test_oracle_raises_when_unresolved(self, fig2a_cfg, x):
+        # a 50 dB mean direct-link SNR: quad cannot resolve the (0, inf)
+        # integral and, unchecked, returned 1.0 at x = 3 and 1.2e-5 at
+        # x = 15 where the closed form gives 0.9511 and 0.9984
+        cfg = dataclasses.replace(fig2a_cfg, sd=LinkSpec(2, dB(20.0)),
+                                  p_s=dB(30.0), p_r=dB(30.0))
+        assert an.cdf_conditional(x, cfg, Protocol.IDL, 3) > 0.95
+        with pytest.raises(ArithmeticError):
+            an.cdf_idl_quad(x, cfg, 3)
 
     def test_sdf_tends_to_one(self, fig2a_cfg):
         assert an.cdf_conditional(1e6, fig2a_cfg, Protocol.SDF, 3) >= 1 - 1e-6
