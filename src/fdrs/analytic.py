@@ -1,5 +1,7 @@
 """Closed-form end-to-end SINR CDFs, feasibility probabilities, outage
 and throughput, plus adaptive-quadrature oracles for every closed form.
+The closed forms use only fdrs.specfun; the oracles use scipy, which
+they import when called.
 
 Notation used throughout: the first hop of each relayed path is the
 ratio Z = X1 / (X2 + 1) of the desired-signal gain over the residual
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from fdrs import specfun as sf
 from fdrs.channel import ConfigError, NetworkConfig, Protocol, validate_config
@@ -183,9 +183,21 @@ def _gamma_pdf(t: float, m: float, theta: float) -> float:
                     - sf.ln_gamma(m) - m * math.log(theta))
 
 
+# The oracles take scipy's quad and incomplete Gammas, imported when an
+# oracle runs: the closed forms never load scipy, and an error in the
+# specfun kernels cannot hide by appearing on both sides of a check.
+
+def _scipy_gamma_cdfs():
+    """scipy.special's regularized (P, Q), each returning a float."""
+    from scipy import special
+    return (lambda a, x: float(special.gammainc(a, x)),
+            lambda a, x: float(special.gammaincc(a, x)))
+
+
 def _quad(integrand, lo: float, hi: float, tol: float, points=None) -> float:
-    """integrate.quad with the oracles' tolerances; raises ArithmeticError
+    """scipy's quad with the oracles' tolerances; raises ArithmeticError
     when quad's own error estimate exceeds 10 tol max(1, |value|)."""
+    from scipy import integrate
     val, err = integrate.quad(integrand, lo, hi, epsabs=tol * 1e-2,
                               epsrel=tol * 1e-1, limit=300, points=points)
     if err > 10 * tol * max(1.0, abs(val)):
@@ -202,9 +214,10 @@ def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
         raise ValueError("z must be >= 0")
     if z == 0:
         return 0.0
+    lower, _ = _scipy_gamma_cdfs()
 
     def integrand(x):
-        return (sf.reg_lower_gamma(p.m1, z * (x + 1.0) / p.theta1)
+        return (lower(p.m1, z * (x + 1.0) / p.theta1)
                 * _gamma_pdf(x, p.m2, p.theta2))
 
     return min(max(_quad(integrand, 0.0, math.inf, tol), 0.0), 1.0)
@@ -248,15 +261,11 @@ def _alternating_sum(ln_mags) -> float:
 def _ln_moments(count: int, shape: float, rate: float, upper: float) -> list[float]:
     """ln of integral_0^upper t^(r+shape-1) e^(-rate t) dt
     = ln Gamma(r+shape) P(r+shape, rate upper) rate^-(r+shape) for
-    r = 0..count-1, rate > 0 and upper <= inf (where P = 1)."""
+    r = 0..count-1, rate > 0 and upper <= inf (where P = 1); one
+    sf.ln_reg_lower_gammas run gives every ln P."""
     ln_rate = math.log(rate)
-    w = rate * upper
-    moments = []
-    for r in range(count):
-        plo = 1.0 if math.isinf(upper) else sf.reg_lower_gamma(r + shape, w)
-        moments.append(sf.ln_gamma(r + shape) - (r + shape) * ln_rate
-                       + math.log(plo) if plo > 0.0 else -math.inf)
-    return moments
+    ln_p = sf.ln_reg_lower_gammas(shape, count, rate * upper)
+    return [math.lgamma(r + shape) - (r + shape) * ln_rate + ln_p[r] for r in range(count)]
 
 
 def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
@@ -421,13 +430,17 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
 # ---------------------------------------------------------------------------
 # quadrature oracles for the end-to-end CDFs
 
-def _direct_link_quad(x, cfg, relays, hop2_tail, lo, hi, tol):
+def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi, tol):
+    """integral_lo^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
+    over the direct-link SNR density."""
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
+    _, upper = _scipy_gamma_cdfs()
+    m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
     m_sd = cfg.sd.m
     th_sd = cfg.p_s * cfg.sd.theta
 
     def integrand(beta):
-        return ((1.0 - fzbar * hop2_tail(beta)) ** relays
+        return ((1.0 - fzbar * upper(m_rd, hop2_arg(beta) / th_rd)) ** relays
                 * _gamma_pdf(beta, m_sd, th_sd))
 
     scale = 50.0 * m_sd * th_sd
@@ -440,7 +453,8 @@ def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> floa
     if x == 0:
         return 0.0
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
-    q2 = sf.reg_upper_gamma(cfg.rd.m, x / (cfg.p_r * cfg.rd.theta))
+    _, upper = _scipy_gamma_cdfs()
+    q2 = upper(cfg.rd.m, x / (cfg.p_r * cfg.rd.theta))
     return (1.0 - fzbar * q2) ** relays
 
 
@@ -448,30 +462,22 @@ def cdf_idl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> floa
     """Direct numerical integration of the interfering-direct-link CDF."""
     if x == 0:
         return 0.0
-    th_rd = cfg.p_r * cfg.rd.theta
-    m_rd = cfg.rd.m
-    tail = lambda beta: sf.reg_upper_gamma(m_rd, x * (beta + 1.0) / th_rd)
-    return _direct_link_quad(x, cfg, relays, tail, 0.0, math.inf, tol)
+    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0),
+                             0.0, math.inf, tol)
 
 
 def cdf_idl_dt_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Oracle for the hybrid CDF: same integrand as IDL, truncated at x."""
     if x == 0:
         return 0.0
-    th_rd = cfg.p_r * cfg.rd.theta
-    m_rd = cfg.rd.m
-    tail = lambda beta: sf.reg_upper_gamma(m_rd, x * (beta + 1.0) / th_rd)
-    return _direct_link_quad(x, cfg, relays, tail, 0.0, x, tol)
+    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), 0.0, x, tol)
 
 
 def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Oracle for the selective-cooperation CDF."""
     if x == 0:
         return 0.0
-    th_rd = cfg.p_r * cfg.rd.theta
-    m_rd = cfg.rd.m
-    tail = lambda beta: sf.reg_upper_gamma(m_rd, max(x - beta, 0.0) / th_rd)
-    return _direct_link_quad(x, cfg, relays, tail, 0.0, x, tol)
+    return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), 0.0, x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +526,11 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
     th_sp = cfg.p_s * cfg.sp.theta
     th_rp = cfg.p_r * cfg.rp.theta
     cap = cfg.i_th
+    lower, upper = _scipy_gamma_cdfs()
 
     def p_exactly(feasible):
         def integrand(beta):
-            f = sf.reg_lower_gamma(m_rp, (cap - beta) / th_rp)
+            f = lower(m_rp, (cap - beta) / th_rp)
             return (math.comb(k_total, feasible) * f ** feasible
                     * (1.0 - f) ** (k_total - feasible)
                     * _gamma_pdf(beta, m_sp, th_sp))
@@ -531,7 +538,7 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
 
     probs = [p_exactly(i) for i in range(k_total + 1)]
     p_tilde0 = probs[0]
-    probs[0] += sf.reg_upper_gamma(m_sp, cap / th_sp)
+    probs[0] += upper(m_sp, cap / th_sp)
     return FeasibilityDist(p=tuple(probs), p_tilde0=p_tilde0)
 
 
@@ -585,8 +592,12 @@ def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     protocols only, so no half-duplex rate convention applies.
 
     The strict inequality matters only at threshold 0, where the atom
-    the constraint puts at SINR = 0 does not count as outage.
+    the constraint puts at SINR = 0 does not count as outage; the
+    protocol and scenario are validated first, at every rate.
     """
+    validate_config(cfg, protocol, "analytic")
+    if cognitive:
+        _require_cognitive(cfg)
     gamma_th = outage_threshold(protocol, rate)
     if gamma_th == 0.0:
         return 0.0

@@ -118,6 +118,39 @@ class TestTailIntegralIdentity:
                     assert got == pytest.approx(math.log(literal), rel=1e-11), (deg, m, eta)
 
 
+class TestMomentTable:
+    # _ln_moments builds each finite-upper table from one incomplete-Gamma
+    # evaluation and the recurrence P(a, x) = P(a+1, x) + x^a e^-x / Gamma(a+1)
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 4.0])
+    def test_recurrence_matches_per_entry_values(self, shape):
+        from fdrs import specfun as sf
+        import mpmath as mp
+        count, upper = 201, 3.0
+        for rate in (1e-3, 0.25, 5.0, 30.0, 50.0, 84.0, 200.0):
+            table = an._ln_moments(count, shape, rate, upper)
+            w = rate * upper
+            for r, ln_m in enumerate(table):
+                a = r + shape
+                p = sf.reg_lower_gamma(a, w)
+                if p < 1e-300:
+                    continue
+                entry = math.lgamma(a) - a * math.log(rate) + math.log(p)
+                tol = sf.GAMMA_REL_TOL if p > 1e-30 else sf.GAMMA_DEEP_REL_TOL
+                assert abs(ln_m - entry) <= 2 * tol, (rate, r)
+            # and the exact moment gamma(a, w) / rate^a, entries whose P
+            # underflows included; ln Gamma(a) - a ln rate is rounded at
+            # its own size, so the bound scales with |ln moment|
+            with mp.workdps(40):
+                for r in range(0, count, 25):
+                    a = r + shape
+                    ref = float(mp.log(mp.gammainc(a, 0, w)) - a * mp.log(rate))
+                    assert abs(table[r] - ref) <= sf.GAMMA_REL_TOL * max(1.0, abs(ref)), (rate, r)
+
+    def test_infinite_upper_is_complete_gamma(self):
+        table = an._ln_moments(5, 2.5, 0.5, math.inf)
+        assert table == [math.lgamma(r + 2.5) - (r + 2.5) * math.log(0.5) for r in range(5)]
+
+
 class TestConvolvedIntegral:
     # J_d = integral_0^U (U-t)^d t^(s-1) e^(-rho t) dt
     #     = U^(d+s) B(s, d+1) M(s, d+s+1, -rho U), the sdf and feasibility
@@ -425,6 +458,14 @@ class TestOutageThroughput:
     def test_strict_inequality_at_zero_threshold_cognitive(self, fig2b_cfg):
         # the SINR atom at 0 is not an outage when the threshold is 0
         assert an.outage(fig2b_cfg, Protocol.SDF, 0.0, cognitive=True) == 0.0
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_rejections_do_not_depend_on_rate(self, fig2a_cfg, rate):
+        # threshold 0 needs no CDF, but the request is checked all the same
+        with pytest.raises(ConfigError, match="simulation-only"):
+            an.outage(fig2a_cfg, Protocol.HD_MRC, rate)
+        with pytest.raises(ConfigError, match="interference constraint"):
+            an.outage(fig2a_cfg, Protocol.SDF, rate, cognitive=True)
 
     def test_ndl_rayleigh_outage(self):
         cfg = rayleigh_cfg()

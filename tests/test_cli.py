@@ -1,5 +1,9 @@
 """Config ingestion, subcommand behavior, exit codes, and output stability."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,13 @@ class TestOutageCommand:
         rc = main(["outage", "--config", str(p), "--protocol", "ndl", "--rate", "2"])
         assert rc == 1
         assert "integer m_rr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["0", "0.5"])
+    def test_simulation_only_protocol_exit_code(self, rate, capsys):
+        rc = main(["outage", "--config", str(CONFIG_DIR / "fig2a.cfg"), "--protocol",
+                   "hd_mrc", "--rate", rate, "--method", "analytic"])
+        assert rc == 1
+        assert "simulation-only" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, ndl_rayleigh_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -236,3 +247,34 @@ class TestValidateCommand:
         # pl reads --trials 0 as "no simulation"
         assert main(["pl", "--config", cfg, "--trials", "0"]) == 0
         assert main(["pl", "--config", cfg, "--trials", "-1"]) == 2
+
+
+# one fresh interpreter runs the closed forms and the simulator through the
+# CLI, then lists the scipy modules it loaded
+SCIPY_FREE_RUNS = """\
+import contextlib, io, sys
+from fdrs.cli import main
+configs = sys.argv[1]
+runs = (
+    ["sweep", "--config", configs + "/fig3.cfg", "--axis", "relay_count", "--from", "1",
+     "--to", "4", "--protocols", "ndl,idl,idl_dt,sdf", "--method", "analytic"],
+    ["validate", "--config", configs + "/fig2a.cfg", "--rate", "2", "--trials", "100000",
+     "--seed", "12345"],
+    ["outage", "--config", configs + "/fig2b.cfg", "--protocol", "sdf", "--rate", "2",
+     "--method", "mc", "--trials", "20000", "--seed", "1", "--cognitive"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_never_load_scipy():
+    # scipy is for the quadrature oracles and the tests; loading it on the
+    # CLI path, even deferred into a first call, costs every run its import
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS, str(CONFIG_DIR)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.split("\n")[0] == "[0, 0, 0] []", proc.stdout + proc.stderr

@@ -80,6 +80,72 @@ class TestRegularizedGamma:
             sf.reg_lower_gamma(1.0, -0.1)
 
 
+def gamma_grid():
+    """(a, x) over a in [0.5, 400], x in [0, 2e4]: a log grid in x, points
+    around x = a, where the series and the fraction meet, and grids below
+    and above a fine enough to land in both tails' last decades."""
+    for a in (0.5, 0.9, 1.0, 2.5, 7.0, 19.5, 20.0, 33.3, 100.0, 250.0, 400.0):
+        xs = [0.0, 1.0, a + 1.0, max(a - 1.0, 0.1)]
+        xs += [float(x) for x in np.geomspace(1e-6, 2e4, 25)]
+        xs += [a * (1.0 + t) for t in (-0.3, -0.1, -0.01, 0.0, 0.01, 0.1, 0.3, 2.0)]
+        xs += [float(x) for x in a * np.geomspace(1e-4, 1.0, 30, endpoint=False)]
+        xs += [a + 50.0 * k for k in range(1, 21)]
+        for x in xs:
+            yield a, x
+
+
+class TestIncompleteGammaAccuracy:
+    """P and Q against mpmath to the tolerances stated in specfun."""
+
+    def test_against_mpmath(self):
+        deep = {"P": 0, "Q": 0}
+        for a, x in gamma_grid():
+            with mp.workdps(40):
+                refs = {"P": float(mp.gammainc(a, 0, x, regularized=True)),
+                        "Q": float(mp.gammainc(a, x, mp.inf, regularized=True))}
+            got = {"P": sf.reg_lower_gamma(a, x), "Q": sf.reg_upper_gamma(a, x)}
+            for tail, ref in refs.items():
+                if ref < 1e-300:
+                    # below the stated range a value may only underflow
+                    assert 0.0 <= got[tail] <= 1e-300, (tail, a, x)
+                    continue
+                tol = sf.GAMMA_REL_TOL if ref > 1e-30 else sf.GAMMA_DEEP_REL_TOL
+                deep[tail] += ref < 1e-250
+                assert abs(got[tail] - ref) <= tol * ref, (tail, a, x, got[tail], ref)
+        # both tails were checked down near the end of the range
+        assert min(deep.values()) >= 5, deep
+
+    @pytest.mark.parametrize("a", [20.0, 100.0, 400.0])
+    def test_complement_near_transition(self, a):
+        # P + Q = 1 where both are O(1), on both sides of x = a
+        for x in a + np.sqrt(a) * np.linspace(-2.0, 2.0, 41):
+            p, q = sf.reg_lower_gamma(a, float(x)), sf.reg_upper_gamma(a, float(x))
+            assert min(p, q) > 1e-3
+            assert abs(p + q - 1.0) <= 1e-15
+
+    def test_infinite_argument(self):
+        assert sf.reg_lower_gamma(2.5, math.inf) == 1.0
+        assert sf.reg_upper_gamma(2.5, math.inf) == 0.0
+
+    @pytest.mark.parametrize("kernel", [sf.reg_lower_gamma, sf.reg_upper_gamma])
+    def test_raises_outside_domain_instead_of_returning(self, kernel):
+        # near x = a at a = 1e8 the series and the fraction need about
+        # 9e4 terms, past MAX_TERMS
+        with pytest.raises(sf.NonConvergenceError):
+            kernel(1e8, 1e8)
+        with pytest.raises(ValueError):
+            kernel(1.0, math.nan)
+
+
+class TestRegLowerGammaRun:
+    # the run's values are checked through analytic._ln_moments in
+    # test_analytic.py::TestMomentTable
+    def test_edges(self):
+        assert sf.ln_reg_lower_gammas(1.5, 0, 2.0) == []
+        assert sf.ln_reg_lower_gammas(1.5, 3, 0.0) == [-math.inf] * 3
+        assert sf.ln_reg_lower_gammas(1.5, 3, math.inf) == [0.0] * 3
+
+
 class TestBeta:
     def test_values(self):
         assert math.exp(sf.ln_beta(1, 1)) == pytest.approx(1.0, rel=1e-14)
