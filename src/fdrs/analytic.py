@@ -20,20 +20,20 @@ integer m the identity
 collapses the multinomial expansion to one term per degree d, with
 positive coefficients c_{k,m}(d) (specfun.ln_truncated_exp_power).
 Each degree leaves a one-dimensional inner integral over one table of
-incomplete-Gamma moments per block: a positive sum up to inf (idl) or
-x (idl_dt) for the shifted argument x (b + 1); for the convolved
-argument x - b (sdf, feasibility) a positive Kummer series, replaced
-only beyond |w| = 30 (w the decay rate times x) by an alternating
-moment sum whose Higham cancellation bound stays within
-specfun.REL_TOL.  The protocols differ only in that inner integral and
-its upper limit.  The blocks I_k do not depend on
-L, so one block vector serves every relay count of the cognitive
-mixture.
+incomplete-Gamma moments per block: a positive binomial sum up to inf
+(idl) or x (idl_dt) for the shifted argument x (b + 1); for the
+convolved argument x - b (sdf, feasibility) a positive Kummer series,
+replaced only beyond |w| = 30 (w the decay rate times x) by an
+alternating binomial sum whose condition number, times each term's
+error, stays within specfun.REL_TOL.  The protocols differ only in that
+inner integral and its upper limit.  The blocks I_k do not depend on L,
+so one block vector serves every relay count of the cognitive mixture.
 
-Alternating outer sums are accumulated with math.fsum and every
-inner positive block is assembled in log space, so the expressions stay
-usable from deep-tail diversity sweeps (probabilities ~1e-18) up to
-thresholds of 1e6.
+Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
+scaled by the largest in log space and added with math.fsum, so the
+expressions stay usable from deep-tail diversity sweeps (probabilities
+~1e-18) up to thresholds of 1e6.  The outer sums are clamped to [0, 1]
+and their condition number is not yet checked.
 """
 from __future__ import annotations
 
@@ -226,36 +226,10 @@ def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 # log-space building blocks shared by the end-to-end CDFs
 
-def _ln_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _lse(values: list[float]) -> float:
-    """log(sum(exp(values))) for possibly empty lists of finite/-inf logs."""
-    m = max(values, default=-math.inf)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
-
-
-def _lse_alternating(ln_mags: list[float]) -> float | None:
-    """log of sum_j (-1)^j exp(ln_mags[j]), or None when that sum is not
-    positive or its Higham bound u sum|t| / |sum t|, u taken as ulp(1)
-    (twice the unit roundoff), exceeds sf.REL_TOL."""
-    m = max(ln_mags, default=-math.inf)
-    if m == -math.inf:
-        return None
-    mags = [math.exp(v - m) for v in ln_mags]
-    s = math.fsum(-t if j % 2 else t for j, t in enumerate(mags))
-    if not s > 0.0 or math.ulp(1.0) * math.fsum(mags) > sf.REL_TOL * s:
-        return None
-    return m + math.log(s)
-
-
-def _alternating_sum(ln_mags) -> float:
-    """sum_k (-1)^k exp(ln_mags[k]) by exact float summation, clamped to [0, 1]."""
-    terms = [(-1.0 if k % 2 else 1.0) * math.exp(v) for k, v in enumerate(ln_mags)]
-    return min(max(math.fsum(terms), 0.0), 1.0)
+def _probability(ln_sum: float | None, ln_scale: float = 0.0) -> float:
+    """e^(ln_scale + ln_sum) clamped to [0, 1]; a sum that cancelled to
+    <= 0 (ln_sum None) gives 0."""
+    return 0.0 if ln_sum is None else min(math.exp(ln_scale + ln_sum), 1.0)
 
 
 def _ln_moments(count: int, shape: float, rate: float, upper: float) -> list[float]:
@@ -275,14 +249,12 @@ def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> 
     Expanding (t+1)^d binomially leaves a positive sum over the moments
     of _ln_moments, which every degree shares.
     """
-    ln_fact = [math.lgamma(n + 1) for n in range(count)]
     moments = _ln_moments(count, shape, rate, upper)
-    return [_lse([ln_fact[d] - ln_fact[r] - ln_fact[d - r] + moments[r]
-                  for r in range(d + 1)])
-            for d in range(count)]
+    return [sf.ln_binomial_sum(moments, d, alternating=False)[0] for d in range(count)]
 
 
 _KUMMER_BRANCH_CAP = 30.0
+_ULP = math.ulp(1.0)
 
 
 def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
@@ -298,8 +270,12 @@ def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> l
     sum_r (-1)^r C(d, r) upper^(d-r) G_r; for w < 0 and integer shape n,
     (upper-u)^(n-1) expanded after u = upper - t,
     e^(-w) sum_j (-1)^j C(n-1, j) upper^(n-1-j) H_(d+j); G and H are the
-    _ln_moments of (shape, rate) and (1, -rate).  A degree whose sum
-    fails _lse_alternating's cancellation bound takes the Kummer form.
+    _ln_moments of (shape, rate) and (1, -rate), and
+    sf.ln_binomial_sum gives each sum with its condition number kappa.
+    A degree takes the Kummer form unless its sum is positive and
+    (ulp(1) + e) kappa <= sf.REL_TOL, where e is each term's relative
+    error: sf.GAMMA_REL_TOL from the moments plus the rounding of the
+    logarithms summed into the term.
     """
     w = rate * upper
     ln_u = math.log(upper)
@@ -307,16 +283,19 @@ def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> l
     out = [None] * count
     if w > _KUMMER_BRANCH_CAP or (w < -_KUMMER_BRANCH_CAP and abs(shape - n) < 1e-9):
         if w > 0:
-            moments = _ln_moments(count, shape, rate, upper)
+            a, rho, size, top_max = shape, rate, count, count - 1
         else:
-            moments = _ln_moments(count + n - 1, 1.0, -rate, upper)
-        ln_fact = [math.lgamma(i + 1) for i in range(max(count, n))]
+            a, rho, size, top_max = 1.0, -rate, count + n - 1, n - 1
+        moments = _ln_moments(size, a, rho, upper)
+        # each term's relative error: the moments' stated accuracy plus the
+        # rounding of the logs summed into it, bounded at the largest order
+        big = size - 1 + a
+        err = sf.GAMMA_REL_TOL + _ULP * (abs(math.lgamma(big)) + big * abs(math.log(rho))
+                                         + 2.0 * math.lgamma(top_max + 1.0) + top_max * abs(ln_u))
         for d in range(count):
-            top, first, ln_pref = (d, 0, 0.0) if w > 0 else (n - 1, d, -w)
-            ln_j = _lse_alternating([ln_fact[top] - ln_fact[j] - ln_fact[top - j]
-                                     + (top - j) * ln_u + moments[first + j]
-                                     for j in range(top + 1)])
-            if ln_j is not None:
+            top, first, ln_pref = (d, 0, d * ln_u) if w > 0 else (n - 1, d, (n - 1) * ln_u - w)
+            ln_j, kappa = sf.ln_binomial_sum(moments, top, first, -ln_u)
+            if ln_j is not None and (_ULP + err) * kappa <= sf.REL_TOL:
                 out[d] = ln_pref + ln_j
     for d in range(count):
         if out[d] is None:
@@ -353,7 +332,9 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
         coeffs = sf.ln_truncated_exp_power(k, m)
         inner = ln_inner(len(coeffs), shape, rate, upper)
         lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
-        blocks.append(-k * x / theta + ln_norm + _lse(lns))
+        peak = max(lns)
+        blocks.append(-k * x / theta + ln_norm
+                      + (peak + math.log(math.fsum(math.exp(v - peak) for v in lns))))
     return blocks
 
 
@@ -376,9 +357,9 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     NDL keeps its product form per_path^L.  The direct-link protocols
     integrate (1 - s Q)^L over the direct-link SNR, s = P(Z > x), and
     the binomial expansion of the power gives the alternating sum
-    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k, accumulated with exact
-    float summation; the positive blocks I_k come from _ln_blocks and
-    do not depend on L.
+    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k (sf.ln_binomial_sum,
+    clamped to [0, 1]); the positive blocks I_k come from _ln_blocks
+    and do not depend on L.
     """
     if relays < 1:
         raise ValueError("relays must be >= 1")
@@ -398,8 +379,7 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     ln_s = math.log(fzbar) if count else 0.0
     ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x,
                       cfg.sd.m, cfg.p_s * cfg.sd.theta, convolved, upper * x)
-    return [_alternating_sum(_ln_binom(n, k) + k * ln_s + ln_i[k]
-                             for k in range(min(n, count) + 1))
+    return [_probability(sf.ln_binomial_sum(ln_i, min(n, count), ln_ratio=ln_s)[0])
             for n in range(relays + 1)]
 
 
@@ -407,21 +387,14 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
                     relays: int) -> float:
     """CDF of the end-to-end SINR given `relays` usable relays.
 
-    ndl: no direct link; product form (1 - P(Z > x) P(hop2 > x))^relays,
-    every factor a single per-path CDF thanks to i.i.d. paths.
-    idl: the direct link only interferes with the second hop; the
-    direct-link SNR is integrated out over (0, inf), each degree term a
-    complete-Gamma moment sum at decay eta_k = 1/(P_S theta_SD) +
-    x k/(P_R theta_RD).
-    idl_dt: as idl, but direct transmission is a fallback decoding
-    branch, so the integration stops at x.
-    sdf: selective cooperation; the second hop is the relay-destination
-    link MRC-combined with the direct signal (virtual two-transmitter
-    array), and direct transmission is favored when sufficient.  The
-    inner integral carries the convolution kernel (x - beta)^deg and
-    the sign-indefinite decay eta_k = 1/(P_S theta_SD) - k/(P_R theta_RD);
-    both confluent branches, exact at eta_k = 0, live in
-    _ln_conv_integrals.
+    ndl: no direct link; the product form (1 - P(Z > x) P(hop2 > x))^relays
+    of i.i.d. paths.  idl: the direct link only interferes with the second
+    hop, and the direct-link SNR is integrated out over (0, inf).  idl_dt:
+    as idl, but direct transmission is a fallback decoding branch, so the
+    integration stops at x.  sdf: selective cooperation; the second hop is
+    MRC-combined with the direct signal, so the inner integral carries the
+    convolution kernel (x - beta)^deg at a decay of either sign
+    (_ln_conv_integrals).
     """
     validate_config(cfg, protocol, "analytic")
     return _conditional_cdfs(x, cfg, protocol, relays)[relays]
@@ -432,7 +405,9 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
 
 def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi, tol):
     """integral_lo^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
-    over the direct-link SNR density."""
+    over the direct-link SNR density; 0 at x = 0."""
+    if x == 0:
+        return 0.0
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
     _, upper = _scipy_gamma_cdfs()
     m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
@@ -450,8 +425,6 @@ def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi, tol):
 
 def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Oracle for the ndl conditional CDF built on the ratio-CDF quadrature."""
-    if x == 0:
-        return 0.0
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
     _, upper = _scipy_gamma_cdfs()
     q2 = upper(cfg.rd.m, x / (cfg.p_r * cfg.rd.theta))
@@ -460,23 +433,17 @@ def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> floa
 
 def cdf_idl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Direct numerical integration of the interfering-direct-link CDF."""
-    if x == 0:
-        return 0.0
     return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0),
                              0.0, math.inf, tol)
 
 
 def cdf_idl_dt_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Oracle for the hybrid CDF: same integrand as IDL, truncated at x."""
-    if x == 0:
-        return 0.0
     return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), 0.0, x, tol)
 
 
 def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
     """Oracle for the selective-cooperation CDF."""
-    if x == 0:
-        return 0.0
     return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), 0.0, x, tol)
 
 
@@ -512,9 +479,8 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     p_tilde0 = math.exp(ln_b[k_total])
     probs = [min(sf.reg_upper_gamma(cfg.sp.m, cap / th_sp) + p_tilde0, 1.0)]
     for feasible in range(1, k_total + 1):
-        probs.append(_alternating_sum(
-            _ln_binom(k_total, feasible) + _ln_binom(feasible, l)
-            + ln_b[k_total - feasible + l] for l in range(feasible + 1)))
+        ln_sum, _ = sf.ln_binomial_sum(ln_b, feasible, first=k_total - feasible)
+        probs.append(_probability(ln_sum, sf.ln_comb(k_total, feasible)))
     return FeasibilityDist(p=tuple(probs), p_tilde0=min(p_tilde0, probs[0]))
 
 

@@ -155,26 +155,19 @@ class NetworkConfig:
         return self.p_r ** self.rsi_lambda * self.rr.theta
 
 
-def _integrality_requirements(protocol: Protocol, cognitive: bool) -> list[str]:
-    req = {
-        Protocol.NDL: ["rr"],
-        Protocol.IDL: ["rr", "rd"],
-        Protocol.IDL_DT: ["rr", "rd", "sd"],
-        Protocol.SDF: ["rr", "rd", "sd"],
-    }.get(protocol, [])
-    if cognitive:
-        req = req + ["rp"]
-    return req
+# link classes whose shape the closed forms need to be an integer
+_INTEGER_SHAPES = {Protocol.NDL: ("rr",), Protocol.IDL: ("rr", "rd"),
+                   Protocol.IDL_DT: ("rr", "rd"), Protocol.SDF: ("rr", "rd")}
 
 
 def config_violations(cfg: NetworkConfig, protocol: Protocol, method: str) -> list[str]:
     """All reasons (cfg, protocol, method) cannot be evaluated; empty if none.
 
     The closed forms put integrality conditions on some Nakagami shapes
-    (m_rr always; m_rd for the direct-link protocols; m_sd additionally
-    for the hybrid and selective ones; m_rp for the feasibility
-    probabilities).  The simulator has no such limits but still needs
-    the links a protocol references to exist in the scenario.
+    (m_rr always; m_rd for the direct-link protocols; m_rp for the
+    feasibility probabilities); m_sd may be any shape.  The simulator
+    has no such limits but still needs the links a protocol references
+    to exist in the scenario.
     """
     if method not in ("analytic", "mc"):
         raise ValueError(f"method must be 'analytic' or 'mc', got {method!r}")
@@ -187,7 +180,7 @@ def config_violations(cfg: NetworkConfig, protocol: Protocol, method: str) -> li
         if cfg.relay_overrides:
             errors.append("per-relay overrides are simulation-only; analytic mode assumes "
                           "a symmetric cluster")
-        for name in _integrality_requirements(protocol, cfg.is_cognitive):
+        for name in _INTEGER_SHAPES.get(protocol, ()) + (("rp",) if cfg.is_cognitive else ()):
             link: LinkSpec = getattr(cfg, name)
             if link is not None and not link.integer_m:
                 errors.append(

@@ -163,9 +163,9 @@ def cmd_outage(args) -> int:
         "manifest": manifest.as_dict(),
     }
     if args.method in ("analytic", "both"):
-        record["outage_analytic"] = analytic.outage(cfg, proto, args.rate, args.cognitive)
-        record["throughput_analytic"] = analytic.throughput(cfg, proto, args.rate,
-                                                            args.cognitive)
+        p_out = analytic.outage(cfg, proto, args.rate, args.cognitive)
+        record["outage_analytic"] = p_out
+        record["throughput_analytic"] = analytic.throughput_from_outage(proto, args.rate, p_out)
     if args.method in ("mc", "both"):
         est = montecarlo.estimate_outage(cfg, proto, args.rate, args.trials,
                                          args.seed, args.cognitive, args.workers)

@@ -33,7 +33,9 @@ is evaluated through series and finite polynomial forms rather than a
 general-purpose implementation; the supported region is documented per
 function.  The coefficient table of a truncated-exponential power, into
 which the closed forms expand integer-shape Gamma tails, is computed
-exactly.
+exactly.  ln_binomial_sum is the one binomial-sum kernel: every closed
+form that expands a power binomially sums through it and gets the sum's
+condition number with it.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ __all__ = [
     "reg_lower_gamma",
     "reg_upper_gamma",
     "ln_reg_lower_gammas",
+    "ln_comb",
+    "ln_binomial_sum",
     "ln_beta",
     "ln_kummer_m",
     "tricomi_u",
@@ -71,8 +75,8 @@ class NonConvergenceError(ArithmeticError):
     """A series did not reach the requested tolerance within MAX_TERMS."""
 
 
-def _is_nonpos_int(x: float, tol: float = 1e-9) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
+def _is_int(x: float) -> bool:
+    return abs(x - round(x)) < 1e-9
 
 
 def ln_gamma(a: float) -> float:
@@ -201,6 +205,49 @@ def ln_reg_lower_gammas(a: float, count: int, x: float) -> list[float]:
     return out
 
 
+_LN_FACT = (0.0,)   # ln k!: the one source of binomial coefficients
+
+
+def _ln_factorials(n: int) -> tuple[float, ...]:
+    """ln k! for k = 0..n at least.  A longer table replaces the shared
+    one instead of growing it, so a table already handed out stays valid."""
+    global _LN_FACT
+    if len(_LN_FACT) <= n:
+        _LN_FACT = tuple(math.lgamma(k + 1.0) for k in range(2 * n + 1))
+    return _LN_FACT
+
+
+def ln_comb(n: int, k: int) -> float:
+    """ln C(n, k) for 0 <= k <= n."""
+    f = _ln_factorials(n)
+    return f[n] - f[k] - f[n - k]
+
+
+def ln_binomial_sum(ln_seq, top: int, first: int = 0, ln_ratio: float = 0.0,
+                    alternating: bool = True) -> tuple[float | None, float]:
+    """(ln S, kappa) for S = sum_{j<=top} (-1)^j C(top, j) e^(j ln_ratio + ln_seq[first+j]),
+    without the signs (-1)^j when alternating is False.
+
+    Terms are scaled by the largest and added with math.fsum.  kappa =
+    sum|t| / S is the condition number: a relative error e in every term
+    moves S by at most e kappa, and the scaling adds about ulp(1) kappa.
+    Positive sums skip that pass (kappa = 1).  S <= 0 gives (None, inf).
+    """
+    f = _ln_factorials(top)
+    lns = [f[top] - f[j] - f[top - j] + j * ln_ratio + ln_seq[first + j]
+           for j in range(top + 1)]
+    peak = max(lns)
+    if peak == -math.inf:
+        return None, math.inf
+    mags = [math.exp(v - peak) for v in lns]
+    if not alternating:
+        return peak + math.log(math.fsum(mags)), 1.0
+    total = math.fsum(-t if j % 2 else t for j, t in enumerate(mags))
+    if not total > 0.0:
+        return None, math.inf
+    return peak + math.log(total), math.fsum(mags) / total
+
+
 def ln_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
@@ -257,26 +304,23 @@ def _u_poly(n: int, b: float, z: float) -> float:
 def _u_gamma_sum(n: int, b: float, z: float) -> float:
     """U(n, b, z) for positive integer n with b > n, via incomplete Gammas.
 
-    Binomial expansion of the defining integral gives the exact finite
-    form
+    Expanding t^(n-1) = ((1+t) - 1)^(n-1) in DLMF 13.4.4 gives the
+    exact finite form
         U(n,b,z) = e^z / (n-1)! * sum_{j=0..n-1} C(n-1, j) (-1)^(n-1-j)
-                   z^(j+n-b) Gamma(b-n+j, z),
-    with every Gamma order b-n+j positive.  Stable for all z: terms
-    decay once z exceeds b, and the j = n-1 term dominates outright for
-    small z.  Requires z <= ~700 so e^z stays finite.
+                   z^-(b-n+j) Gamma(b-n+j, z),
+    with every Gamma order b-n+j positive, summed by ln_binomial_sum in
+    i = n-1-j.  The j = n-1 term dominates for small z, and terms decay
+    once z exceeds b; the cancellation in between is not bounded here.
     """
-    total = 0.0
-    sign = -1.0 if (n - 1) % 2 else 1.0
-    for j in range(n):
-        s = b - n + j
+    ln_z = math.log(z)
+    ln_upper = []
+    for s in (b - 1.0 - i for i in range(n)):
         q = reg_upper_gamma(s, z)
-        term = math.exp(
-            math.lgamma(n) - math.lgamma(j + 1) - math.lgamma(n - j)
-            - s * math.log(z) + math.log(q) + math.lgamma(s)
-        ) if q > 0 else 0.0
-        total += sign * term
-        sign = -sign
-    return math.exp(z) * total / math.gamma(n)
+        ln_upper.append(math.lgamma(s) - s * ln_z + math.log(q) if q > 0 else -math.inf)
+    ln_s, _ = ln_binomial_sum(ln_upper, n - 1)
+    if ln_s is None:
+        raise NonConvergenceError(f"U({n}, {b}, {z}) Gamma sum cancelled to <= 0")
+    return math.exp(z + ln_s - math.lgamma(n))
 
 
 def _u_asymptotic(a: float, b: float, z: float) -> float:
@@ -304,10 +348,6 @@ def _u_asymptotic(a: float, b: float, z: float) -> float:
     return z ** (-a) * total
 
 
-def _is_pos_int(x: float, tol: float = 1e-9) -> bool:
-    return x >= 1 - tol and abs(x - round(x)) < tol
-
-
 def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric function U(a, b, z) for z > 0.
 
@@ -330,9 +370,9 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     """
     if not z > 0:
         raise ValueError(f"tricomi_u requires z > 0, got z={z}")
-    if _is_nonpos_int(a):
+    if _is_int(a) and a < 0.5:
         return _u_poly(int(round(-a)), b, z)
-    if _is_nonpos_int(a - b + 1.0):
+    if _is_int(a - b + 1.0) and a - b + 1.0 < 0.5:
         return z ** (1.0 - b) * _u_poly(int(round(b - a - 1.0)), 2.0 - b, z)
     if z >= 45.0:
         # the finite Gamma sums below cancel like z^(n-1) at large z,
@@ -341,9 +381,9 @@ def tricomi_u(a: float, b: float, z: float) -> float:
             return _u_asymptotic(a, b, z)
         except NonConvergenceError:
             pass
-    if _is_pos_int(a) and b - a > 1e-9 and z <= 700.0:
+    if _is_int(a) and a > 0.5 and b - a > 1e-9 and z <= 700.0:
         return _u_gamma_sum(int(round(a)), b, z)
-    if _is_pos_int(a - b + 1.0) and a < 1.0 - 1e-9 and z <= 700.0:
+    if _is_int(a - b + 1.0) and a - b + 1.0 > 0.5 and a < 1.0 - 1e-9 and z <= 700.0:
         return z ** (1.0 - b) * _u_gamma_sum(int(round(a - b + 1.0)), 2.0 - b, z)
     raise NonConvergenceError(
         f"U({a}, {b}, {z}) outside the validated parameter region")

@@ -168,6 +168,23 @@ class TestConvolvedIntegral:
                                    + mp.log(mp.hyp1f1(s, d + s + 1, -w)))
                             assert abs(ln_j - float(ref)) <= 1e-10, (d, s, w)
 
+    def test_alternating_sums_within_rel_tol(self):
+        # the same grid: a signed sum is kept only when each term's log
+        # error times its condition number stays within specfun.REL_TOL
+        import mpmath as mp
+        upper = 2.0
+        worst = 0.0
+        with mp.workdps(40):
+            for s in (0.5, 1.0, 2.0, 2.5, 4.0, 6.0):
+                for mag in (0.0, 1e-10, 5.0, 29.0, 31.0, 45.0, 100.0, 500.0):
+                    for w in (mag, -mag):
+                        got = an._ln_conv_integrals(61, s, w / upper, upper)
+                        for d, ln_j in enumerate(got):
+                            ref = ((d + s) * mp.log(upper) + mp.log(mp.beta(s, d + 1))
+                                   + mp.log(mp.hyp1f1(s, d + s + 1, -w)))
+                            worst = max(worst, abs(ln_j - float(ref)))
+        assert worst <= 5e-12
+
     def test_block_against_mpmath_quadrature(self):
         # K = 12, m = 6, shape 6: every block has rho U between 48 and 120,
         # where the binomial sums of the high degrees cancel
@@ -238,6 +255,18 @@ class TestDirectLinkCdfs:
         for x in X_GRID:
             assert abs(an.cdf_conditional(float(x), fig2a_cfg, proto, 3)
                        - quad(float(x), fig2a_cfg, 3)) <= 1e-8
+
+    @pytest.mark.parametrize("m_sd", [0.5, 1.5, 2.5, 3.7])
+    def test_real_direct_link_shape_against_quadrature(self, fig2a_cfg, fig3_cfg, m_sd):
+        # both inner integrals take any direct-link shape
+        for base in (fig2a_cfg, fig3_cfg):
+            cfg = dataclasses.replace(base, sd=LinkSpec(m_sd, base.sd.avg_power))
+            for proto, quad in ((Protocol.IDL_DT, an.cdf_idl_dt_quad),
+                                (Protocol.SDF, an.cdf_sdf_quad)):
+                for x in (0.5, 3.0, 255.0):
+                    for relays in (1, 3, 8):
+                        assert abs(an.cdf_conditional(x, cfg, proto, relays)
+                                   - quad(x, cfg, relays)) <= 1e-9, (proto, x, relays)
 
     def test_dominance_ordering(self, fig2a_cfg):
         # pointwise SINR dominance: selective >= hybrid >= interference-only

@@ -87,8 +87,8 @@ class TestValidation:
     def test_direct_link_shape_requirements(self):
         cfg = make_cfg(sd=LinkSpec(1.5, 1.0))
         assert config_violations(cfg, Protocol.IDL, "analytic") == []
-        assert any("m_sd" in e for e in config_violations(cfg, Protocol.IDL_DT, "analytic"))
-        assert any("m_sd" in e for e in config_violations(cfg, Protocol.SDF, "analytic"))
+        assert not any("m_sd" in e for e in config_violations(cfg, Protocol.IDL_DT, "analytic"))
+        assert not any("m_sd" in e for e in config_violations(cfg, Protocol.SDF, "analytic"))
         cfg2 = make_cfg(rd=LinkSpec(2.5, 1.0))
         assert any("m_rd" in e for e in config_violations(cfg2, Protocol.IDL, "analytic"))
         # the no-direct-link form allows real second-hop shape

@@ -117,6 +117,30 @@ class TestOutageCommand:
         assert rc == 1
         assert "simulation-only" in capsys.readouterr().err
 
+    def test_real_direct_link_shape(self, tmp_path, capsys):
+        p = tmp_path / "msd.cfg"
+        p.write_text((CONFIG_DIR / "fig2a.cfg").read_text().replace("m_sd = 2", "m_sd = 1.5"))
+        rc = main(["outage", "--config", str(p), "--protocol", "sdf", "--rate", "2",
+                   "--method", "analytic"])
+        assert rc == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["outage_analytic"] < 1.0
+
+    def test_one_closed_form_per_outage(self, capsys, monkeypatch):
+        calls = []
+        outage = analytic.outage
+
+        def counted(*args):
+            calls.append(args)
+            return outage(*args)
+        monkeypatch.setattr(analytic, "outage", counted)
+        path = str(CONFIG_DIR / "fig2a.cfg")
+        rc = main(["outage", "--config", path, "--protocol", "sdf", "--rate", "2",
+                   "--method", "analytic"])
+        assert rc == 0 and len(calls) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["throughput_analytic"] == analytic.throughput(
+            parse_config(path), *calls[0][1:])
+
     def test_numeric_failure_exit_code(self, ndl_rayleigh_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise NonConvergenceError("series did not converge")

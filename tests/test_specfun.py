@@ -1,5 +1,6 @@
 """Special-function kernel against exact values and mpmath."""
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -144,6 +145,50 @@ class TestRegLowerGammaRun:
         assert sf.ln_reg_lower_gammas(1.5, 0, 2.0) == []
         assert sf.ln_reg_lower_gammas(1.5, 3, 0.0) == [-math.inf] * 3
         assert sf.ln_reg_lower_gammas(1.5, 3, math.inf) == [0.0] * 3
+
+
+class TestBinomialSum:
+    # sum_j (-1)^j C(top, j) r^j v[first + j] against exact rationals,
+    # with v_i = 1/(i + 1): the alternating sums are beta-type, positive
+    VALUES = [Fraction(1, i + 1) for i in range(16)]
+    LN_VALUES = [math.log(v) for v in VALUES]
+
+    @staticmethod
+    def exact(top, first, ratio, alternating):
+        terms = [math.comb(top, j) * ratio ** j * TestBinomialSum.VALUES[first + j]
+                 for j in range(top + 1)]
+        total = sum(-t if alternating and j % 2 else t for j, t in enumerate(terms))
+        return total, sum(terms) / total
+
+    @pytest.mark.parametrize("alternating", [True, False])
+    @pytest.mark.parametrize("ratio", [Fraction(1), Fraction(1, 2), Fraction(3, 4)])
+    @pytest.mark.parametrize("first", [0, 3])
+    @pytest.mark.parametrize("top", [0, 1, 4, 10])
+    def test_against_exact_sum(self, top, first, ratio, alternating):
+        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES, top, first, math.log(ratio),
+                                         alternating)
+        total, cond = self.exact(top, first, ratio, alternating)
+        # kappa bounds the relative error of S, and so of kappa = sum|t| / S
+        tol = 1e-14 * float(cond)
+        assert math.exp(ln_s) == pytest.approx(float(total), rel=tol)
+        if alternating:
+            assert kappa == pytest.approx(float(cond), rel=tol)
+        else:
+            assert kappa == 1.0
+
+    def test_top_zero_is_the_entry(self):
+        assert sf.ln_binomial_sum([0.5, -1.25], 0, first=1, ln_ratio=3.0) == (-1.25, 1.0)
+
+    def test_non_positive_sum(self):
+        assert sf.ln_binomial_sum([0.0, math.log(2.0)], 1) == (None, math.inf)
+        assert sf.ln_binomial_sum([0.0, 0.0], 1) == (None, math.inf)
+        assert sf.ln_binomial_sum([-math.inf] * 3, 2) == (None, math.inf)
+        assert sf.ln_binomial_sum([-math.inf] * 3, 2, alternating=False) == (None, math.inf)
+
+    def test_ln_comb(self):
+        for n in (0, 1, 7, 60):
+            for k in range(n + 1):
+                assert sf.ln_comb(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-12)
 
 
 class TestBeta:
