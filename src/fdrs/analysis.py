@@ -15,6 +15,7 @@ from fdrs.channel import (
     Protocol,
     config_violations,
     db_to_linear,
+    validate_config,
 )
 
 __all__ = ["SweepSpec", "SweepRow", "SweepResult", "DiversityFit",
@@ -124,6 +125,13 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     points = [(_apply_axis(cfg, spec.axis, v), v if spec.axis == "rate_bpcu" else spec.rate)
               for v in values]
     hits = _sweep_hits(spec, points, [p for p in active if "mc" in active[p]], cognitive)
+    # the feasibility distribution depends on the point only: one per
+    # distinct point config, shared by its protocols and rates
+    feas = [None] * len(points)
+    if cognitive and any("analytic" in methods for methods in active.values()):
+        for i, (point_cfg, _) in enumerate(points):
+            feas[i] = (feas[i - 1] if i and point_cfg == points[i - 1][0]
+                       else analytic.feasibility_dist(point_cfg))
     rows = []
     for i, (value, (point_cfg, rate)) in enumerate(zip(values, points)):
         for proto in spec.protocols:
@@ -132,7 +140,7 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
                     # closed forms exist only for full-duplex protocols,
                     # whose threshold ignores the half-duplex rate rule,
                     # so the outage doubles as the throughput outage
-                    p_out = analytic.outage(point_cfg, proto, rate, cognitive)
+                    p_out = analytic.outage(point_cfg, proto, rate, cognitive, feas[i])
                     rows.append(SweepRow(value, proto, "analytic", p_out,
                                          analytic.throughput_from_outage(proto, rate, p_out)))
                 else:
@@ -278,7 +286,12 @@ def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
     """
     cognitive = cfg.is_cognitive
     protocols = list(protocols)
-    p_an = [analytic.outage(cfg, proto, rate, cognitive) for proto in protocols]
+    # every violation of every protocol is reported before
+    # feasibility_dist could raise on the first one it meets
+    for proto in protocols:
+        validate_config(cfg, proto, "analytic")
+    feas = analytic.feasibility_dist(cfg) if cognitive and protocols else None
+    p_an = [analytic.outage(cfg, proto, rate, cognitive, feas) for proto in protocols]
     hits = montecarlo.outage_counts(
         cfg, [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],
         trials, seed, cognitive, workers)

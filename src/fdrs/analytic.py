@@ -553,13 +553,15 @@ def outage_threshold(protocol: Protocol, rate: float,
 
 
 def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
-           cognitive: bool = False) -> float:
+           cognitive: bool = False, feas: FeasibilityDist | None = None) -> float:
     """Closed-form outage probability P(SINR < threshold), full-duplex
     protocols only, so no half-duplex rate convention applies.
 
     The strict inequality matters only at threshold 0, where the atom
     the constraint puts at SINR = 0 does not count as outage; the
-    protocol and scenario are validated first, at every rate.
+    protocol and scenario are validated first, at every rate.  A caller
+    evaluating many protocols or rates at one cognitive point may pass
+    that point's `feasibility_dist` as feas, as for `cdf_cognitive`.
     """
     validate_config(cfg, protocol, "analytic")
     if cognitive:
@@ -568,7 +570,7 @@ def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     if gamma_th == 0.0:
         return 0.0
     if cognitive:
-        return cdf_cognitive(gamma_th, cfg, protocol)
+        return cdf_cognitive(gamma_th, cfg, protocol, feas)
     return cdf_conditional(gamma_th, cfg, protocol, cfg.k)
 
 

@@ -12,6 +12,17 @@ link statistics, not on protocol, rate, power or interference cap.
 of every (scenario point, protocol, threshold) cell from that one draw
 (common random numbers); each cell's count is the one a separate
 simulation with the same seed would give.
+
+A chunk is evaluated once per distinct scenario point.  The terms every
+protocol of a duplex class shares (the first hop with the relays that
+violate the cap set to -inf, P_R g_rd, P_S g_sd and the cap masks) are
+computed once per point; each protocol adds only its second hop, the
+min and the max over relays, and a protocol with a direct branch
+reuses its relay-only twin's max.  The evaluation runs over column
+blocks of BLOCK_TRIALS trials so that its (k, n) temporaries stay in
+cache.  A trial's SINR depends on its own column only, and hit counts
+are exact integer sums over blocks, so no count depends on the block
+size.
 """
 from __future__ import annotations
 
@@ -33,6 +44,9 @@ __all__ = ["OutageEstimate", "CHUNK_TRIALS", "outage_counts", "estimate_outage",
            "estimate_feasibility"]
 
 CHUNK_TRIALS = 65536
+# trials evaluated together within a chunk, so that the (k, n)
+# temporaries stay in cache
+BLOCK_TRIALS = 16384
 _MASK64 = (1 << 64) - 1
 
 
@@ -59,6 +73,10 @@ class OutageEstimate:
                    trials=trials, seed=seed)
 
 
+# the relayed path a protocol with a direct-transmission branch shares
+_RELAY_PATH = {Protocol.IDL_DT: Protocol.IDL, Protocol.HD_SDF: Protocol.HD_MRC}
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, chunk_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -72,69 +90,85 @@ def _chunk_sizes(trials: int):
     return sizes
 
 
-def _batch_sinr(gains: dict, cfg: NetworkConfig, protocol: Protocol,
-                feasible: np.ndarray | None = None,
-                dt_allowed: np.ndarray | None = None) -> np.ndarray:
-    """End-to-end SINR of each trial in a gain batch.
-
-    feasible masks out relays violating the interference cap (shape
-    (k, n)); dt_allowed gates the direct-transmission branch.  With no
-    usable relay and no allowed direct branch the SINR is 0.
-    """
-    g_sd = gains.get("sd")
-    if g_sd is None:
-        g_sd = 0.0
-    if protocol.half_duplex:
-        first = cfg.p_s * gains["sr"]
-        second = cfg.p_r * gains["rd"] + cfg.p_s * g_sd
-    else:
-        first = cfg.p_s * gains["sr"] / (cfg.p_r ** cfg.rsi_lambda * gains["rr"] + 1.0)
-        if protocol is Protocol.NDL:
-            second = cfg.p_r * gains["rd"]
-        elif protocol is Protocol.SDF:
-            second = cfg.p_r * gains["rd"] + cfg.p_s * g_sd
-        else:  # IDL, IDL_DT: direct signal interferes with the second hop
-            second = cfg.p_r * gains["rd"] / (cfg.p_s * g_sd + 1.0)
-    per_path = np.minimum(first, second)
-    if feasible is not None:
-        per_path = np.where(feasible, per_path, -np.inf)
-    sinr = per_path.max(axis=0)
-    if protocol.has_dt_branch:
-        direct = cfg.p_s * g_sd * np.ones_like(sinr)
-        if dt_allowed is not None:
-            direct = np.where(dt_allowed, direct, -np.inf)
-        sinr = np.maximum(sinr, direct)
-    return np.maximum(sinr, 0.0)
-
-
-def _feasibility_masks(gains: dict, cfg: NetworkConfig, protocol: Protocol):
-    """Relay and direct-transmission feasibility under the cap.
+def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple:
+    """Relay feasibility of each duplex class under the cap, and the
+    direct-transmission mask.
 
     Full duplex superimposes source and relay interference at the
     primary receiver, so relay k is usable iff
     P_S g_sp + P_R g_rp[k] <= I_th.  Half-duplex nodes transmit in
     separate slots, so each component is capped on its own.  Direct
-    transmission only involves the source.
+    transmission only involves the source.  The relay masks (shape
+    (k, n)) are keyed by Protocol.half_duplex.
     """
     i_sp = cfg.p_s * gains["sp"]
     i_rp = cfg.p_r * gains["rp"]
     dt_allowed = i_sp <= cfg.i_th
-    if protocol.half_duplex:
-        feasible = dt_allowed[None, :] & (i_rp <= cfg.i_th)
-    else:
-        feasible = (i_sp[None, :] + i_rp) <= cfg.i_th
+    feasible = {half_duplex: (dt_allowed[None, :] & (i_rp <= cfg.i_th)) if half_duplex
+                else (i_sp[None, :] + i_rp) <= cfg.i_th
+                for half_duplex in duplex_classes}
     return feasible, dt_allowed
 
 
-def _count_chunk(cfg, groups, n_cells, cognitive, seed, chunk_index, n):
+def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
+                 cognitive: bool = False) -> dict:
+    """End-to-end SINR of each trial in a gain batch, for every protocol
+    at one scenario point.
+
+    What a duplex class shares is computed once: its first hop, with
+    the relays that violate the cap set to -inf (min(-inf, y) = -inf
+    keeps them out of the max over relays), P_R g_rd and P_S g_sd.  A
+    protocol with a direct-transmission branch reuses the relayed path
+    of its relay-only twin (IDL_DT that of IDL, HD_SDF that of HD_MRC).
+    Under the cap the direct branch is allowed iff the source alone
+    meets it.  With no usable relay and no allowed direct branch the
+    SINR is 0.
+    """
+    duplex_classes = dict.fromkeys(p.half_duplex for p in protocols)
+    direct = cfg.p_s * gains.get("sd", 0.0)
+    relay_rd = cfg.p_r * gains["rd"]
+    first = {}
+    for half_duplex in duplex_classes:
+        if half_duplex:
+            first[half_duplex] = cfg.p_s * gains["sr"]
+        else:
+            first[half_duplex] = cfg.p_s * gains["sr"] / (
+                cfg.p_r ** cfg.rsi_lambda * gains["rr"] + 1.0)
+    direct_branch = direct
+    if cognitive:
+        feasible, dt_allowed = _feasibility_masks(gains, cfg, duplex_classes)
+        for half_duplex, hop in first.items():
+            hop[~feasible[half_duplex]] = -np.inf
+        direct_branch = np.where(dt_allowed, direct, -np.inf)
+    relayed = {}
+    sinrs = {}
+    for protocol in protocols:
+        path = _RELAY_PATH.get(protocol, protocol)
+        if path not in relayed:
+            if path is Protocol.NDL:
+                second = relay_rd
+            elif path is Protocol.IDL:  # direct signal interferes with the second hop
+                second = relay_rd / (direct + 1.0)
+            else:  # SDF, HD_MRC: relayed and direct signals combined
+                second = relay_rd + direct
+            relayed[path] = np.minimum(first[path.half_duplex], second).max(axis=0)
+        sinr = relayed[path]
+        if protocol.has_dt_branch:
+            sinr = np.maximum(sinr, direct_branch)
+        sinrs[protocol] = np.maximum(sinr, 0.0)
+    return sinrs
+
+
+def _count_chunk(cfg, points, n_cells, cognitive, seed, chunk_index, n):
     gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
     hits = np.zeros(n_cells, dtype=np.int64)
-    for point_cfg, protocol, thresholds in groups:
-        masks = _feasibility_masks(gains, point_cfg, protocol) if cognitive else ()
-        sinr = _batch_sinr(gains, point_cfg, protocol, *masks)
-        for i, gamma_th in thresholds:
-            hits[i] = np.count_nonzero(sinr < gamma_th)
-        del masks, sinr  # free before the next pair's arrays exist
+    for start in range(0, n, BLOCK_TRIALS):
+        block = {name: g[..., start:start + BLOCK_TRIALS] for name, g in gains.items()}
+        for point_cfg, thresholds in points:
+            sinrs = _point_sinrs(block, point_cfg, thresholds, cognitive)
+            for protocol, sinr in sinrs.items():
+                for i, gamma_th in thresholds[protocol]:
+                    hits[i] += np.count_nonzero(sinr < gamma_th)
     return hits
 
 
@@ -162,8 +196,8 @@ def outage_counts(cfg: NetworkConfig, cells: list[tuple[NetworkConfig, Protocol,
 
     A cell is (point_cfg, protocol, gamma_th): the scenario point, the
     protocol and the SINR threshold whose outages are counted.  Every
-    chunk is drawn once from cfg, and each (point_cfg, protocol) pair
-    evaluates its SINR on it once for all of its thresholds.  A cell's
+    chunk is drawn once from cfg and evaluated once per distinct
+    point_cfg, for all of that point's protocols and thresholds.  A cell's
     point_cfg may differ from cfg only in p_s, p_r and i_th, the
     fields that leave the drawn gains unchanged; anything else raises
     ValueError.  Counts are returned in cell order, each equal to
@@ -171,7 +205,7 @@ def outage_counts(cfg: NetworkConfig, cells: list[tuple[NetworkConfig, Protocol,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    groups: list[tuple[NetworkConfig, Protocol, list]] = []
+    points: list[tuple[NetworkConfig, dict]] = []
     for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
         validate_config(point_cfg, protocol, "mc")
         if cognitive and not point_cfg.is_cognitive:
@@ -179,16 +213,15 @@ def outage_counts(cfg: NetworkConfig, cells: list[tuple[NetworkConfig, Protocol,
         if _draw_fields(point_cfg) != _draw_fields(cfg):
             raise ValueError("cells must share the drawn gains: they may differ "
                              f"from the drawing scenario only in {_POINT_FIELDS}")
-        for g_cfg, g_protocol, thresholds in groups:
-            if g_protocol is protocol and g_cfg == point_cfg:
-                thresholds.append((i, gamma_th))
-                break
-        else:
-            groups.append((point_cfg, protocol, [(i, gamma_th)]))
-    if not groups:
+        thresholds = next((t for p_cfg, t in points if p_cfg == point_cfg), None)
+        if thresholds is None:
+            thresholds = {}
+            points.append((point_cfg, thresholds))
+        thresholds.setdefault(protocol, []).append((i, gamma_th))
+    if not points:
         return []
     counts = _run_chunks(
-        lambda i, n: _count_chunk(cfg, groups, len(cells), cognitive, seed, i, n),
+        lambda i, n: _count_chunk(cfg, points, len(cells), cognitive, seed, i, n),
         _chunk_sizes(trials), workers)
     return np.sum(counts, axis=0).tolist()
 
@@ -216,9 +249,9 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
 
 def _feasibility_chunk(cfg, seed, chunk_index, n):
     gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
-    # any full-duplex protocol: they share the cap rule
-    feasible, dt_allowed = _feasibility_masks(gains, cfg, Protocol.NDL)
-    feasible_count = np.count_nonzero(feasible, axis=0)
+    # the full-duplex cap rule, the one the closed form counts under
+    feasible, dt_allowed = _feasibility_masks(gains, cfg, (False,))
+    feasible_count = np.count_nonzero(feasible[False], axis=0)
     counts = np.bincount(feasible_count, minlength=cfg.k + 1)
     tilde0 = int(np.count_nonzero((feasible_count == 0) & dt_allowed))
     return counts, tilde0

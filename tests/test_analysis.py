@@ -188,6 +188,42 @@ class TestValidateReport:
         assert rows[0].p_analytic == 0.0 and rows[0].p_hat == 0.0 and rows[0].passed
 
 
+class TestFeasibilityOncePerPoint:
+    """A cognitive driver computes feasibility_dist once per distinct
+    point config and shares it across protocols and rates."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = analytic.feasibility_dist
+
+        def feasibility_dist(cfg):
+            calls.append(cfg)
+            return real(cfg)
+        monkeypatch.setattr(analytic, "feasibility_dist", feasibility_dist)
+        return calls
+
+    @pytest.mark.parametrize("axis,start,stop,calls", [
+        ("rate_bpcu", 0.5, 8.0, 1), ("relay_count", 1, 5, 5)])
+    def test_sweep(self, fig2b_cfg, monkeypatch, axis, start, stop, calls):
+        spec = analysis.SweepSpec(axis=axis, start=start, stop=stop, steps=5, protocols=FD)
+        expected = [
+            analytic.outage(analysis._apply_axis(fig2b_cfg, axis, v), proto,
+                            v if axis == "rate_bpcu" else spec.rate, cognitive=True)
+            for v in spec.axis_values() for proto in FD]
+        seen = self.counting(monkeypatch)
+        rows = analysis.run_sweep(spec, fig2b_cfg).rows
+        assert len(seen) == calls
+        assert [r.outage for r in rows] == expected
+
+    def test_validate_report(self, fig2b_cfg, monkeypatch):
+        expected = [analytic.outage(fig2b_cfg, proto, 2.0, cognitive=True) for proto in FD]
+        seen = self.counting(monkeypatch)
+        rows = analysis.validate_report(fig2b_cfg, FD, 2.0, 1000, seed=0)
+        assert len(seen) == 1
+        assert [r.p_analytic for r in rows] == expected
+
+
 class TestSharedDrawDrivers:
     """The batched drivers give what one simulation per cell gives."""
 

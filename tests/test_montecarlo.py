@@ -28,7 +28,7 @@ def one_trial(g_sr, g_rd, g_rr, g_sd=0.0) -> dict:
 
 
 def trial_sinr(gains, cfg, protocol) -> float:
-    return float(mc._batch_sinr(gains, cfg, protocol)[0])
+    return float(mc._point_sinrs(gains, cfg, [protocol])[protocol][0])
 
 
 class TestE2eSinr:
@@ -50,16 +50,16 @@ class TestE2eSinr:
     def test_per_realization_dominance(self, fig2a_cfg):
         # selective >= hybrid >= interference-only, realization by realization
         gains = draw_gains(fig2a_cfg, np.random.default_rng(77), 10 ** 5)
-        idl = mc._batch_sinr(gains, fig2a_cfg, Protocol.IDL)
-        hyb = mc._batch_sinr(gains, fig2a_cfg, Protocol.IDL_DT)
-        sdf = mc._batch_sinr(gains, fig2a_cfg, Protocol.SDF)
+        sinrs = mc._point_sinrs(gains, fig2a_cfg, FD)
+        idl, hyb, sdf = (sinrs[p] for p in (Protocol.IDL, Protocol.IDL_DT, Protocol.SDF))
         assert np.all(sdf >= hyb) and np.all(hyb >= idl)
 
     def test_scalar_matches_batch(self, fig2a_cfg):
         rng = np.random.default_rng(5)
         gains = draw_gains(fig2a_cfg, rng, 50)
-        for proto in FD + (Protocol.HD_MRC, Protocol.HD_SDF):
-            batch = mc._batch_sinr(gains, fig2a_cfg, proto)
+        # all six protocols from one shared evaluation, each trial alone
+        sinrs = mc._point_sinrs(gains, fig2a_cfg, FD + (Protocol.HD_MRC, Protocol.HD_SDF))
+        for proto, batch in sinrs.items():
             for i in (0, 17, 49):
                 g = one_trial(gains["sr"][:, i], gains["rd"][:, i], gains["rr"][:, i],
                               float(gains["sd"][i]))
@@ -195,6 +195,108 @@ class TestOutageCounts:
             mc.estimate_outage(fig2b_cfg, Protocol.SDF, 2.0, 100, seed=0, workers=workers)
         with pytest.raises(ValueError, match="workers"):
             mc.estimate_feasibility(fig2b_cfg, 100, seed=0, workers=workers)
+
+
+def reference_masks(gains, cfg, protocol):
+    """Relay and direct-transmission feasibility, one protocol at a time."""
+    i_sp = cfg.p_s * gains["sp"]
+    i_rp = cfg.p_r * gains["rp"]
+    dt_allowed = i_sp <= cfg.i_th
+    if protocol.half_duplex:
+        feasible = dt_allowed[None, :] & (i_rp <= cfg.i_th)
+    else:
+        feasible = (i_sp[None, :] + i_rp) <= cfg.i_th
+    return feasible, dt_allowed
+
+
+def reference_sinr(gains, cfg, protocol, feasible=None, dt_allowed=None):
+    """End-to-end SINR of each trial for one protocol, sharing nothing."""
+    g_sd = gains.get("sd")
+    if g_sd is None:
+        g_sd = 0.0
+    if protocol.half_duplex:
+        first = cfg.p_s * gains["sr"]
+        second = cfg.p_r * gains["rd"] + cfg.p_s * g_sd
+    else:
+        first = cfg.p_s * gains["sr"] / (cfg.p_r ** cfg.rsi_lambda * gains["rr"] + 1.0)
+        if protocol is Protocol.NDL:
+            second = cfg.p_r * gains["rd"]
+        elif protocol is Protocol.SDF:
+            second = cfg.p_r * gains["rd"] + cfg.p_s * g_sd
+        else:
+            second = cfg.p_r * gains["rd"] / (cfg.p_s * g_sd + 1.0)
+    per_path = np.minimum(first, second)
+    if feasible is not None:
+        per_path = np.where(feasible, per_path, -np.inf)
+    sinr = per_path.max(axis=0)
+    if protocol.has_dt_branch:
+        direct = cfg.p_s * g_sd * np.ones_like(sinr)
+        if dt_allowed is not None:
+            direct = np.where(dt_allowed, direct, -np.inf)
+        sinr = np.maximum(sinr, direct)
+    return np.maximum(sinr, 0.0)
+
+
+def reference_counts(cfg, cells, trials, seed, cognitive):
+    """Outage counts of every cell, each chunk drawn from its own Philox
+    stream keyed (seed, chunk index) and every SINR evaluated on its own."""
+    hits = [0] * len(cells)
+    full, rest = divmod(trials, 65536)
+    for chunk, n in enumerate([65536] * full + ([rest] if rest else [])):
+        key = np.array([seed, chunk], dtype=np.uint64)
+        gains = draw_gains(cfg, np.random.Generator(np.random.Philox(key=key)), n)
+        sinrs = {}
+        for j, (point, proto, gamma_th) in enumerate(cells):
+            if (id(point), proto) not in sinrs:
+                masks = reference_masks(gains, point, proto) if cognitive else ()
+                sinrs[id(point), proto] = reference_sinr(gains, point, proto, *masks)
+            hits[j] += int(np.count_nonzero(sinrs[id(point), proto] < gamma_th))
+    return hits
+
+
+class TestCountsAgainstReference:
+    """Counts of the shared per-point evaluator equal those of an
+    evaluator that computes every protocol from scratch."""
+
+    RATES = (0.0, 0.5, 2.0, 8.0)   # common-rate thresholds 0, 2^0.5 - 1, 3, 255
+
+    @staticmethod
+    def scenario(name, k, fig2a_cfg, fig2b_cfg):
+        if name == "overrides":
+            sr = (LinkSpec(1, 10.0), LinkSpec(2, 31.6), LinkSpec(0.7, 50.0))
+            rp = (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))
+            return dataclasses.replace(fig2b_cfg, k=k, relay_overrides={
+                "sr": tuple(sr[i % 3] for i in range(k)),
+                "rp": tuple(rp[i % 3] for i in range(k))})
+        base = {"fig2a": fig2a_cfg, "fig2b": fig2b_cfg,
+                "no_sd": dataclasses.replace(fig2b_cfg, sd=None)}[name]
+        return dataclasses.replace(base, k=k)
+
+    @pytest.mark.parametrize("k", [1, 16])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "no_sd", "overrides"])
+    def test_counts_match_reference(self, name, k, fig2a_cfg, fig2b_cfg):
+        cfg = self.scenario(name, k, fig2a_cfg, fig2b_cfg)
+        cognitive = cfg.is_cognitive
+        moved = dataclasses.replace(cfg, p_s=3.0, p_r=2.0,
+                                    **({"i_th": 0.5} if cognitive else {}))
+        protocols = list(Protocol) if cfg.sd is not None else [Protocol.NDL]
+        cells = [(point, proto, an.outage_threshold(proto, rate, equal))
+                 for point in (cfg, moved) for proto in protocols
+                 for rate in self.RATES for equal in (True, False)]
+        for trials in (1000, 2 * mc.CHUNK_TRIALS + 5):
+            expected = reference_counts(cfg, cells, trials, 17, cognitive)
+            assert all(h == 0 for h, (_, _, th) in zip(expected, cells) if th == 0.0)
+            for workers in (1, 2):
+                assert mc.outage_counts(cfg, cells, trials, 17, cognitive,
+                                        workers) == expected, (trials, workers)
+
+    def test_closed_cap_counts_sinr_zero(self, fig2b_cfg):
+        # no relay and not the source meets the cap: every SINR is 0,
+        # an outage at any positive threshold and none at threshold 0
+        shut = dataclasses.replace(fig2b_cfg, i_th=1e-300)
+        cells = [(shut, proto, th) for proto in Protocol for th in (0.0, 1e-300)]
+        hits = mc.outage_counts(shut, cells, 1000, seed=0, cognitive=True)
+        assert hits == [0, 1000] * len(Protocol)
 
 
 class TestEstimateFeasibility:
