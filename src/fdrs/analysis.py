@@ -29,6 +29,11 @@ AXES = ("power_db", "rate_bpcu", "relay_count", "ith_db")
 ANALYTIC_P_FLOOR = 1e-15
 
 
+def relay_counts(start: float, stop: float) -> range:
+    """The relay counts a relay_count sweep from start to stop visits."""
+    return range(int(round(start)), int(round(stop)) + 1)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep axis plus the protocols and evaluation method to run."""
@@ -51,6 +56,9 @@ class SweepSpec:
             raise ValueError("steps must be >= 2")
         if not self.start < self.stop:
             raise ValueError("start must be < stop")
+        if self.axis == "relay_count" and self.steps != len(relay_counts(self.start, self.stop)):
+            raise ValueError(f"steps={self.steps} does not match the relay counts "
+                             f"from round({self.start:g}) to round({self.stop:g})")
         if self.method not in ("analytic", "mc", "both"):
             raise ValueError("method must be analytic, mc, or both")
         if not self.protocols:
@@ -58,8 +66,7 @@ class SweepSpec:
 
     def axis_values(self):
         if self.axis == "relay_count":
-            lo, hi = int(round(self.start)), int(round(self.stop))
-            return [float(v) for v in range(lo, hi + 1)]
+            return [float(v) for v in relay_counts(self.start, self.stop)]
         return list(np.linspace(self.start, self.stop, self.steps))
 
 
@@ -124,7 +131,13 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     values = spec.axis_values()
     points = [(_apply_axis(cfg, spec.axis, v), v if spec.axis == "rate_bpcu" else spec.rate)
               for v in values]
-    hits = _sweep_hits(spec, points, [p for p in active if "mc" in active[p]], cognitive)
+    # each simulated cell twice: the outage column (half-duplex
+    # baselines at equal delivered rate) and the throughput outage
+    keys = [(i, proto, equal) for i in range(len(points)) for proto in active
+            if "mc" in active[proto] for equal in (True, False)]
+    hits = dict(zip(keys, montecarlo.outage_counts(
+        [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
+         for i, proto, equal in keys], spec.trials, spec.seed, spec.workers)))
     # the feasibility distribution depends on the point only: one per
     # distinct point config, shared by its protocols and rates
     feas = [None] * len(points)
@@ -152,28 +165,6 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
                                          stderr=est.stderr, trials=est.trials,
                                          seed=est.seed))
     return SweepResult(rows=tuple(rows), errors=errors)
-
-
-def _sweep_hits(spec: SweepSpec, points, protocols, cognitive: bool) -> dict:
-    """Monte Carlo outage counts keyed (point index, protocol, convention).
-
-    The convention is hd_equal_delivered_rate: True gives the outage
-    column, False the throughput outage (the two differ only for the
-    half-duplex baselines).  Points that draw the same gains share one
-    simulation: the whole axis, except relay_count, where every k draws
-    its own.
-    """
-    groups = ([[i] for i in range(len(points))] if spec.axis == "relay_count"
-              else [range(len(points))])
-    hits = {}
-    for group in groups:
-        keys = [(i, proto, equal) for i in group for proto in protocols
-                for equal in (True, False)]
-        cells = [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
-                 for i, proto, equal in keys]
-        hits.update(zip(keys, montecarlo.outage_counts(
-            points[group[0]][0], cells, spec.trials, spec.seed, cognitive, spec.workers)))
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +237,18 @@ def diversity_sweep(cfg: NetworkConfig, protocol: Protocol, rate: float,
 
     Points below the estimator's resolution are dropped before the
     fit: simulated outage needs at least 100 hits, analytic outage must
-    clear the float64 cancellation floor of the closed forms.
+    clear the float64 cancellation floor of the closed forms.  A
+    protocol the method cannot evaluate raises ConfigError.
     """
-    powers = [db_to_linear(float(pdb)) for pdb in np.linspace(pmin_db, pmax_db, points)]
-    cfgs = [dataclasses.replace(cfg, p_s=p, p_r=p) for p in powers]
-    if method == "mc":
-        gamma_th = analytic.outage_threshold(protocol, rate)
-        hits = montecarlo.outage_counts(cfg, [(c, protocol, gamma_th) for c in cfgs],
-                                        trials, seed, cfg.is_cognitive, workers)
-        kept = [(p, h / trials) for p, h in zip(powers, hits) if h >= 100]
-    else:
-        outs = [analytic.outage(c, protocol, rate, cfg.is_cognitive) for c in cfgs]
-        kept = [(p, q) for p, q in zip(powers, outs) if q > ANALYTIC_P_FLOOR]
+    if method not in ("analytic", "mc"):
+        raise ValueError("method must be analytic or mc")
+    result = run_sweep(SweepSpec("power_db", pmin_db, pmax_db, points, (protocol,), method,
+                                 rate, trials, seed, workers), cfg)
+    if result.errors:
+        raise ConfigError(result.errors[protocol.value])
+    kept = [(db_to_linear(r.axis_value), r.outage) for r in result.rows
+            if (r.outage > ANALYTIC_P_FLOOR if r.method == "analytic"
+                else r.outage >= 100 / trials)]
     if len(kept) < 4:
         raise ValueError("fewer than 4 usable points above the resolution floor")
     return diversity_fit(kept)
@@ -293,8 +284,8 @@ def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
     feas = analytic.feasibility_dist(cfg) if cognitive and protocols else None
     p_an = [analytic.outage(cfg, proto, rate, cognitive, feas) for proto in protocols]
     hits = montecarlo.outage_counts(
-        cfg, [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],
-        trials, seed, cognitive, workers)
+        [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],
+        trials, seed, workers)
     rows = []
     for proto, pa, h in zip(protocols, p_an, hits):
         est = montecarlo.OutageEstimate.from_hits(h, trials, seed)

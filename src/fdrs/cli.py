@@ -184,7 +184,7 @@ def cmd_sweep(args) -> int:
     steps = args.steps
     if steps is None:
         if args.axis == "relay_count":
-            steps = int(args.stop - args.start) + 1
+            steps = len(analysis.relay_counts(args.start, args.stop))
         else:
             raise ConfigError(["--steps is required for non-integer axes"])
     spec = analysis.SweepSpec(axis=args.axis, start=args.start, stop=args.stop,

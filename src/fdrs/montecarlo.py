@@ -6,11 +6,13 @@ layout and the reduction (integer success counts) are independent of
 how chunks are scheduled, so estimates are bit-identical for any worker
 count.
 
+A cell (scenario point, protocol, threshold) describes itself: its
+point fixes the gains drawn and whether the interference cap applies.
 The gains of a chunk depend only on the seed, the chunk index and the
-link statistics, not on protocol, rate, power or interference cap.
-`outage_counts` therefore draws each chunk once and counts the outages
-of every (scenario point, protocol, threshold) cell from that one draw
-(common random numbers); each cell's count is the one a separate
+link statistics, not on protocol, rate, power or cap value, so
+`outage_counts` draws each chunk once per group of cells that share
+their drawn fields and counts every cell of the group from that one
+draw (common random numbers); each cell's count is the one a separate
 simulation with the same seed would give.
 
 A chunk is evaluated once per distinct scenario point.  The terms every
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,8 +112,7 @@ def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple
     return feasible, dt_allowed
 
 
-def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
-                 cognitive: bool = False) -> dict:
+def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
     """End-to-end SINR of each trial in a gain batch, for every protocol
     at one scenario point.
 
@@ -120,9 +121,9 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
     keeps them out of the max over relays), P_R g_rd and P_S g_sd.  A
     protocol with a direct-transmission branch reuses the relayed path
     of its relay-only twin (IDL_DT that of IDL, HD_SDF that of HD_MRC).
-    Under the cap the direct branch is allowed iff the source alone
-    meets it.  With no usable relay and no allowed direct branch the
-    SINR is 0.
+    The cap applies iff cfg is cognitive; under it the direct branch is
+    allowed iff the source alone meets it.  With no usable relay and no
+    allowed direct branch the SINR is 0.
     """
     duplex_classes = dict.fromkeys(p.half_duplex for p in protocols)
     direct = cfg.p_s * gains.get("sd", 0.0)
@@ -135,7 +136,7 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
             first[half_duplex] = cfg.p_s * gains["sr"] / (
                 cfg.p_r ** cfg.rsi_lambda * gains["rr"] + 1.0)
     direct_branch = direct
-    if cognitive:
+    if cfg.is_cognitive:
         feasible, dt_allowed = _feasibility_masks(gains, cfg, duplex_classes)
         for half_duplex, hop in first.items():
             hop[~feasible[half_duplex]] = -np.inf
@@ -159,16 +160,18 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
     return sinrs
 
 
-def _count_chunk(cfg, points, n_cells, cognitive, seed, chunk_index, n):
-    gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
+def _count_chunk(groups, n_cells, seed, chunk_index, n):
     hits = np.zeros(n_cells, dtype=np.int64)
-    for start in range(0, n, BLOCK_TRIALS):
-        block = {name: g[..., start:start + BLOCK_TRIALS] for name, g in gains.items()}
-        for point_cfg, thresholds in points:
-            sinrs = _point_sinrs(block, point_cfg, thresholds, cognitive)
-            for protocol, sinr in sinrs.items():
-                for i, gamma_th in thresholds[protocol]:
-                    hits[i] += np.count_nonzero(sinr < gamma_th)
+    for _, points in groups:
+        # every point of a group draws these gains
+        gains = draw_gains(points[0][0], _chunk_rng(seed, chunk_index), n)
+        for start in range(0, n, BLOCK_TRIALS):
+            block = {name: g[..., start:start + BLOCK_TRIALS] for name, g in gains.items()}
+            for point_cfg, thresholds in points:
+                sinrs = _point_sinrs(block, point_cfg, thresholds)
+                for protocol, sinr in sinrs.items():
+                    for i, gamma_th in thresholds[protocol]:
+                        hits[i] += np.count_nonzero(sinr < gamma_th)
     return hits
 
 
@@ -189,48 +192,47 @@ def _draw_fields(cfg: NetworkConfig) -> list:
     return [getattr(cfg, f.name) for f in fields(cfg) if f.name not in _POINT_FIELDS]
 
 
-def outage_counts(cfg: NetworkConfig, cells: list[tuple[NetworkConfig, Protocol, float]],
-                  trials: int, seed: int, cognitive: bool = False,
-                  workers: int = 1) -> list[int]:
-    """Outage hit counts of many cells from one set of draws.
+def _entry(pairs: list, key, new):
+    # a list, not a dict: a config with relay_overrides cannot be hashed
+    for k, value in pairs:
+        if k == key:
+            return value
+    pairs.append((key, new()))
+    return pairs[-1][1]
+
+
+def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: int,
+                  seed: int, workers: int = 1) -> list[int]:
+    """Outage hit counts of many cells, with common random numbers.
 
     A cell is (point_cfg, protocol, gamma_th): the scenario point, the
-    protocol and the SINR threshold whose outages are counted.  Every
-    chunk is drawn once from cfg and evaluated once per distinct
-    point_cfg, for all of that point's protocols and thresholds.  A cell's
-    point_cfg may differ from cfg only in p_s, p_r and i_th, the
-    fields that leave the drawn gains unchanged; anything else raises
-    ValueError.  Counts are returned in cell order, each equal to
-    the count of a one-cell simulation with the same seed.
+    protocol and the SINR threshold whose outages are counted.  The
+    cap applies iff point_cfg is cognitive.  Cells whose points differ
+    only in p_s, p_r and i_th draw the same gains: each chunk of such a
+    group is drawn once, from the (seed, chunk) key every group uses,
+    and evaluated once per distinct point_cfg for all of that point's
+    protocols and thresholds.  Counts are returned in cell order, each
+    equal to the count of a one-cell call with the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    points: list[tuple[NetworkConfig, dict]] = []
+    groups: list[tuple[list, list[tuple[NetworkConfig, dict]]]] = []
     for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
         validate_config(point_cfg, protocol, "mc")
-        if cognitive and not point_cfg.is_cognitive:
-            raise ValueError("cognitive=True requires sp/rp/ith in the scenario")
-        if _draw_fields(point_cfg) != _draw_fields(cfg):
-            raise ValueError("cells must share the drawn gains: they may differ "
-                             f"from the drawing scenario only in {_POINT_FIELDS}")
-        thresholds = next((t for p_cfg, t in points if p_cfg == point_cfg), None)
-        if thresholds is None:
-            thresholds = {}
-            points.append((point_cfg, thresholds))
-        thresholds.setdefault(protocol, []).append((i, gamma_th))
-    if not points:
+        points = _entry(groups, _draw_fields(point_cfg), list)
+        _entry(points, point_cfg, dict).setdefault(protocol, []).append((i, gamma_th))
+    if not groups:
         return []
-    counts = _run_chunks(
-        lambda i, n: _count_chunk(cfg, points, len(cells), cognitive, seed, i, n),
-        _chunk_sizes(trials), workers)
+    counts = _run_chunks(lambda i, n: _count_chunk(groups, len(cells), seed, i, n),
+                         _chunk_sizes(trials), workers)
     return np.sum(counts, axis=0).tolist()
 
 
 def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
                     trials: int, seed: int, cognitive: bool = False,
-                    workers: int = 1,
-                    hd_equal_delivered_rate: bool = True) -> OutageEstimate:
-    """Empirical outage frequency at the threshold 2^rate - 1.
+                    workers: int = 1) -> OutageEstimate:
+    """Empirical outage frequency at the threshold
+    `outage_threshold(protocol, rate)`.
 
     Per trial: draw one realization; under the interference constraint
     restrict selection to the feasible relays (and, for protocols with
@@ -238,12 +240,17 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     meets the cap); outage iff the resulting SINR < threshold.  An
     empty candidate set yields SINR 0.  Feasibility and outage use the
     same realization, preserving the correlation through the shared
-    source-to-primary gain.  This is the one-cell case of
+    source-to-primary gain.  Without `cognitive` the cell drops sp, rp
+    and i_th; `draw_gains` draws those last, so every other gain is the
+    one a cognitive run draws.  This is the one-cell case of
     `outage_counts`.
     """
-    gamma_th = outage_threshold(protocol, rate, hd_equal_delivered_rate)
-    [hits] = outage_counts(cfg, [(cfg, protocol, gamma_th)], trials, seed,
-                           cognitive, workers)
+    if cognitive and not cfg.is_cognitive:
+        raise ValueError("cognitive=True requires sp/rp/ith in the scenario")
+    if not cognitive:
+        cfg = replace(cfg, sp=None, rp=None, i_th=None)
+    [hits] = outage_counts([(cfg, protocol, outage_threshold(protocol, rate))],
+                           trials, seed, workers)
     return OutageEstimate.from_hits(hits, trials, seed)
 
 

@@ -40,8 +40,8 @@ def test_criterion_1_closed_form_vs_simulation(fig2a_cfg, fig2b_cfg):
                                  (fig2b_cfg, True, "fig2b")):
         # one shared-draw simulation per scenario
         hits = mc.outage_counts(
-            cfg, [(cfg, proto, an.outage_threshold(proto, rate)) for proto, rate in cells],
-            10 ** 6, seed=SEED, cognitive=cognitive)
+            [(cfg, proto, an.outage_threshold(proto, rate)) for proto, rate in cells],
+            10 ** 6, seed=SEED)
         for (proto, rate), h in zip(cells, hits):
             p_an = an.outage(cfg, proto, rate, cognitive=cognitive)
             est = mc.OutageEstimate.from_hits(h, 10 ** 6, SEED)

@@ -165,6 +165,12 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             analysis.SweepSpec(axis="rate_bpcu", start=1, stop=2, steps=1,
                                protocols=(Protocol.NDL,))
+        # relay_count visits every integer between the rounded ends
+        with pytest.raises(ValueError, match="steps=2 does not match"):
+            analysis.SweepSpec(axis="relay_count", start=1, stop=6, steps=2,
+                               protocols=(Protocol.NDL,))
+        assert analysis.SweepSpec(axis="relay_count", start=1.4, stop=3.6, steps=4,
+                                  protocols=(Protocol.NDL,)).axis_values() == [1, 2, 3, 4]
 
 
 class TestValidateReport:
@@ -234,12 +240,14 @@ class TestSharedDrawDrivers:
             point = analysis._apply_axis(cfg, spec.axis, value)
             rate = value if spec.axis == "rate_bpcu" else spec.rate
             for proto in spec.protocols:
-                est, thr = (montecarlo.estimate_outage(
-                    point, proto, rate, spec.trials, spec.seed, cfg.is_cognitive,
-                    hd_equal_delivered_rate=equal) for equal in (True, False))
+                est = montecarlo.estimate_outage(
+                    point, proto, rate, spec.trials, spec.seed, cfg.is_cognitive)
+                thr_th = analytic.outage_threshold(proto, rate, hd_equal_delivered_rate=False)
+                [thr] = montecarlo.outage_counts([(point, proto, thr_th)], spec.trials,
+                                                 spec.seed)
                 rows.append(analysis.SweepRow(
                     value, proto, "mc", est.p_hat,
-                    analytic.throughput_from_outage(proto, rate, thr.p_hat),
+                    analytic.throughput_from_outage(proto, rate, thr / spec.trials),
                     stderr=est.stderr, trials=est.trials, seed=est.seed))
         return rows
 

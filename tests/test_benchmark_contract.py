@@ -36,6 +36,26 @@ def test_tracer_installs_traces_and_uninstalls(tracer_module, fig2a_cfg):
     assert {"analytic.outage", "analytic.cdf_conditional", "channel.draw_gains"} <= names
 
 
+def test_positional_calls_and_traced_arguments(tracer_module, fig2b_cfg):
+    # the scaling probe calls estimate_outage(cfg, proto, rate, trials,
+    # seed, cognitive, workers) positionally, and the traced
+    # analytic.outage span keys on its cognitive argument
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        est = montecarlo.estimate_outage(fig2b_cfg, Protocol.SDF, 2.0, 1000, 3, True, 2)
+        analytic.outage(fig2b_cfg, Protocol.SDF, 2.0, cognitive=True)
+    finally:
+        tracer.uninstall()
+    assert est == montecarlo.estimate_outage(fig2b_cfg, Protocol.SDF, 2.0, 1000, seed=3,
+                                             cognitive=True, workers=1)
+    assert est != montecarlo.estimate_outage(fig2b_cfg, Protocol.SDF, 2.0, 1000, seed=3)
+    [span] = [s for s in tracer.spans if s.name == "analytic.outage"]
+    assert span.attrs["key"] == (fig2b_cfg, Protocol.SDF, 2.0, True, None)
+    assert {s.name for s in tracer.spans} >= {"montecarlo.estimate_outage",
+                                              "channel.draw_gains"}
+
+
 def test_checks_bindings_exist():
     tree = ast.parse((PERFBENCH / "checks.py").read_text())
     oracles = {node.attr for node in ast.walk(tree)

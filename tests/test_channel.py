@@ -1,4 +1,5 @@
 """Scenario validation and seeded Gamma sampling."""
+import dataclasses
 import math
 
 import numpy as np
@@ -154,6 +155,17 @@ class TestRealizationSampling:
             assert np.array_equal(ra["sr"], rb["sr"])
             assert np.array_equal(ra["rp"], rb["rp"])
             assert ra["sd"] == rb["sd"] and ra["sp"] == rb["sp"]
+
+    def test_cap_links_drawn_last(self, fig2b_cfg):
+        # a run that ignores the cap may drop sp/rp/i_th and still draw
+        # every other gain a capped run draws from the same stream
+        plain = dataclasses.replace(fig2b_cfg, sp=None, rp=None, i_th=None)
+        key = np.array([5, 2], dtype=np.uint64)
+        capped, bare = (draw_gains(cfg, np.random.Generator(np.random.Philox(key=key)), 1000)
+                        for cfg in (fig2b_cfg, plain))
+        assert sorted(bare) == ["rd", "rr", "sd", "sr"]
+        for name in bare:
+            assert np.array_equal(capped[name], bare[name]), name
 
     def test_shapes_and_optional_fields(self):
         rng = np.random.default_rng(1)

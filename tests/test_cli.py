@@ -163,6 +163,23 @@ class TestSweepCommand:
         assert data[0] == "axis,protocol,method,outage,throughput,stderr,trials,seed"
         assert len(data) - 1 == 8 * 4
 
+    def test_relay_count_steps_must_match_range(self, capsys):
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig4.cfg"),
+                   "--axis", "relay_count", "--from", "1", "--to", "6", "--steps", "2",
+                   "--protocols", "ndl"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "steps=2 does not match the relay counts from round(1) to round(6)" in err
+
+    def test_relay_count_default_steps_round_the_ends(self, capsys):
+        # 1.4 and 3.6 round to 1 and 4: four relay counts, four rows
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig4.cfg"),
+                   "--axis", "relay_count", "--from", "1.4", "--to", "3.6",
+                   "--protocols", "ndl"])
+        assert rc == 0
+        data = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        assert [ln.split(",")[0] for ln in data[1:]] == ["1", "2", "3", "4"]
+
     def test_rerun_byte_identical_data_rows(self, tmp_path):
         args = ["sweep", "--config", str(CONFIG_DIR / "fig2b.cfg"),
                 "--axis", "rate_bpcu", "--from", "0.5", "--to", "4", "--steps", "5",
