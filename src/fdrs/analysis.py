@@ -99,6 +99,7 @@ def _apply_axis(cfg: NetworkConfig, axis: str, value: float) -> NetworkConfig:
     return cfg  # rate_bpcu leaves the scenario untouched
 
 
+@analytic.shared_blocks()   # a fresh block scope for each call
 def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     """Evaluate outage and throughput along one axis.
 
@@ -107,7 +108,10 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     scenarios (sp/rp/ith present) are evaluated through the feasibility
     mixture.  Throughput always uses the common-source-rate threshold;
     the outage column for half-duplex baselines uses the doubled rate
-    so outage comparisons are at equal delivered rate.
+    so outage comparisons are at equal delivered rate.  The closed forms
+    run inside one analytic.shared_blocks() scope, so a sweep over the
+    relay count or the cap evaluates each block once; the scope ends
+    with the call.
     """
     if spec.axis == "ith_db" and not cfg.is_cognitive:
         raise ConfigError(["ith_db sweep requires a cognitive scenario"])

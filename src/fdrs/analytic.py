@@ -28,6 +28,10 @@ alternating binomial sum whose condition number, times each term's
 error, stays within specfun.REL_TOL.  The protocols differ only in that
 inner integral and its upper limit.  The blocks I_k do not depend on L,
 so one block vector serves every relay count of the cognitive mixture.
+Those of the conditional CDFs do not depend on the cap either, so inside
+a shared_blocks() scope (one per analysis.run_sweep call) the points of
+a relay-count or cap sweep draw on one vector per block argument, and
+each block is evaluated once.
 
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
@@ -37,6 +41,8 @@ and their condition number is not yet checked.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -56,6 +62,7 @@ __all__ = [
     "cdf_sdf_quad",
     "feasibility_dist",
     "feasibility_dist_quad",
+    "shared_blocks",
     "cdf_cognitive",
     "outage_threshold",
     "outage",
@@ -304,6 +311,27 @@ def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> l
     return out
 
 
+_SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_SHARED_BLOCKS", default=None)
+
+
+@contextlib.contextmanager
+def shared_blocks():
+    """Scope in which _ln_blocks evaluates each block once.
+
+    Block k does not depend on _ln_blocks' count, so inside the scope
+    one vector is kept per tuple of its other arguments, and a call
+    computes only the entries its count adds: the points of a relay-count
+    or cap sweep share the blocks, with values bit-identical to unshared
+    calls.  The vectors go when the scope exits.
+    """
+    token = _SHARED_BLOCKS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_BLOCKS.reset(token)
+
+
 def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
                theta0: float, convolved: bool, upper: float) -> list[float]:
     """ln I_k for k = 0..count, I_k = integral_0^upper Q(m, y(b)/theta)^k f(b) db.
@@ -321,21 +349,26 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
     (convolved) lists ln J_d for every degree, so work shared across
     degrees is done once per block.  All terms are positive.  No block
     depends on the relay count L, so one vector serves every
-    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count.
+    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count; inside
+    shared_blocks() a call extends the vector that an earlier call with
+    the same other arguments built.
     """
-    ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
-    ln_weight = -math.log(theta) if convolved else math.log(x / theta)
-    ln_inner = _ln_conv_integrals if convolved else _ln_trunc_integrals
-    blocks = []
-    for k in range(count + 1):
-        rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
-        coeffs = sf.ln_truncated_exp_power(k, m)
-        inner = ln_inner(len(coeffs), shape, rate, upper)
-        lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
-        peak = max(lns)
-        blocks.append(-k * x / theta + ln_norm
-                      + (peak + math.log(math.fsum(math.exp(v - peak) for v in lns))))
-    return blocks
+    memo = _SHARED_BLOCKS.get()
+    key = (m, theta, x, shape, theta0, convolved, upper)
+    blocks = [] if memo is None else memo.setdefault(key, [])
+    if len(blocks) <= count:
+        ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
+        ln_weight = -math.log(theta) if convolved else math.log(x / theta)
+        ln_inner = _ln_conv_integrals if convolved else _ln_trunc_integrals
+        for k in range(len(blocks), count + 1):
+            rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
+            coeffs = sf.ln_truncated_exp_power(k, m)
+            inner = ln_inner(len(coeffs), shape, rate, upper)
+            lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
+            peak = max(lns)
+            blocks.append(-k * x / theta + ln_norm
+                          + (peak + math.log(math.fsum(math.exp(v - peak) for v in lns))))
+    return blocks[:count + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ def parse_config(path: str) -> NetworkConfig:
     links = {name: get_link("links", name, required=(name != "sd"))
              for name in _LINK_KEYS}
     k = get_float("powers", "k")
+    if k is not None and not k.is_integer():   # also rejects inf and nan
+        errors.append(f"[powers] k = {k!r} is not an integer relay count")
     p_s_db = get_float("powers", "p_s_db")
     p_r_db = get_float("powers", "p_r_db")
     lam = get_float("powers", "lambda")

@@ -284,3 +284,80 @@ class TestSharedDrawDrivers:
                 kept.append((p, est.p_hat))
         assert 4 <= len(kept) < 8
         assert fit == analysis.diversity_fit(kept)
+
+
+class TestSharedBlocks:
+    """A sweep evaluates each closed-form block once, with the values
+    per-point calls give, and keeps nothing after it returns."""
+
+    @staticmethod
+    def relay_sweep_cfg(fig3_cfg):
+        # the analytic-relay-sweep benchmark scenario
+        return dataclasses.replace(fig3_cfg, rd=dataclasses.replace(fig3_cfg.rd, m=4.0),
+                                   rp=dataclasses.replace(fig3_cfg.rp, m=2.0))
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count _ln_blocks' block evaluations: one inner-integral list each."""
+        calls = [0]
+        for name in ("_ln_trunc_integrals", "_ln_conv_integrals"):
+            def inner(*args, _real=getattr(analytic, name)):
+                calls[0] += 1
+                return _real(*args)
+            monkeypatch.setattr(analytic, name, inner)
+        return calls
+
+    @pytest.fixture
+    def sweeps(self, fig3_cfg, fig2a_cfg, fig2b_cfg):
+        return {
+            "relay": (analysis.SweepSpec("relay_count", 1, 16, 16, FD),
+                      self.relay_sweep_cfg(fig3_cfg)),
+            "relay_fig2a": (analysis.SweepSpec("relay_count", 1, 16, 16, FD), fig2a_cfg),
+            "ith": (analysis.SweepSpec("ith_db", -5, 20, 26, FD), fig2b_cfg),
+        }
+
+    @pytest.mark.parametrize("name", ["relay", "relay_fig2a", "ith"])
+    def test_rows_equal_per_point_calls(self, sweeps, name):
+        spec, cfg = sweeps[name]
+        expected = [analytic.outage(analysis._apply_axis(cfg, spec.axis, v), proto,
+                                    spec.rate, cfg.is_cognitive)
+                    for v in spec.axis_values() for proto in FD]
+        assert [r.outage for r in analysis.run_sweep(spec, cfg).rows] == expected
+
+    @pytest.mark.parametrize("name,blocks", [("relay", 68), ("ith", 116)])
+    def test_each_block_evaluated_once_per_sweep(self, sweeps, monkeypatch, name, blocks):
+        spec, cfg = sweeps[name]
+        calls = self.counting(monkeypatch)
+        for _ in range(2):   # nothing is kept from one sweep to the next
+            calls[0] = 0
+            analysis.run_sweep(spec, cfg)
+            assert calls[0] == blocks
+
+    def test_no_sharing_outside_a_sweep(self, fig3_cfg, monkeypatch):
+        cfg = dataclasses.replace(self.relay_sweep_cfg(fig3_cfg), k=16)
+        calls = self.counting(monkeypatch)
+        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
+        # 17 feasibility blocks and 17 conditional blocks, K = 16
+        assert calls[0] == 34
+        analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
+                           self.relay_sweep_cfg(fig3_cfg))
+        calls[0] = 0
+        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
+        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
+        assert calls[0] == 68
+
+    def test_scope_nests_and_ends(self, fig2b_cfg, monkeypatch):
+        calls = self.counting(monkeypatch)
+        with analytic.shared_blocks():
+            analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+            first = calls[0]
+            with analytic.shared_blocks():   # an inner scope starts empty
+                analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+            assert calls[0] == 2 * first
+            analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)   # the outer scope holds
+            assert calls[0] == 2 * first
+        with pytest.raises(ZeroDivisionError):
+            with analytic.shared_blocks():
+                raise ZeroDivisionError
+        analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+        assert calls[0] == 3 * first

@@ -73,6 +73,16 @@ class TestParseConfig:
             parse_config(str(p))
         assert len(exc.value.errors) >= 2
 
+    @pytest.mark.parametrize("raw", ["3.5", "1.9", "inf"])
+    def test_non_integer_relay_count_rejected(self, tmp_path, capsys, raw):
+        p = tmp_path / "bad_k.cfg"
+        p.write_text(NDL_RAYLEIGH.replace("k = 2", f"k = {raw}"))
+        with pytest.raises(ConfigError, match=f"k = {raw} is not an integer"):
+            parse_config(str(p))
+        rc = main(["outage", "--config", str(p), "--protocol", "ndl", "--rate", "2"])
+        assert rc == 1
+        assert f"k = {raw} is not an integer" in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/scenario.cfg")
