@@ -4,7 +4,13 @@ selection in cognitive underlay networks under Nakagami-m fading.
 Closed-form end-to-end SINR CDFs, feasibility probabilities under a
 primary-receiver interference constraint, a seeded Monte Carlo
 cross-validator, and diversity-order slope fitting.
+
+The closed forms need only the standard library.  The simulator and the
+experiment drivers are imported at the first use of one of their names,
+so `import fdrs` loads no numpy.
 """
+import importlib
+
 from fdrs.specfun import (
     NonConvergenceError,
     ln_gamma,
@@ -32,7 +38,19 @@ from fdrs.analytic import (
     outage_threshold,
     throughput,
 )
-from fdrs.montecarlo import OutageEstimate, estimate_feasibility, estimate_outage, outage_counts
-from fdrs.analysis import DiversityFit, SweepSpec, diversity_fit, run_sweep, validate_report
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("OutageEstimate", "estimate_feasibility", "estimate_outage",
+                     "outage_counts"), "montecarlo"),
+    **dict.fromkeys(("DiversityFit", "SweepSpec", "diversity_fit", "run_sweep",
+                     "validate_report"), "analysis"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -6,9 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from fdrs import analytic, montecarlo
+from fdrs import analytic
 from fdrs.channel import (
     ConfigError,
     NetworkConfig,
@@ -29,8 +27,15 @@ AXES = ("power_db", "rate_bpcu", "relay_count", "ith_db")
 ANALYTIC_P_FLOOR = 1e-15
 
 
+def _check_bounds(start: float, stop: float):
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {name} must be finite, got {value}")
+
+
 def relay_counts(start: float, stop: float) -> range:
     """The relay counts a relay_count sweep from start to stop visits."""
+    _check_bounds(start, stop)
     return range(int(round(start)), int(round(stop)) + 1)
 
 
@@ -52,6 +57,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        _check_bounds(self.start, self.stop)
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
         if not self.start < self.stop:
@@ -64,10 +70,15 @@ class SweepSpec:
         if not self.protocols:
             raise ValueError("at least one protocol required")
 
-    def axis_values(self):
+    def axis_values(self) -> list[float]:
+        """The axis points: the relay counts, or `steps` evenly spaced
+        values, computed as numpy.linspace does so that rows keep their
+        digits."""
         if self.axis == "relay_count":
             return [float(v) for v in relay_counts(self.start, self.stop)]
-        return list(np.linspace(self.start, self.stop, self.steps))
+        start, stop = float(self.start), float(self.stop)
+        step = (stop - start) / (self.steps - 1)
+        return [start + i * step for i in range(self.steps - 1)] + [stop]
 
 
 @dataclass(frozen=True)
@@ -139,9 +150,11 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     # baselines at equal delivered rate) and the throughput outage
     keys = [(i, proto, equal) for i in range(len(points)) for proto in active
             if "mc" in active[proto] for equal in (True, False)]
-    hits = dict(zip(keys, montecarlo.outage_counts(
-        [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
-         for i, proto, equal in keys], spec.trials, spec.seed, spec.workers)))
+    if keys:
+        from fdrs import montecarlo   # numpy loads at a run's first simulation
+        hits = dict(zip(keys, montecarlo.outage_counts(
+            [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
+             for i, proto, equal in keys], spec.trials, spec.seed, spec.workers)))
     # the feasibility distribution depends on the point only: one per
     # distinct point config, shared by its protocols and rates
     feas = [None] * len(points)
@@ -188,15 +201,17 @@ class DiversityFit:
             raise ValueError("points_used must be >= 2")
 
 
-def _ols_slope(t: np.ndarray, y: np.ndarray):
+def _ols_slope(t: list[float], y: list[float]):
     """Least-squares slope, its standard error, and R^2 of y against t."""
     n = len(t)
-    tbar, ybar = t.mean(), y.mean()
-    stt = float(((t - tbar) ** 2).sum())
-    slope = float(((t - tbar) * (y - ybar)).sum()) / stt
-    resid = y - ybar - slope * (t - tbar)
-    ss_res = float((resid ** 2).sum())
-    ss_tot = float(((y - ybar) ** 2).sum())
+    tbar, ybar = math.fsum(t) / n, math.fsum(y) / n
+    dt = [v - tbar for v in t]
+    dy = [v - ybar for v in y]
+    stt = math.fsum(d * d for d in dt)
+    slope = math.fsum(a * b for a, b in zip(dt, dy)) / stt
+    resid = [b - slope * a for a, b in zip(dt, dy)]
+    ss_res = math.fsum(r * r for r in resid)
+    ss_tot = math.fsum(d * d for d in dy)
     r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
     stderr = math.sqrt(ss_res / (n - 2) / stt) if n > 2 else 0.0
     return slope, stderr, r2
@@ -215,14 +230,12 @@ def diversity_fit(points) -> DiversityFit:
     pts = [(float(p), float(q)) for p, q in points]
     if len(pts) < 4:
         raise ValueError("diversity fit needs at least 4 points")
-    p = np.array([v for v, _ in pts])
-    q = np.array([v for _, v in pts])
-    if np.any(q <= 0):
+    if any(q <= 0 for _, q in pts):
         raise ValueError("outage values must be positive (zero outage is degenerate)")
-    if np.any(np.diff(p) <= 0):
+    if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
         raise ValueError("power values must be strictly increasing")
-    t = np.log10(p)
-    y = -np.log10(q)
+    t = [math.log10(p) for p, _ in pts]
+    y = [-math.log10(q) for _, q in pts]
     tail_slope, _, _ = _ols_slope(t[-4:], y[-4:])
     floor = tail_slope < 0.1
     for length in range(len(t), 3, -1):
@@ -287,6 +300,7 @@ def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
         validate_config(cfg, proto, "analytic")
     feas = analytic.feasibility_dist(cfg) if cognitive and protocols else None
     p_an = [analytic.outage(cfg, proto, rate, cognitive, feas) for proto in protocols]
+    from fdrs import montecarlo   # numpy loads at a run's first simulation
     hits = montecarlo.outage_counts(
         [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],
         trials, seed, workers)

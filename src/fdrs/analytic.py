@@ -577,11 +577,18 @@ def outage_threshold(protocol: Protocol, rate: float,
     """SINR threshold for a source rate in bpcu: 2^rate - 1.
 
     In outage comparisons at equal delivered rate, half-duplex
-    protocols are charged the doubled source rate 2*rate instead.
+    protocols are charged the doubled source rate 2*rate instead.  A
+    rate that is not finite, or whose threshold overflows a float,
+    raises ValueError.
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     if rate < 0:
         raise ValueError("rate must be >= 0")
     eff = 2.0 * rate if (protocol.half_duplex and hd_equal_delivered_rate) else rate
+    if eff >= 1024:   # 2^eff overflows a float
+        raise ValueError(f"rate {rate:g} bpcu is too large: "
+                         f"its SINR threshold 2^{eff:g} - 1 overflows")
     return 2.0 ** eff - 1.0
 
 

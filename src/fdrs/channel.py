@@ -1,4 +1,4 @@
-"""Scenario description, validation, and seeded channel-gain sampling.
+"""Scenario description and validation.
 
 A scenario is a relay cluster of K full-duplex decode-and-forward relays
 between a source and a destination, with optional direct
@@ -6,14 +6,13 @@ source-destination link and optional spectrum-sharing constraint at a
 primary receiver.  Every link class fades independently Nakagami-m, so
 its power gain is Gamma(m, pi/m) with average power pi.  Noise
 variances are fixed at 1 and all powers are stored linear; dB
-conversion happens at configuration ingestion.
+conversion happens at configuration ingestion.  The gains are sampled
+in `fdrs.montecarlo`; this module needs only the standard library.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 
 class Protocol(Enum):
@@ -194,36 +193,6 @@ def validate_config(cfg: NetworkConfig, protocol: Protocol, method: str) -> Netw
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _draw_class(cfg: NetworkConfig, name: str, rng: np.random.Generator,
-                n: int) -> np.ndarray:
-    """(k, n) gains for a relay-indexed link class, honoring overrides."""
-    overrides = (cfg.relay_overrides or {}).get(name)
-    base: LinkSpec = getattr(cfg, name)
-    if overrides is None:
-        return rng.gamma(base.m, base.theta, (cfg.k, n))
-    return np.stack([rng.gamma(s.m, s.theta, n) for s in overrides])
-
-
-def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
-    """One batch of n independent realizations of every configured link.
-
-    Draw order is fixed (sr, rd, rr, sd, sp, rp) so a given generator
-    state always yields the same gains regardless of which protocol
-    later consumes them.
-    """
-    gains = {
-        "sr": _draw_class(cfg, "sr", rng, n),
-        "rd": _draw_class(cfg, "rd", rng, n),
-        "rr": _draw_class(cfg, "rr", rng, n),
-    }
-    if cfg.sd is not None:
-        gains["sd"] = rng.gamma(cfg.sd.m, cfg.sd.theta, n)
-    if cfg.is_cognitive:
-        gains["sp"] = rng.gamma(cfg.sp.m, cfg.sp.theta, n)
-        gains["rp"] = _draw_class(cfg, "rp", rng, n)
-    return gains
 
 
 def db_to_linear(x_db: float) -> float:

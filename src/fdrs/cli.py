@@ -10,6 +10,9 @@ byte for byte, only the timestamp differs.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric or validation
 failure.
+
+The simulator, and with it numpy, is imported only by a run that
+simulates; an analytic run loads neither.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from fdrs import __version__, analysis, analytic, montecarlo
+from fdrs import __version__, analysis, analytic
 from fdrs.channel import (
     FD_PROTOCOLS,
     ConfigError,
@@ -169,6 +172,7 @@ def cmd_outage(args) -> int:
         record["outage_analytic"] = p_out
         record["throughput_analytic"] = analytic.throughput_from_outage(proto, args.rate, p_out)
     if args.method in ("mc", "both"):
+        from fdrs import montecarlo   # numpy loads at a run's first simulation
         est = montecarlo.estimate_outage(cfg, proto, args.rate, args.trials,
                                          args.seed, args.cognitive, args.workers)
         record["outage_mc"] = est.p_hat
@@ -214,6 +218,7 @@ def cmd_pl(args) -> int:
     feas = analytic.feasibility_dist(cfg)
     emp = None
     if args.trials:
+        from fdrs import montecarlo   # numpy loads at a run's first simulation
         emp = montecarlo.estimate_feasibility(cfg, args.trials, args.seed, args.workers)
     manifest = _make_manifest(args.config, "pl", args.seed if args.trials else None)
     lines = manifest.comment_lines() + ["quantity,analytic,mc,stderr"]

@@ -1,4 +1,15 @@
-"""Stochastic oracle: estimate outage and feasibility by direct sampling.
+"""Stochastic oracle: sample the channel gains, and estimate outage and
+feasibility from them.
+
+This is the one module that loads numpy.  The closed forms and the
+command line import it only when a run simulates, so an analytic run
+never pays for numpy's import.
+
+Every link class fades Nakagami-m, so its power gain is drawn as
+Gamma(m, avg_power/m); `draw_gains` draws one batch of every
+configured link in a fixed order.  `_count_chunk` and
+`_feasibility_chunk` call it through this module's global, so a
+wrapper set on `montecarlo.draw_gains` sees every draw.
 
 Trials are processed in fixed chunks of 65536, each driven by its own
 counter-based Philox stream keyed by (seed, chunk index).  The chunk
@@ -35,15 +46,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from fdrs.analytic import FeasibilityDist, outage_threshold
-from fdrs.channel import (
-    NetworkConfig,
-    Protocol,
-    draw_gains,
-    validate_config,
-)
+from fdrs.channel import LinkSpec, NetworkConfig, Protocol, validate_config
 
-__all__ = ["OutageEstimate", "CHUNK_TRIALS", "outage_counts", "estimate_outage",
-           "estimate_feasibility"]
+__all__ = ["OutageEstimate", "CHUNK_TRIALS", "draw_gains", "outage_counts",
+           "estimate_outage", "estimate_feasibility"]
 
 CHUNK_TRIALS = 65536
 # trials evaluated together within a chunk, so that the (k, n)
@@ -77,6 +83,36 @@ class OutageEstimate:
 
 # the relayed path a protocol with a direct-transmission branch shares
 _RELAY_PATH = {Protocol.IDL_DT: Protocol.IDL, Protocol.HD_SDF: Protocol.HD_MRC}
+
+
+def _draw_class(cfg: NetworkConfig, name: str, rng: np.random.Generator,
+                n: int) -> np.ndarray:
+    """(k, n) gains for a relay-indexed link class, honoring overrides."""
+    overrides = (cfg.relay_overrides or {}).get(name)
+    base: LinkSpec = getattr(cfg, name)
+    if overrides is None:
+        return rng.gamma(base.m, base.theta, (cfg.k, n))
+    return np.stack([rng.gamma(s.m, s.theta, n) for s in overrides])
+
+
+def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
+    """One batch of n independent realizations of every configured link.
+
+    Draw order is fixed (sr, rd, rr, sd, sp, rp) so a given generator
+    state always yields the same gains regardless of which protocol
+    later consumes them.
+    """
+    gains = {
+        "sr": _draw_class(cfg, "sr", rng, n),
+        "rd": _draw_class(cfg, "rd", rng, n),
+        "rr": _draw_class(cfg, "rr", rng, n),
+    }
+    if cfg.sd is not None:
+        gains["sd"] = rng.gamma(cfg.sd.m, cfg.sd.theta, n)
+    if cfg.is_cognitive:
+        gains["sp"] = rng.gamma(cfg.sp.m, cfg.sp.theta, n)
+        gains["rp"] = _draw_class(cfg, "rp", rng, n)
+    return gains
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -1,5 +1,7 @@
 """Sweep drivers, diversity-order fitting, and the validation report."""
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
@@ -37,6 +39,60 @@ class TestDiversityFit:
             analysis.diversity_fit([(10.0, 0.1), (10.0, 0.01), (40.0, 0.01), (80.0, 0.001)])
         with pytest.raises(ValueError):
             analysis.diversity_fit([(10.0, 0.1), (20.0, 0.01)])
+
+    @staticmethod
+    def numpy_fit(points):
+        """The array implementation the list-based fit replaced."""
+        def ols(t, y):
+            n = len(t)
+            tbar, ybar = t.mean(), y.mean()
+            stt = float(((t - tbar) ** 2).sum())
+            slope = float(((t - tbar) * (y - ybar)).sum()) / stt
+            resid = y - ybar - slope * (t - tbar)
+            ss_res = float((resid ** 2).sum())
+            ss_tot = float(((y - ybar) ** 2).sum())
+            r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
+            stderr = math.sqrt(ss_res / (n - 2) / stt) if n > 2 else 0.0
+            return slope, stderr, r2
+
+        t = np.log10(np.array([p for p, _ in points], dtype=float))
+        y = -np.log10(np.array([q for _, q in points], dtype=float))
+        floor = ols(t[-4:], y[-4:])[0] < 0.1
+        for length in range(len(t), 3, -1):
+            slope, stderr, r2 = ols(t[-length:], y[-length:])
+            if r2 >= 0.999:
+                return slope, stderr, length, floor
+        slope, stderr, _ = ols(t[-4:], y[-4:])
+        return slope, stderr, 4, floor
+
+    def assert_matches_numpy_fit(self, points):
+        fit = analysis.diversity_fit(points)
+        slope, stderr, used, floor = self.numpy_fit(points)
+        assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
+        assert (fit.points_used, fit.floor_detected) == (used, floor)
+
+    def test_matches_numpy_fit_on_random_curves(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(4, 40)
+            powers = sorted(rng.sample(range(1, 10 ** 6), n))
+            # outage falling with power along a random, rarely straight curve
+            log_q = sorted((rng.uniform(-14.0, -0.01) for _ in range(n)), reverse=True)
+            self.assert_matches_numpy_fit([(float(p), 10 ** v) for p, v in zip(powers, log_q)])
+
+    @pytest.mark.parametrize("proto,lam", [
+        (Protocol.NDL, 0.0), (Protocol.IDL_DT, 0.0), (Protocol.SDF, 0.0),
+        (Protocol.IDL_DT, 1.0), (Protocol.SDF, 1.0),
+        (Protocol.IDL, 0.0), (Protocol.IDL, 1.0), (Protocol.NDL, 1.0),
+    ])
+    def test_matches_numpy_fit_on_fig4(self, fig4_cfg, proto, lam):
+        # the power sweeps of the diversity table
+        cfg = dataclasses.replace(fig4_cfg, rsi_lambda=lam)
+        result = analysis.run_sweep(analysis.SweepSpec("power_db", 10, 50, 17, (proto,)), cfg)
+        self.assert_matches_numpy_fit([(db_to_linear(r.axis_value), r.outage)
+                                       for r in result.rows
+                                       if r.outage > analysis.ANALYTIC_P_FLOOR])
 
 
 class TestDiversitySweep:
@@ -171,6 +227,30 @@ class TestRunSweep:
                                protocols=(Protocol.NDL,))
         assert analysis.SweepSpec(axis="relay_count", start=1.4, stop=3.6, steps=4,
                                   protocols=(Protocol.NDL,)).axis_values() == [1, 2, 3, 4]
+        # a non-finite bound is named, on every axis
+        for axis in analysis.AXES:
+            for start, stop, name in ((0, math.inf, "stop"), (-math.inf, 1, "start"),
+                                      (math.nan, 1, "start")):
+                with pytest.raises(ValueError, match=f"sweep {name} must be finite"):
+                    analysis.SweepSpec(axis=axis, start=start, stop=stop, steps=3,
+                                       protocols=(Protocol.NDL,))
+
+    @pytest.mark.parametrize("start,stop,steps", [(0.5, 8, 16), (-10, 60, 15), (-5, 20, 26)])
+    def test_axis_values_are_linspace(self, start, stop, steps):
+        values = analysis.SweepSpec(axis="power_db", start=start, stop=stop, steps=steps,
+                                    protocols=(Protocol.NDL,)).axis_values()
+        assert all(type(v) is float for v in values)
+        assert values == np.linspace(start, stop, steps).tolist()
+
+    def test_axis_values_are_linspace_on_random_grids(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            start = rng.choice([rng.uniform(-100, 100), float(rng.randint(-60, 60))])
+            stop = start + rng.choice([rng.uniform(1e-6, 200), float(rng.randint(1, 90))])
+            steps = rng.randint(2, 200)
+            values = analysis.SweepSpec(axis="rate_bpcu", start=start, stop=stop, steps=steps,
+                                        protocols=(Protocol.NDL,)).axis_values()
+            assert values == np.linspace(start, stop, steps).tolist(), (start, stop, steps)
 
 
 class TestValidateReport:

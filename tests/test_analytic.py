@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdrs import analytic as an
+from fdrs import montecarlo
 from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol, db_to_linear
 
 import rayleigh as ray
@@ -480,6 +481,27 @@ class TestOutageThroughput:
         assert an.outage_threshold(Protocol.NDL, 2.0) == 3.0
         assert an.outage_threshold(Protocol.HD_MRC, 2.0) == 15.0
         assert an.outage_threshold(Protocol.HD_MRC, 2.0, hd_equal_delivered_rate=False) == 3.0
+
+    @pytest.mark.parametrize("proto,rate,match", [
+        (Protocol.NDL, math.inf, "rate must be finite, got inf"),
+        (Protocol.NDL, math.nan, "rate must be finite, got nan"),
+        (Protocol.NDL, 2000.0, "rate 2000 bpcu is too large"),
+        (Protocol.NDL, 1e308, "rate 1e\\+308 bpcu is too large"),
+        # the doubled half-duplex rate overflows before the rate does
+        (Protocol.HD_MRC, 600.0, "rate 600 bpcu is too large"),
+    ])
+    def test_unusable_rate_rejected(self, fig2a_cfg, proto, rate, match):
+        with pytest.raises(ValueError, match=match):
+            an.outage_threshold(proto, rate)
+        if not proto.half_duplex:
+            with pytest.raises(ValueError, match=match):
+                an.outage(fig2a_cfg, proto, rate)
+        with pytest.raises(ValueError, match=match):
+            montecarlo.estimate_outage(fig2a_cfg, proto, rate, 1000, seed=1)
+
+    def test_largest_rates_keep_a_finite_threshold(self):
+        assert math.isfinite(an.outage_threshold(Protocol.NDL, 1023.0))
+        assert math.isfinite(an.outage_threshold(Protocol.HD_MRC, 511.0))
 
     def test_outage_vanishes_at_zero_rate(self, fig2a_cfg):
         assert an.outage(fig2a_cfg, Protocol.NDL, 0.0) == 0.0

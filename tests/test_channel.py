@@ -13,9 +13,9 @@ from fdrs.channel import (
     Protocol,
     config_violations,
     db_to_linear,
-    draw_gains,
     validate_config,
 )
+from fdrs.montecarlo import draw_gains
 
 
 def make_cfg(**overrides):

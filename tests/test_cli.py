@@ -151,6 +151,21 @@ class TestOutageCommand:
         assert record["throughput_analytic"] == analytic.throughput(
             parse_config(path), *calls[0][1:])
 
+    @pytest.mark.parametrize("rate,method,err", [
+        ("inf", "analytic", "rate must be finite, got inf"),
+        ("nan", "analytic", "rate must be finite, got nan"),
+        ("2000", "analytic", "rate 2000 bpcu is too large"),
+        ("inf", "mc", "rate must be finite, got inf"),
+        ("2000", "mc", "rate 2000 bpcu is too large"),
+    ])
+    def test_unusable_rate_exit_code(self, rate, method, err, capsys):
+        # no record is printed: NaN and Infinity are not JSON
+        rc = main(["outage", "--config", str(CONFIG_DIR / "fig2a.cfg"), "--protocol", "ndl",
+                   "--rate", rate, "--method", method, "--trials", "1000"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and err in out.err
+
     def test_numeric_failure_exit_code(self, ndl_rayleigh_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise NonConvergenceError("series did not converge")
@@ -210,6 +225,29 @@ class TestSweepCommand:
         body = out.read_text()
         assert "," in body and ";" not in body.split("\n", 5)[5]
         assert "." in body
+
+    def test_overflowing_rate_axis_exit_code(self, capsys):
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig2a.cfg"), "--axis", "rate_bpcu",
+                   "--from", "0", "--to", "1e308", "--steps", "3", "--protocols", "ndl"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "rate 5e+307 bpcu is too large" in out.err
+
+    @pytest.mark.parametrize("axis,bounds,err", [
+        ("power_db", ["--from", "0", "--to", "inf"], "sweep stop must be finite, got inf"),
+        ("power_db", ["--from=-inf", "--to", "10"], "sweep start must be finite, got -inf"),
+        ("ith_db", ["--from", "0", "--to", "inf"], "sweep stop must be finite, got inf"),
+        ("rate_bpcu", ["--from", "nan", "--to", "2"], "sweep start must be finite, got nan"),
+        ("relay_count", ["--from", "1", "--to", "inf"], "sweep stop must be finite, got inf"),
+    ])
+    def test_non_finite_bounds_exit_code(self, axis, bounds, err, capsys):
+        # a bound, not the scenario file, is at fault
+        steps = [] if axis == "relay_count" else ["--steps", "3"]
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig2b.cfg"), "--axis", axis,
+                   *bounds, *steps, "--protocols", "ndl"])
+        assert rc == 2
+        err_text = capsys.readouterr().err
+        assert err in err_text and "config error" not in err_text
 
     def test_invalid_protocol_listed(self, capsys):
         rc = main(["sweep", "--config", str(CONFIG_DIR / "fig4.cfg"), "--axis",
@@ -329,3 +367,75 @@ def test_cli_runs_never_load_scipy():
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS, str(CONFIG_DIR)],
                           env=env, capture_output=True, text=True, timeout=300, check=True)
     assert proc.stdout.split("\n")[0] == "[0, 0, 0] []", proc.stdout + proc.stderr
+
+
+# one fresh interpreter imports fdrs, runs every analytic subcommand through
+# the CLI and lists the numpy modules loaded, then simulates once as a
+# positive control
+NUMPY_FREE_RUNS = """\
+import contextlib, io, sys
+def numpy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+import fdrs
+print(numpy_modules())
+from fdrs.cli import main
+configs = sys.argv[1]
+fig2b = ["--config", configs + "/fig2b.cfg"]
+sweep = ["sweep", *fig2b, "--protocols", "ndl,idl_dt,sdf", "--axis"]
+runs = (
+    ["outage", *fig2b, "--protocol", "sdf", "--rate", "2", "--cognitive"],
+    [*sweep, "power_db", "--from", "0", "--to", "20", "--steps", "3"],
+    [*sweep, "rate_bpcu", "--from", "0.5", "--to", "4", "--steps", "3"],
+    [*sweep, "relay_count", "--from", "1", "--to", "3"],
+    [*sweep, "ith_db", "--from=-5", "--to", "5", "--steps", "3"],
+    ["diversity", "--config", configs + "/fig4.cfg", "--protocol", "ndl",
+     "--pmin-db", "10", "--pmax-db", "50", "--points", "9"],
+    ["pl", *fig2b],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, numpy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["outage", *fig2b, "--protocol", "sdf", "--rate", "2", "--method", "mc",
+                 "--trials", "1000"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_analytic_cli_runs_never_load_numpy():
+    # numpy's import is most of an analytic run's start-up; the simulator
+    # loads it at a run's first draw
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUNS, str(CONFIG_DIR)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0, 0] []", "0 True"], (
+        proc.stdout + proc.stderr)
+
+
+# the names `fdrs` exported before its simulator and drivers became lazy
+PACKAGE_NAMES = (
+    "NonConvergenceError", "ln_gamma", "reg_lower_gamma", "reg_upper_gamma", "tricomi_u",
+    "whittaker_w", "ConfigError", "LinkSpec", "NetworkConfig", "Protocol", "validate_config",
+    "FeasibilityDist", "RatioParams", "cdf_cognitive", "cdf_conditional", "cdf_ratio_gamma",
+    "cdf_ratio_gamma_quad", "feasibility_dist", "outage", "outage_threshold", "throughput",
+    "OutageEstimate", "estimate_feasibility", "estimate_outage", "outage_counts",
+    "DiversityFit", "SweepSpec", "diversity_fit", "run_sweep", "validate_report",
+    "__version__",
+)
+
+
+def test_package_names_resolve():
+    import ast
+    import fdrs
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    demo_names = {alias.name for path in demos.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.module == "fdrs"
+                  for alias in node.names}
+    assert {"run_sweep", "outage_counts", "estimate_feasibility"} <= demo_names
+    for name in sorted(demo_names | set(PACKAGE_NAMES)):
+        assert getattr(fdrs, name) is not None, name
+    with pytest.raises(AttributeError, match="no attribute 'draw_gainz'"):
+        fdrs.draw_gainz

@@ -8,7 +8,8 @@ import pytest
 
 from fdrs import analytic as an
 from fdrs import montecarlo as mc
-from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol, draw_gains
+from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol
+from fdrs.montecarlo import draw_gains
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
 
