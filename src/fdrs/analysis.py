@@ -13,7 +13,7 @@ from fdrs.channel import (
     Protocol,
     config_violations,
     db_to_linear,
-    validate_config,
+    require_cognitive,
 )
 
 __all__ = ["SweepSpec", "SweepRow", "SweepResult", "DiversityFit",
@@ -28,7 +28,7 @@ ANALYTIC_P_FLOOR = 1e-15
 
 
 def _check_bounds(start: float, stop: float):
-    for name, value in (("start", start), ("stop", stop)):
+    for name, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
         if not math.isfinite(value):
             raise ValueError(f"sweep {name} must be finite, got {value}")
 
@@ -121,12 +121,11 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     the outage column for half-duplex baselines uses the doubled rate
     so outage comparisons are at equal delivered rate.  The closed forms
     run inside one analytic.shared_blocks() scope, so a sweep over the
-    relay count or the cap evaluates each block once; the scope ends
-    with the call.
+    relay count or the cap evaluates each block once, and a point's
+    feasibility distribution is shared; the scope ends with the call.
     """
-    if spec.axis == "ith_db" and not cfg.is_cognitive:
-        raise ConfigError(["ith_db sweep requires a cognitive scenario"])
-    cognitive = cfg.is_cognitive
+    if spec.axis == "ith_db":
+        require_cognitive(cfg)
     errors: dict[str, list[str]] = {}
     active: dict[Protocol, list[str]] = {}
     for proto in spec.protocols:
@@ -155,13 +154,6 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
         hits = dict(zip(keys, montecarlo.outage_counts(
             [(points[i][0], proto, analytic.outage_threshold(proto, points[i][1], equal))
              for i, proto, equal in keys], spec.trials, spec.seed, spec.workers)))
-    # the feasibility distribution depends on the point only: one per
-    # distinct point config, shared by its protocols and rates
-    feas = [None] * len(points)
-    if cognitive and any("analytic" in methods for methods in active.values()):
-        for i, (point_cfg, _) in enumerate(points):
-            feas[i] = (feas[i - 1] if i and point_cfg == points[i - 1][0]
-                       else analytic.feasibility_dist(point_cfg))
     rows = []
     for i, (value, (point_cfg, rate)) in enumerate(zip(values, points)):
         for proto in spec.protocols:
@@ -170,7 +162,7 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
                     # closed forms exist only for full-duplex protocols,
                     # whose threshold ignores the half-duplex rate rule,
                     # so the outage doubles as the throughput outage
-                    p_out = analytic.outage(point_cfg, proto, rate, cognitive, feas[i])
+                    p_out = analytic.outage(point_cfg, proto, rate, point_cfg.is_cognitive)
                     rows.append(SweepRow(value, proto, "analytic", p_out,
                                          analytic.throughput_from_outage(proto, rate, p_out)))
                 else:
@@ -284,6 +276,7 @@ class ValidationRow:
     passed: bool
 
 
+@analytic.shared_blocks()   # one feasibility distribution for every protocol
 def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
                     seed: int, workers: int = 1) -> list[ValidationRow]:
     """z-test of the simulator against every requested closed form.
@@ -292,14 +285,8 @@ def validate_report(cfg: NetworkConfig, protocols, rate: float, trials: int,
     (the z-test is meaningless at probabilities near 0 or 1 where the
     binomial standard error collapses).
     """
-    cognitive = cfg.is_cognitive
     protocols = list(protocols)
-    # every violation of every protocol is reported before
-    # feasibility_dist could raise on the first one it meets
-    for proto in protocols:
-        validate_config(cfg, proto, "analytic")
-    feas = analytic.feasibility_dist(cfg) if cognitive and protocols else None
-    p_an = [analytic.outage(cfg, proto, rate, cognitive, feas) for proto in protocols]
+    p_an = [analytic.outage(cfg, proto, rate, cfg.is_cognitive) for proto in protocols]
     from fdrs import montecarlo   # numpy loads at a run's first simulation
     hits = montecarlo.outage_counts(
         [(cfg, proto, analytic.outage_threshold(proto, rate)) for proto in protocols],

@@ -29,9 +29,9 @@ error, stays within specfun.REL_TOL.  The protocols differ only in that
 inner integral and its upper limit.  The blocks I_k do not depend on L,
 so one block vector serves every relay count of the cognitive mixture.
 Those of the conditional CDFs do not depend on the cap either, so inside
-a shared_blocks() scope (one per analysis.run_sweep call) the points of
-a relay-count or cap sweep draw on one vector per block argument, and
-each block is evaluated once.
+a shared_blocks() scope (one per analysis driver call) the points of a
+relay-count or cap sweep draw on one vector per block argument, each
+block is evaluated once, and so is each point's feasibility distribution.
 
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
@@ -47,28 +47,14 @@ import math
 from dataclasses import dataclass
 
 from fdrs import specfun as sf
-from fdrs.channel import ConfigError, NetworkConfig, Protocol, validate_config
+from fdrs.channel import (SYMMETRIC_ONLY, ConfigError, NetworkConfig, Protocol,
+                          require_cognitive, validate_config)
 
-__all__ = [
-    "RatioParams",
-    "FeasibilityDist",
-    "first_hop_ratio_params",
-    "cdf_ratio_gamma",
-    "cdf_ratio_gamma_quad",
-    "cdf_conditional",
-    "cdf_ndl_quad",
-    "cdf_idl_quad",
-    "cdf_idl_dt_quad",
-    "cdf_sdf_quad",
-    "feasibility_dist",
-    "feasibility_dist_quad",
-    "shared_blocks",
-    "cdf_cognitive",
-    "outage_threshold",
-    "outage",
-    "throughput",
-    "throughput_from_outage",
-]
+__all__ = ["RatioParams", "FeasibilityDist", "first_hop_ratio_params", "cdf_ratio_gamma",
+           "cdf_ratio_gamma_quad", "cdf_conditional", "cdf_ndl_quad", "cdf_idl_quad",
+           "cdf_idl_dt_quad", "cdf_sdf_quad", "feasibility_dist", "feasibility_dist_quad",
+           "shared_blocks", "cdf_cognitive", "outage_threshold", "outage", "throughput",
+           "throughput_from_outage"]
 
 
 @dataclass(frozen=True)
@@ -112,10 +98,6 @@ class FeasibilityDist:
             raise ValueError(f"feasibility probabilities sum to {total}, not 1")
         if not -1e-12 <= self.p_tilde0 <= self.p[0] + 1e-12:
             raise ValueError("p_tilde0 must lie in [0, p[0]]")
-
-    @property
-    def k(self) -> int:
-        return len(self.p) - 1
 
 
 def first_hop_ratio_params(cfg: NetworkConfig) -> RatioParams:
@@ -193,6 +175,8 @@ def _gamma_pdf(t: float, m: float, theta: float) -> float:
 # The oracles take scipy's quad and incomplete Gammas, imported when an
 # oracle runs: the closed forms never load scipy, and an error in the
 # specfun kernels cannot hide by appearing on both sides of a check.
+QUAD_TOL = 1e-10   # the oracles' error target (_quad)
+
 
 def _scipy_gamma_cdfs():
     """scipy.special's regularized (P, Q), each returning a float."""
@@ -201,18 +185,18 @@ def _scipy_gamma_cdfs():
             lambda a, x: float(special.gammaincc(a, x)))
 
 
-def _quad(integrand, lo: float, hi: float, tol: float, points=None) -> float:
-    """scipy's quad with the oracles' tolerances; raises ArithmeticError
-    when quad's own error estimate exceeds 10 tol max(1, |value|)."""
+def _quad(integrand, lo: float, hi: float, points=None) -> float:
+    """scipy's quad at QUAD_TOL; raises ArithmeticError when quad's own
+    error estimate exceeds 10 QUAD_TOL max(1, |value|)."""
     from scipy import integrate
-    val, err = integrate.quad(integrand, lo, hi, epsabs=tol * 1e-2,
-                              epsrel=tol * 1e-1, limit=300, points=points)
-    if err > 10 * tol * max(1.0, abs(val)):
+    val, err = integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL * 1e-2,
+                              epsrel=QUAD_TOL * 1e-1, limit=300, points=points)
+    if err > 10 * QUAD_TOL * max(1.0, abs(val)):
         raise ArithmeticError(f"quadrature error estimate {err} too large for {val}")
     return val
 
 
-def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
+def cdf_ratio_gamma_quad(z: float, p: RatioParams) -> float:
     """Quadrature oracle for the ratio CDF; supports non-integer m2.
 
     F_Z(z) = integral over x of P(m1, z(x+1)/theta1) dF_X2(x).
@@ -227,7 +211,7 @@ def cdf_ratio_gamma_quad(z: float, p: RatioParams, tol: float = 1e-10) -> float:
         return (lower(p.m1, z * (x + 1.0) / p.theta1)
                 * _gamma_pdf(x, p.m2, p.theta2))
 
-    return min(max(_quad(integrand, 0.0, math.inf, tol), 0.0), 1.0)
+    return min(max(_quad(integrand, 0.0, math.inf), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +301,13 @@ _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def shared_blocks():
-    """Scope in which _ln_blocks evaluates each block once.
+    """Scope in which each block and each feasibility distribution is computed once.
 
     Block k does not depend on _ln_blocks' count, so inside the scope
     one vector is kept per tuple of its other arguments, and a call
     computes only the entries its count adds: the points of a relay-count
-    or cap sweep share the blocks, with values bit-identical to unshared
-    calls.  The vectors go when the scope exits.
+    or cap sweep share the blocks, and a point's protocols and rates its
+    feasibility_dist, bit-identical to unshared calls, until the scope exits.
     """
     token = _SHARED_BLOCKS.set({})
     try:
@@ -436,12 +420,12 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
 # ---------------------------------------------------------------------------
 # quadrature oracles for the end-to-end CDFs
 
-def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi, tol):
+def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi):
     """integral_lo^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
     over the direct-link SNR density; 0 at x = 0."""
     if x == 0:
         return 0.0
-    fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
+    fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg))
     _, upper = _scipy_gamma_cdfs()
     m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
     m_sd = cfg.sd.m
@@ -453,39 +437,42 @@ def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi, tol):
 
     scale = 50.0 * m_sd * th_sd
     points = [scale] if scale < hi < math.inf else None
-    return min(max(_quad(integrand, lo, hi, tol, points), 0.0), 1.0)
+    return min(max(_quad(integrand, lo, hi, points), 0.0), 1.0)
 
 
-def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
+def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Oracle for the ndl conditional CDF built on the ratio-CDF quadrature."""
-    fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg), tol)
+    fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg))
     _, upper = _scipy_gamma_cdfs()
     q2 = upper(cfg.rd.m, x / (cfg.p_r * cfg.rd.theta))
     return (1.0 - fzbar * q2) ** relays
 
 
-def cdf_idl_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
+def cdf_idl_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Direct numerical integration of the interfering-direct-link CDF."""
     return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0),
-                             0.0, math.inf, tol)
+                             0.0, math.inf)
 
 
-def cdf_idl_dt_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
+def cdf_idl_dt_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Oracle for the hybrid CDF: same integrand as IDL, truncated at x."""
-    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), 0.0, x, tol)
+    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), 0.0, x)
 
 
-def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int, tol: float = 1e-10) -> float:
+def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Oracle for the selective-cooperation CDF."""
-    return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), 0.0, x, tol)
+    return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), 0.0, x)
 
 
 # ---------------------------------------------------------------------------
 # feasibility under the interference constraint
 
-def _require_cognitive(cfg: NetworkConfig):
-    if not cfg.is_cognitive:
-        raise ConfigError(["scenario has no interference constraint (sp/rp/ith absent)"])
+def _feasibility_args(cfg: NetworkConfig) -> tuple:
+    """(k, m_sp, p_s theta_sp, m_rp, p_r theta_rp, i_th), all that the
+    feasibility distribution reads; both routes assume symmetric relays."""
+    if require_cognitive(cfg).relay_overrides:
+        raise ConfigError([SYMMETRIC_ONLY])
+    return cfg.k, cfg.sp.m, cfg.p_s * cfg.sp.theta, cfg.rp.m, cfg.p_r * cfg.rp.theta, cfg.i_th
 
 
 def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
@@ -495,36 +482,38 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     events are only conditionally independent given it; integrating the
     conditional binomial over the source-interference density yields
     finite sums of the convolution integrals in _ln_conv_integrals.
-    Requires integer m_rp (series expansion of the per-relay tail).
+    Requires integer m_rp (series expansion of the per-relay tail) and
+    symmetric relays.  A shared_blocks() scope computes it once per tuple
+    of _feasibility_args; outside a scope every call computes it.
     """
-    _require_cognitive(cfg)
+    args = _feasibility_args(cfg)
     if not cfg.rp.integer_m:
         raise ConfigError([f"feasibility closed form requires integer m_rp (got {cfg.rp.m})"])
-    k_total = cfg.k
-    th_sp = cfg.p_s * cfg.sp.theta
-    cap = cfg.i_th
+    memo = _SHARED_BLOCKS.get()
+    kept = [] if memo is None else memo.setdefault(("feasibility",) + args, [])
+    if not kept:
+        kept.append(_feasibility(*args))
+    return kept[0]
+
+
+def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: float,
+                 cap: float) -> FeasibilityDist:
     # B_q = integral_0^cap Q(m_rp, (cap-b)/th_rp)^q f_I_SP(b) db is the
     # chance that the source meets the cap and q given relays do not;
     # expanding (1 - Q)^n gives
     # P(exactly n feasible) = C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
-    ln_b = _ln_blocks(k_total, int(round(cfg.rp.m)), cfg.p_r * cfg.rp.theta, cap,
-                      cfg.sp.m, th_sp, True, cap)
+    ln_b = _ln_blocks(k_total, int(round(m_rp)), th_rp, cap, m_sp, th_sp, True, cap)
     p_tilde0 = math.exp(ln_b[k_total])
-    probs = [min(sf.reg_upper_gamma(cfg.sp.m, cap / th_sp) + p_tilde0, 1.0)]
+    probs = [min(sf.reg_upper_gamma(m_sp, cap / th_sp) + p_tilde0, 1.0)]
     for feasible in range(1, k_total + 1):
         ln_sum, _ = sf.ln_binomial_sum(ln_b, feasible, first=k_total - feasible)
         probs.append(_probability(ln_sum, sf.ln_comb(k_total, feasible)))
     return FeasibilityDist(p=tuple(probs), p_tilde0=min(p_tilde0, probs[0]))
 
 
-def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> FeasibilityDist:
+def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:
     """Quadrature oracle for feasibility_dist; no integrality limits."""
-    _require_cognitive(cfg)
-    k_total = cfg.k
-    m_sp, m_rp = cfg.sp.m, cfg.rp.m
-    th_sp = cfg.p_s * cfg.sp.theta
-    th_rp = cfg.p_r * cfg.rp.theta
-    cap = cfg.i_th
+    k_total, m_sp, th_sp, m_rp, th_rp, cap = _feasibility_args(cfg)
     lower, upper = _scipy_gamma_cdfs()
 
     def p_exactly(feasible):
@@ -533,7 +522,7 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
             return (math.comb(k_total, feasible) * f ** feasible
                     * (1.0 - f) ** (k_total - feasible)
                     * _gamma_pdf(beta, m_sp, th_sp))
-        return _quad(integrand, 0.0, cap, tol)
+        return _quad(integrand, 0.0, cap)
 
     probs = [p_exactly(i) for i in range(k_total + 1)]
     p_tilde0 = probs[0]
@@ -541,8 +530,7 @@ def feasibility_dist_quad(cfg: NetworkConfig, tol: float = 1e-10) -> Feasibility
     return FeasibilityDist(p=tuple(probs), p_tilde0=p_tilde0)
 
 
-def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol,
-                  feas: FeasibilityDist | None = None) -> float:
+def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol) -> float:
     """End-to-end SINR CDF under the interference constraint.
 
     Total-probability mixture over the number L of feasible relays.
@@ -552,17 +540,16 @@ def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol,
     F(x) = P0 - Q_SD(x) P~0 + sum_{L>=1} F(x|L) P_L, which jumps by
     P0 - P~0 at x = 0 (communication is cut off outright when even the
     source violates the cap).  Every F(x|L) comes from one shared
-    evaluation (_conditional_cdfs) up to the largest L with P_L > 0.
+    evaluation (_conditional_cdfs) up to the largest L with P_L > 0; the
+    P_L come from feasibility_dist, shared within a shared_blocks() scope.
     """
-    _require_cognitive(cfg)
     validate_config(cfg, protocol, "analytic")
-    if feas is None:
-        feas = feasibility_dist(cfg)
+    feas = feasibility_dist(cfg)
     parts = [feas.p[0]]
     if protocol.has_dt_branch:
         q_sd = sf.reg_upper_gamma(cfg.sd.m, x / (cfg.p_s * cfg.sd.theta))
         parts.append(-q_sd * feas.p_tilde0)
-    top = max((n for n in range(1, feas.k + 1) if feas.p[n] > 0.0), default=0)
+    top = max((n for n in range(1, len(feas.p)) if feas.p[n] > 0.0), default=0)
     if top:
         cond = _conditional_cdfs(x, cfg, protocol, top)
         parts.extend(feas.p[n] * cond[n] for n in range(1, top + 1) if feas.p[n] > 0.0)
@@ -593,24 +580,24 @@ def outage_threshold(protocol: Protocol, rate: float,
 
 
 def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
-           cognitive: bool = False, feas: FeasibilityDist | None = None) -> float:
+           cognitive: bool = False) -> float:
     """Closed-form outage probability P(SINR < threshold), full-duplex
     protocols only, so no half-duplex rate convention applies.
 
     The strict inequality matters only at threshold 0, where the atom
     the constraint puts at SINR = 0 does not count as outage; the
-    protocol and scenario are validated first, at every rate.  A caller
-    evaluating many protocols or rates at one cognitive point may pass
-    that point's `feasibility_dist` as feas, as for `cdf_cognitive`.
+    protocol and scenario are validated first, at every rate.  Calls
+    for many protocols or rates at one cognitive point share its
+    feasibility distribution inside a shared_blocks() scope.
     """
     validate_config(cfg, protocol, "analytic")
     if cognitive:
-        _require_cognitive(cfg)
+        require_cognitive(cfg)
     gamma_th = outage_threshold(protocol, rate)
     if gamma_th == 0.0:
         return 0.0
     if cognitive:
-        return cdf_cognitive(gamma_th, cfg, protocol, feas)
+        return cdf_cognitive(gamma_th, cfg, protocol)
     return cdf_conditional(gamma_th, cfg, protocol, cfg.k)
 
 

@@ -11,6 +11,7 @@ in `fdrs.montecarlo`; this module needs only the standard library.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,6 +155,9 @@ class NetworkConfig:
         return self.p_r ** self.rsi_lambda * self.rr.theta
 
 
+SYMMETRIC_ONLY = ("per-relay overrides are simulation-only; analytic mode assumes "
+                  "a symmetric cluster")
+
 # link classes whose shape the closed forms need to be an integer
 _INTEGER_SHAPES = {Protocol.NDL: ("rr",), Protocol.IDL: ("rr", "rd"),
                    Protocol.IDL_DT: ("rr", "rd"), Protocol.SDF: ("rr", "rd")}
@@ -177,8 +181,7 @@ def config_violations(cfg: NetworkConfig, protocol: Protocol, method: str) -> li
         if protocol.simulation_only:
             errors.append(f"{protocol.value} is a simulation-only baseline; no closed form")
         if cfg.relay_overrides:
-            errors.append("per-relay overrides are simulation-only; analytic mode assumes "
-                          "a symmetric cluster")
+            errors.append(SYMMETRIC_ONLY)
         for name in _INTEGER_SHAPES.get(protocol, ()) + (("rp",) if cfg.is_cognitive else ()):
             link: LinkSpec = getattr(cfg, name)
             if link is not None and not link.integer_m:
@@ -195,5 +198,20 @@ def validate_config(cfg: NetworkConfig, protocol: Protocol, method: str) -> Netw
     return cfg
 
 
+def require_cognitive(cfg: NetworkConfig) -> NetworkConfig:
+    """Return cfg unchanged if it carries the interference cap, else raise ConfigError."""
+    if not cfg.is_cognitive:
+        raise ConfigError(["scenario has no interference constraint (sp/rp/ith absent)"])
+    return cfg
+
+
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db/10); ValueError naming x_db if that overflows or underflows to 0."""
+    try:
+        value = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if value == 0.0 or value == math.inf:
+        raise ValueError(f"{x_db:g} dB is out of range: its linear value "
+                         f"{'overflows' if value else 'underflows to 0'}")
+    return value

@@ -90,13 +90,20 @@ def parse_config(path: str) -> NetworkConfig:
             errors.append(f"[{section}] {key} = {raw!r} is not a number")
             return None
 
+    def get_linear(section, key, required=True):
+        x_db = get_float(section, key, required)
+        try:
+            return None if x_db is None else db_to_linear(x_db)
+        except ValueError as exc:
+            errors.append(f"[{section}] {key}: {exc}")
+
     def get_link(section, name, required=True):
         m = get_float(section, f"m_{name}", required)
-        pi_db = get_float(section, f"pi_{name}_db", required)
-        if m is None or pi_db is None:
+        pi = get_linear(section, f"pi_{name}_db", required)
+        if m is None or pi is None:
             return None
         try:
-            return LinkSpec(m=m, avg_power=db_to_linear(pi_db))
+            return LinkSpec(m=m, avg_power=pi)
         except ValueError as exc:
             errors.append(f"[{section}] link {name}: {exc}")
             return None
@@ -110,26 +117,23 @@ def parse_config(path: str) -> NetworkConfig:
     k = get_float("powers", "k")
     if k is not None and not k.is_integer():   # also rejects inf and nan
         errors.append(f"[powers] k = {k!r} is not an integer relay count")
-    p_s_db = get_float("powers", "p_s_db")
-    p_r_db = get_float("powers", "p_r_db")
+    p_s = get_linear("powers", "p_s_db")
+    p_r = get_linear("powers", "p_r_db")
     lam = get_float("powers", "lambda")
 
     cognitive: dict = {}
     if parser.has_section("cognitive"):
         cognitive = {name: get_link("cognitive", name) for name in _COG_KEYS}
-        cognitive["i_th"] = get_float("cognitive", "ith_db")
+        cognitive["i_th"] = get_linear("cognitive", "ith_db")
 
     if errors:
         raise ConfigError(errors)
     try:
         return NetworkConfig(
-            k=int(k),
-            p_s=db_to_linear(p_s_db),
-            p_r=db_to_linear(p_r_db),
-            rsi_lambda=lam,
+            k=int(k), p_s=p_s, p_r=p_r, rsi_lambda=lam,
             sr=links["sr"], rd=links["rd"], rr=links["rr"], sd=links["sd"],
             sp=cognitive.get("sp"), rp=cognitive.get("rp"),
-            i_th=db_to_linear(cognitive["i_th"]) if "i_th" in cognitive else None,
+            i_th=cognitive.get("i_th"),
         )
     except ConfigError:
         raise
@@ -213,8 +217,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_pl(args) -> int:
     cfg = parse_config(args.config)
-    if not cfg.is_cognitive:
-        raise ConfigError(["pl requires a cognitive scenario ([cognitive] section)"])
     feas = analytic.feasibility_dist(cfg)
     emp = None
     if args.trials:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from fdrs.analytic import FeasibilityDist, outage_threshold
-from fdrs.channel import LinkSpec, NetworkConfig, Protocol, validate_config
+from fdrs.channel import LinkSpec, NetworkConfig, Protocol, require_cognitive, validate_config
 
 __all__ = ["OutageEstimate", "CHUNK_TRIALS", "draw_gains", "outage_counts",
            "estimate_outage", "estimate_feasibility"]
@@ -281,10 +281,7 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     one a cognitive run draws.  This is the one-cell case of
     `outage_counts`.
     """
-    if cognitive and not cfg.is_cognitive:
-        raise ValueError("cognitive=True requires sp/rp/ith in the scenario")
-    if not cognitive:
-        cfg = replace(cfg, sp=None, rp=None, i_th=None)
+    cfg = require_cognitive(cfg) if cognitive else replace(cfg, sp=None, rp=None, i_th=None)
     [hits] = outage_counts([(cfg, protocol, outage_threshold(protocol, rate))],
                            trials, seed, workers)
     return OutageEstimate.from_hits(hits, trials, seed)
@@ -305,8 +302,7 @@ def estimate_feasibility(cfg: NetworkConfig, trials: int, seed: int,
     """Empirical distribution of the number of cap-compliant relays."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not cfg.is_cognitive:
-        raise ValueError("feasibility estimation requires sp/rp/ith in the scenario")
+    require_cognitive(cfg)
     sizes = _chunk_sizes(trials)
     results = _run_chunks(lambda i, n: _feasibility_chunk(cfg, seed, i, n),
                           sizes, workers)

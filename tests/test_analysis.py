@@ -234,6 +234,10 @@ class TestRunSweep:
                 with pytest.raises(ValueError, match=f"sweep {name} must be finite"):
                     analysis.SweepSpec(axis=axis, start=start, stop=stop, steps=3,
                                        protocols=(Protocol.NDL,))
+            # finite bounds whose span overflows
+            with pytest.raises(ValueError, match="sweep stop - start must be finite, got inf"):
+                analysis.SweepSpec(axis=axis, start=-1e308, stop=1e308, steps=3,
+                                   protocols=(Protocol.NDL,))
 
     @pytest.mark.parametrize("start,stop,steps", [(0.5, 8, 16), (-10, 60, 15), (-5, 20, 26)])
     def test_axis_values_are_linspace(self, start, stop, steps):
@@ -275,18 +279,20 @@ class TestValidateReport:
 
 
 class TestFeasibilityOncePerPoint:
-    """A cognitive driver computes feasibility_dist once per distinct
-    point config and shares it across protocols and rates."""
+    """A cognitive driver computes the feasibility distribution once per
+    distinct point and shares it across protocols and rates; outside a
+    shared_blocks() scope every call computes it."""
 
     @staticmethod
     def counting(monkeypatch):
+        # the distributions actually computed, not the public calls
         calls = []
-        real = analytic.feasibility_dist
+        real = analytic._feasibility
 
-        def feasibility_dist(cfg):
-            calls.append(cfg)
-            return real(cfg)
-        monkeypatch.setattr(analytic, "feasibility_dist", feasibility_dist)
+        def _feasibility(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(analytic, "_feasibility", _feasibility)
         return calls
 
     @pytest.mark.parametrize("axis,start,stop,calls", [
@@ -308,6 +314,24 @@ class TestFeasibilityOncePerPoint:
         rows = analysis.validate_report(fig2b_cfg, FD, 2.0, 1000, seed=0)
         assert len(seen) == 1
         assert [r.p_analytic for r in rows] == expected
+
+    @staticmethod
+    def two_outages(cfg):
+        return [analytic.outage(cfg, proto, rate, cognitive=True)
+                for proto, rate in ((Protocol.SDF, 2.0), (Protocol.NDL, 3.0))]
+
+    def test_computed_per_call_outside_a_scope(self, fig2b_cfg, monkeypatch):
+        seen = self.counting(monkeypatch)
+        self.two_outages(fig2b_cfg)
+        assert len(seen) == 2
+
+    def test_computed_once_inside_a_scope(self, fig2b_cfg, monkeypatch):
+        expected = self.two_outages(fig2b_cfg)
+        seen = self.counting(monkeypatch)
+        with analytic.shared_blocks():
+            got = self.two_outages(fig2b_cfg)
+        assert len(seen) == 1
+        assert got == expected
 
 
 class TestSharedDrawDrivers:

@@ -8,7 +8,14 @@ import pytest
 
 from fdrs import analytic as an
 from fdrs import montecarlo
-from fdrs.channel import ConfigError, LinkSpec, NetworkConfig, Protocol, db_to_linear
+from fdrs.channel import (
+    ConfigError,
+    LinkSpec,
+    NetworkConfig,
+    Protocol,
+    config_violations,
+    db_to_linear,
+)
 
 import rayleigh as ray
 
@@ -416,6 +423,20 @@ class TestFeasibility:
         with pytest.raises(ConfigError):
             an.feasibility_dist(fig2a_cfg)
 
+    def test_relay_overrides_rejected(self, fig2b_cfg):
+        # per-relay rp links change the distribution; the symmetric
+        # closed form must not answer for them, inside a scope or not
+        cfg = dataclasses.replace(fig2b_cfg, relay_overrides={
+            "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
+        [expected] = [e for e in config_violations(cfg, Protocol.NDL, "analytic")
+                      if "overrides" in e]
+        with an.shared_blocks():
+            an.feasibility_dist(fig2b_cfg)
+            for feasibility in (an.feasibility_dist, an.feasibility_dist_quad):
+                with pytest.raises(ConfigError) as exc:
+                    feasibility(cfg)
+                assert exc.value.errors == [expected]
+
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):
             an.FeasibilityDist(p=(0.5, 0.4), p_tilde0=0.1)
@@ -444,10 +465,11 @@ class TestCognitiveMixture:
             shut.sd.m, x / (shut.p_s * shut.sd.theta)) * f.p_tilde0
         assert an.cdf_cognitive(x, shut, Protocol.IDL_DT) == pytest.approx(expect, abs=1e-9)
 
-    def test_delta_mixture_reduces_exactly(self, fig2b_cfg):
+    def test_delta_mixture_reduces_exactly(self, fig2b_cfg, monkeypatch):
         delta = an.FeasibilityDist(p=(0.0, 0.0, 0.0, 1.0), p_tilde0=0.0)
+        monkeypatch.setattr(an, "feasibility_dist", lambda cfg: delta)
         for proto in (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF):
-            assert an.cdf_cognitive(3.0, fig2b_cfg, proto, feas=delta) == \
+            assert an.cdf_cognitive(3.0, fig2b_cfg, proto) == \
                 an.cdf_conditional(3.0, fig2b_cfg, proto, 3)
 
     @pytest.mark.parametrize("proto", [Protocol.NDL, Protocol.IDL, Protocol.IDL_DT,

@@ -204,3 +204,15 @@ class TestRealizationSampling:
 def test_db_conversion():
     assert db_to_linear(3.0) == pytest.approx(10 ** 0.3)
     assert db_to_linear(0.0) == 1.0
+    assert 0.0 < db_to_linear(-3200.0) < 1e-319   # subnormal, still positive
+
+
+@pytest.mark.parametrize("x_db,msg", [
+    (4000.0, "4000 dB is out of range: its linear value overflows"),
+    (math.inf, "inf dB is out of range: its linear value overflows"),
+    (-4000.0, "-4000 dB is out of range: its linear value underflows to 0"),
+    (-math.inf, "-inf dB is out of range: its linear value underflows to 0"),
+])
+def test_db_conversion_out_of_range(x_db, msg):
+    with pytest.raises(ValueError, match=msg):
+        db_to_linear(x_db)

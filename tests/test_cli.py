@@ -1,6 +1,7 @@
 """Config ingestion, subcommand behavior, exit codes, and output stability."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from fdrs import analytic
 from fdrs.channel import ConfigError
 from fdrs.cli import main, parse_config
 from fdrs.specfun import NonConvergenceError
-from tests.conftest import CONFIG_DIR
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 NDL_RAYLEIGH = """\
 [links]
@@ -86,6 +88,24 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/scenario.cfg")
+
+    @pytest.mark.parametrize("line,key,msg", [
+        ("pi_sr_db = 4000", "[links] pi_sr_db", "4000 dB is out of range: its linear "
+                                                "value overflows"),
+        ("p_s_db = -4000", "[powers] p_s_db", "-4000 dB is out of range: its linear "
+                                              "value underflows to 0"),
+        ("p_r_db = inf", "[powers] p_r_db", "inf dB is out of range"),
+    ])
+    def test_out_of_range_db_value(self, tmp_path, capsys, line, key, msg):
+        # the file is at fault, so the key is named and the exit code is 1
+        p = tmp_path / "db.cfg"
+        p.write_text(NDL_RAYLEIGH.replace(line.split(" = ")[0] + " = 10", line))
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: {msg}")):
+            parse_config(str(p))
+        rc = main(["outage", "--config", str(p), "--protocol", "ndl", "--rate", "2"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert f"config error: {key}: {msg}" in out.err
 
 
 class TestOutageCommand:
@@ -249,6 +269,21 @@ class TestSweepCommand:
         err_text = capsys.readouterr().err
         assert err in err_text and "config error" not in err_text
 
+    @pytest.mark.parametrize("axis,bounds,err", [
+        ("power_db", ["--from", "0", "--to", "4000"],
+         "4000 dB is out of range: its linear value overflows"),
+        ("ith_db", ["--from=-8000", "--to", "0"],
+         "-8000 dB is out of range: its linear value underflows to 0"),
+        ("power_db", ["--from=-1e308", "--to", "1e308"],
+         "sweep stop - start must be finite, got inf"),
+    ])
+    def test_out_of_range_db_axis_exit_code(self, axis, bounds, err, capsys):
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig2b.cfg"), "--axis", axis,
+                   *bounds, "--steps", "3", "--protocols", "ndl"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and err in out.err and "config error" not in out.err
+
     def test_invalid_protocol_listed(self, capsys):
         rc = main(["sweep", "--config", str(CONFIG_DIR / "fig4.cfg"), "--axis",
                    "rate_bpcu", "--from", "1", "--to", "2", "--steps", "2",
@@ -285,6 +320,22 @@ class TestPlCommand:
     def test_requires_cognitive(self, ndl_rayleigh_path, capsys):
         rc = main(["pl", "--config", ndl_rayleigh_path])
         assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *(["outage", "--protocol", "sdf", "--rate", "2", "--cognitive", "--trials", "1000",
+       "--method", method] for method in ("analytic", "mc", "both")),
+    ["pl"], ["pl", "--trials", "1000"],
+    ["sweep", "--axis", "ith_db", "--from", "0", "--to", "10", "--steps", "2",
+     "--protocols", "sdf"],
+])
+def test_cap_requested_without_cap_exit_code(argv, capsys):
+    # fig2a has no [cognitive] section: a configuration error, whatever
+    # evaluates the request
+    rc = main([*argv, "--config", str(CONFIG_DIR / "fig2a.cfg")])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err == "config error: scenario has no interference constraint (sp/rp/ith absent)\n"
 
 
 class TestDiversityCommand:
