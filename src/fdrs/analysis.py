@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from fdrs import analytic
@@ -36,7 +37,11 @@ def _check_bounds(start: float, stop: float):
 def relay_counts(start: float, stop: float) -> range:
     """The relay counts a relay_count sweep from start to stop visits."""
     _check_bounds(start, stop)
-    return range(int(round(start)), int(round(stop)) + 1)
+    counts = range(int(round(start)), int(round(stop)) + 1)
+    if counts.stop - counts.start > sys.maxsize:
+        raise ValueError(f"sweep stop {stop:g} is too large: a relay_count sweep from "
+                         f"{start:g} to it has more counts than can be listed")
+    return counts
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ Every link class fades Nakagami-m, so its power gain is drawn as
 Gamma(m, avg_power/m); `draw_gains` draws one batch of every
 configured link in a fixed order.  `_count_chunk` and
 `_feasibility_chunk` call it through this module's global, so a
-wrapper set on `montecarlo.draw_gains` sees every draw.
+wrapper set on `montecarlo.draw_gains` sees every draw.  Shapes 1 and
+2 are drawn as the sum of one or two unit exponentials, which is
+exactly Gamma(m, 1) and costs less than numpy's Gamma sampler there;
+every other shape, integer or real, is drawn by that sampler.
 
 Trials are processed in fixed chunks of 65536, each driven by its own
-counter-based Philox stream keyed by (seed, chunk index).  The chunk
+SFC64 stream seeded by SeedSequence([seed, chunk index]).  The seed
+may be any non-negative integer and is not reduced modulo 2^64.  The chunk
 layout and the reduction (integer success counts) are independent of
 how chunks are scheduled, so estimates are bit-identical for any worker
 count.
@@ -55,7 +59,6 @@ CHUNK_TRIALS = 65536
 # trials evaluated together within a chunk, so that the (k, n)
 # temporaries stay in cache
 BLOCK_TRIALS = 16384
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,26 @@ class OutageEstimate:
 _RELAY_PATH = {Protocol.IDL_DT: Protocol.IDL, Protocol.HD_SDF: Protocol.HD_MRC}
 
 
+def _gamma(rng: np.random.Generator, m: float, theta: float, shape) -> np.ndarray:
+    """Gamma(m, theta) variates; at shapes 1 and 2 theta times a sum of
+    unit exponentials, summed and scaled in place."""
+    if m not in (1.0, 2.0):
+        return rng.gamma(m, theta, shape)
+    out = rng.standard_exponential(shape)
+    if m == 2.0:
+        out += rng.standard_exponential(shape)
+    out *= theta
+    return out
+
+
 def _draw_class(cfg: NetworkConfig, name: str, rng: np.random.Generator,
                 n: int) -> np.ndarray:
     """(k, n) gains for a relay-indexed link class, honoring overrides."""
     overrides = (cfg.relay_overrides or {}).get(name)
     base: LinkSpec = getattr(cfg, name)
     if overrides is None:
-        return rng.gamma(base.m, base.theta, (cfg.k, n))
-    return np.stack([rng.gamma(s.m, s.theta, n) for s in overrides])
+        return _gamma(rng, base.m, base.theta, (cfg.k, n))
+    return np.stack([_gamma(rng, s.m, s.theta, n) for s in overrides])
 
 
 def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
@@ -108,16 +123,22 @@ def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
         "rr": _draw_class(cfg, "rr", rng, n),
     }
     if cfg.sd is not None:
-        gains["sd"] = rng.gamma(cfg.sd.m, cfg.sd.theta, n)
+        gains["sd"] = _gamma(rng, cfg.sd.m, cfg.sd.theta, n)
     if cfg.is_cognitive:
-        gains["sp"] = rng.gamma(cfg.sp.m, cfg.sp.theta, n)
+        gains["sp"] = _gamma(rng, cfg.sp.m, cfg.sp.theta, n)
         gains["rp"] = _draw_class(cfg, "rp", rng, n)
     return gains
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, chunk_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk_index])))
+
+
+def _check_run(trials: int, seed: int):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _chunk_sizes(trials: int):
@@ -250,8 +271,7 @@ def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: in
     protocols and thresholds.  Counts are returned in cell order, each
     equal to the count of a one-cell call with the same seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     groups: list[tuple[list, list[tuple[NetworkConfig, dict]]]] = []
     for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
         validate_config(point_cfg, protocol, "mc")
@@ -300,8 +320,7 @@ def _feasibility_chunk(cfg, seed, chunk_index, n):
 def estimate_feasibility(cfg: NetworkConfig, trials: int, seed: int,
                          workers: int = 1) -> FeasibilityDist:
     """Empirical distribution of the number of cap-compliant relays."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     require_cognitive(cfg)
     sizes = _chunk_sizes(trials)
     results = _run_chunks(lambda i, n: _feasibility_chunk(cfg, seed, i, n),

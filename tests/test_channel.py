@@ -146,6 +146,31 @@ class TestGammaSampling:
         assert abs(draws.mean() - 0.5) < 5 * math.sqrt(0.5 / draws.size)
 
 
+class TestSamplerPaths:
+    # shapes 1 and 2 are drawn as sums of unit exponentials, every other
+    # shape by numpy's Gamma sampler; each path must give Gamma(m, theta)
+    @pytest.mark.parametrize("m", [1.0, 2.0, 2.5, 3.0])
+    def test_ks(self, m):
+        theta = 1.7
+        cfg = make_cfg(k=2, sr=LinkSpec(m, m * theta))
+        draws = draw_gains(cfg, np.random.Generator(np.random.SFC64(23)), 20_000)["sr"]
+        for row in draws:
+            assert stats.kstest(row, "gamma", args=(m, 0, theta)).pvalue > 0.01
+
+    def test_mixed_override_moments(self):
+        specs = (LinkSpec(2, 31.6), LinkSpec(0.7, 5.0), LinkSpec(2, 0.5))
+        cfg = make_cfg(relay_overrides={"rd": specs})
+        n = 400_000
+        g = draw_gains(cfg, np.random.Generator(np.random.SFC64(4)), n)["rd"]
+        assert g.shape == (3, n)
+        for row, spec in zip(g, specs):
+            mean, var = spec.avg_power, spec.m * spec.theta ** 2
+            assert abs(row.mean() - mean) < 5 * math.sqrt(var / n)
+            # Var of the sample variance of Gamma(m): (mu4 - var^2) / n
+            mu4 = 3 * spec.m * (spec.m + 2) * spec.theta ** 4
+            assert abs(row.var() - var) < 5 * math.sqrt((mu4 - var ** 2) / n)
+
+
 class TestRealizationSampling:
     def test_seed_determinism(self):
         cfg = make_cfg(sp=LinkSpec(1, 1.0), rp=LinkSpec(1, 1.26), i_th=2.0)

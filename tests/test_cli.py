@@ -14,6 +14,7 @@ from fdrs.cli import main, parse_config
 from fdrs.specfun import NonConvergenceError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DEMO_DIR = CONFIG_DIR.parent / "demos"
 
 NDL_RAYLEIGH = """\
 [links]
@@ -125,6 +126,27 @@ class TestOutageCommand:
         record = json.loads(capsys.readouterr().out)
         assert abs(record["outage_mc"] - record["outage_analytic"]) <= \
             max(4 * record["stderr_mc"], 1e-3)
+
+    def test_seeds_beyond_2_64_draw_their_own_stream(self, capsys):
+        argv = ["outage", "--config", str(CONFIG_DIR / "fig2b.cfg"), "--protocol", "sdf",
+                "--rate", "2", "--method", "mc", "--trials", "20000", "--seed"]
+        records = []
+        for seed in ("5", str(5 + 2 ** 64)):
+            assert main(argv + [seed]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert [r["manifest"]["seed"] for r in records] == [5, 5 + 2 ** 64]
+        assert records[0]["outage_mc"] != records[1]["outage_mc"]
+
+    def test_negative_seed_exit_code(self, capsys):
+        cfg = str(CONFIG_DIR / "fig2b.cfg")
+        for argv in (["outage", "--protocol", "sdf", "--rate", "2", "--method", "mc"],
+                     ["validate", "--rate", "2"],
+                     ["pl"]):
+            rc = main([argv[0], "--config", cfg, *argv[1:], "--trials", "1000",
+                       "--seed", "-1"])
+            assert rc == 2, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "seed must be >= 0, got -1" in out.err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -268,6 +290,14 @@ class TestSweepCommand:
         assert rc == 2
         err_text = capsys.readouterr().err
         assert err in err_text and "config error" not in err_text
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "5"]])
+    def test_huge_relay_count_stop_exit_code(self, steps, capsys):
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig2a.cfg"), "--axis", "relay_count",
+                   "--from", "1", "--to", "1e300", *steps, "--protocols", "ndl"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "sweep stop 1e+300 is too large" in out.err
 
     @pytest.mark.parametrize("axis,bounds,err", [
         ("power_db", ["--from", "0", "--to", "4000"],
@@ -490,3 +520,16 @@ def test_package_names_resolve():
         assert getattr(fdrs, name) is not None, name
     with pytest.raises(AttributeError, match="no attribute 'draw_gainz'"):
         fdrs.draw_gainz
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMO_DIR.glob("*.py")))
+def test_demo_runs(demo):
+    # three of the demos simulate, so each runs end to end, not only its imports
+    root = DEMO_DIR.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(DEMO_DIR / demo)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -166,7 +166,7 @@ class TestOutageCounts:
 
     def test_cells_with_different_draws_count_as_separate_calls(self, fig2a_cfg, fig2b_cfg):
         # another K, another LinkSpec, another cap set: three draw
-        # groups besides fig2a's, each on the same Philox keys
+        # groups besides fig2a's, each on the same (seed, chunk) streams
         others = [dataclasses.replace(fig2a_cfg, k=4),
                   dataclasses.replace(fig2a_cfg, sr=LinkSpec(1, 31.6)),
                   fig2b_cfg, dataclasses.replace(fig2b_cfg, p_s=2.0, i_th=0.5)]
@@ -239,13 +239,14 @@ def reference_sinr(gains, cfg, protocol, feasible=None, dt_allowed=None):
 
 
 def reference_counts(cfg, cells, trials, seed, cognitive):
-    """Outage counts of every cell, each chunk drawn from its own Philox
-    stream keyed (seed, chunk index) and every SINR evaluated on its own."""
+    """Outage counts of every cell, each chunk drawn from its own SFC64
+    stream seeded by SeedSequence([seed, chunk index]) and every SINR
+    evaluated on its own."""
     hits = [0] * len(cells)
     full, rest = divmod(trials, 65536)
     for chunk, n in enumerate([65536] * full + ([rest] if rest else [])):
-        key = np.array([seed, chunk], dtype=np.uint64)
-        gains = draw_gains(cfg, np.random.Generator(np.random.Philox(key=key)), n)
+        bits = np.random.SFC64(np.random.SeedSequence([seed, chunk]))
+        gains = draw_gains(cfg, np.random.Generator(bits), n)
         sinrs = {}
         for j, (point, proto, gamma_th) in enumerate(cells):
             if (id(point), proto) not in sinrs:
@@ -298,6 +299,30 @@ class TestCountsAgainstReference:
         cells = [(shut, proto, th) for proto in Protocol for th in (0.0, 1e-300)]
         hits = mc.outage_counts(cells, 1000, seed=0)
         assert hits == [0, 1000] * len(Protocol)
+
+
+class TestStream:
+    """The counts a seed gives are pinned: a change to the bit generator,
+    the seeding or the sampler changes every Monte Carlo output and must
+    fail here first."""
+
+    def test_golden_counts(self, fig2b_cfg):
+        cells = [(fig2b_cfg, proto, an.outage_threshold(proto, 2.0)) for proto in FD]
+        for workers in (1, 2):
+            assert mc.outage_counts(cells, 2 * mc.CHUNK_TRIALS + 5, seed=17,
+                                    workers=workers) == [33968, 42793, 28738, 26765]
+
+    def test_seeds_do_not_alias_modulo_2_64(self, fig2b_cfg):
+        cells = [(fig2b_cfg, Protocol.SDF, 3.0)]
+        for seed in (0, 5, 2 ** 64 - 1):
+            assert mc.outage_counts(cells, 20_000, seed) != mc.outage_counts(
+                cells, 20_000, seed + 2 ** 64), seed
+
+    def test_negative_seed_rejected(self, fig2b_cfg):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc.outage_counts([(fig2b_cfg, Protocol.SDF, 3.0)], 100, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc.estimate_feasibility(fig2b_cfg, 100, seed=-1)
 
 
 class TestEstimateFeasibility:
