@@ -150,10 +150,12 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
     values = spec.axis_values()
     points = [(_apply_axis(cfg, spec.axis, v), v if spec.axis == "rate_bpcu" else spec.rate)
               for v in values]
-    # each simulated cell twice: the outage column (half-duplex
-    # baselines at equal delivered rate) and the throughput outage
+    # each simulated cell at the throughput threshold, and a half-duplex
+    # baseline also at equal delivered rate for the outage column; a
+    # full-duplex threshold ignores that rule, so one count serves both
     keys = [(i, proto, equal) for i in range(len(points)) for proto in active
-            if "mc" in active[proto] for equal in (True, False)]
+            if "mc" in active[proto]
+            for equal in ((True, False) if proto.half_duplex else (False,))]
     if keys:
         from fdrs import montecarlo   # numpy loads at a run's first simulation
         hits = dict(zip(keys, montecarlo.outage_counts(
@@ -172,7 +174,7 @@ def run_sweep(spec: SweepSpec, cfg: NetworkConfig) -> SweepResult:
                                          analytic.throughput_from_outage(proto, rate, p_out)))
                 else:
                     est = montecarlo.OutageEstimate.from_hits(
-                        hits[i, proto, True], spec.trials, spec.seed)
+                        hits[i, proto, proto.half_duplex], spec.trials, spec.seed)
                     thr_p = hits[i, proto, False] / spec.trials
                     rows.append(SweepRow(value, proto, "mc", est.p_hat,
                                          analytic.throughput_from_outage(proto, rate, thr_p),

@@ -199,7 +199,8 @@ def _quad(integrand, lo: float, hi: float, points=None) -> float:
 def cdf_ratio_gamma_quad(z: float, p: RatioParams) -> float:
     """Quadrature oracle for the ratio CDF; supports non-integer m2.
 
-    F_Z(z) = integral over x of P(m1, z(x+1)/theta1) dF_X2(x).
+    F_Z(z) = integral over x of P(m1, z(x+1)/theta1) dF_X2(x), taken in
+    u = x/theta2 so that the density keeps its place at any RSI scale.
     """
     if z < 0:
         raise ValueError("z must be >= 0")
@@ -207,9 +208,9 @@ def cdf_ratio_gamma_quad(z: float, p: RatioParams) -> float:
         return 0.0
     lower, _ = _scipy_gamma_cdfs()
 
-    def integrand(x):
-        return (lower(p.m1, z * (x + 1.0) / p.theta1)
-                * _gamma_pdf(x, p.m2, p.theta2))
+    def integrand(u):
+        return (lower(p.m1, z * (p.theta2 * u + 1.0) / p.theta1)
+                * _gamma_pdf(u, p.m2, 1.0))
 
     return min(max(_quad(integrand, 0.0, math.inf), 0.0), 1.0)
 
@@ -420,9 +421,10 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
 # ---------------------------------------------------------------------------
 # quadrature oracles for the end-to-end CDFs
 
-def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi):
-    """integral_lo^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
-    over the direct-link SNR density; 0 at x = 0."""
+def _direct_link_quad(x, cfg, relays, hop2_arg, hi):
+    """integral_0^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
+    over the direct-link SNR density, taken in t = beta/(P_S theta_sd);
+    0 at x = 0."""
     if x == 0:
         return 0.0
     fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg))
@@ -431,13 +433,13 @@ def _direct_link_quad(x, cfg, relays, hop2_arg, lo, hi):
     m_sd = cfg.sd.m
     th_sd = cfg.p_s * cfg.sd.theta
 
-    def integrand(beta):
-        return ((1.0 - fzbar * upper(m_rd, hop2_arg(beta) / th_rd)) ** relays
-                * _gamma_pdf(beta, m_sd, th_sd))
+    def integrand(t):
+        return ((1.0 - fzbar * upper(m_rd, hop2_arg(th_sd * t) / th_rd)) ** relays
+                * _gamma_pdf(t, m_sd, 1.0))
 
-    scale = 50.0 * m_sd * th_sd
-    points = [scale] if scale < hi < math.inf else None
-    return min(max(_quad(integrand, lo, hi, points), 0.0), 1.0)
+    t_hi = hi / th_sd
+    points = [50.0 * m_sd] if 50.0 * m_sd < t_hi < math.inf else None
+    return min(max(_quad(integrand, 0.0, t_hi, points), 0.0), 1.0)
 
 
 def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int) -> float:
@@ -450,18 +452,17 @@ def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int) -> float:
 
 def cdf_idl_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Direct numerical integration of the interfering-direct-link CDF."""
-    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0),
-                             0.0, math.inf)
+    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), math.inf)
 
 
 def cdf_idl_dt_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Oracle for the hybrid CDF: same integrand as IDL, truncated at x."""
-    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), 0.0, x)
+    return _direct_link_quad(x, cfg, relays, lambda beta: x * (beta + 1.0), x)
 
 
 def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int) -> float:
     """Oracle for the selective-cooperation CDF."""
-    return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), 0.0, x)
+    return _direct_link_quad(x, cfg, relays, lambda beta: max(x - beta, 0.0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -512,21 +513,24 @@ def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: fl
 
 
 def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:
-    """Quadrature oracle for feasibility_dist; no integrality limits."""
+    """Quadrature oracle for feasibility_dist; no integrality limits.
+    Integrates over t = beta/(P_S theta_sp), beta the source's interference."""
     k_total, m_sp, th_sp, m_rp, th_rp, cap = _feasibility_args(cfg)
     lower, upper = _scipy_gamma_cdfs()
+    t_cap = cap / th_sp
+    points = [50.0 * m_sp] if 50.0 * m_sp < t_cap else None
 
     def p_exactly(feasible):
-        def integrand(beta):
-            f = lower(m_rp, (cap - beta) / th_rp)
+        def integrand(t):
+            f = lower(m_rp, (cap - th_sp * t) / th_rp)
             return (math.comb(k_total, feasible) * f ** feasible
                     * (1.0 - f) ** (k_total - feasible)
-                    * _gamma_pdf(beta, m_sp, th_sp))
-        return _quad(integrand, 0.0, cap)
+                    * _gamma_pdf(t, m_sp, 1.0))
+        return _quad(integrand, 0.0, t_cap, points)
 
     probs = [p_exactly(i) for i in range(k_total + 1)]
     p_tilde0 = probs[0]
-    probs[0] += upper(m_sp, cap / th_sp)
+    probs[0] += upper(m_sp, t_cap)
     return FeasibilityDist(p=tuple(probs), p_tilde0=p_tilde0)
 
 

@@ -3,8 +3,10 @@ bit-stable result emission.
 
 Scenario files are INI-style text with sections [links], [powers] and
 optionally [cognitive]; power-like quantities are given in dB and
-converted to linear on ingestion.  Every output carries a run manifest
-(config digest, tool version, seed, subcommand, timestamp); rerunning a
+converted to linear on ingestion.  `main` parses the scenario, runs the
+subcommand and writes its output with a run manifest (subcommand,
+config digest, tool version, seed, timestamp); the seed is recorded
+only when the run drew samples and is None otherwise.  Rerunning a
 subcommand with the same config and seed reproduces the data rows
 byte for byte, only the timestamp differs.
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import hashlib
 import json
 import sys
@@ -40,30 +41,12 @@ _LINK_KEYS = ("sr", "rd", "rr", "sd")
 _COG_KEYS = ("sp", "rp")
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Provenance attached to every output."""
-
-    config_sha256: str
-    tool_version: str
-    seed: int | None
-    subcommand: str
-    timestamp: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def comment_lines(self) -> list[str]:
-        d = self.as_dict()
-        return [f"# fdrs {key}={d[key]}" for key in
-                ("subcommand", "config_sha256", "tool_version", "seed", "timestamp")]
-
-
-def _make_manifest(path: str, subcommand: str, seed: int | None) -> RunManifest:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return RunManifest(config_sha256=digest, tool_version=__version__, seed=seed,
-                       subcommand=subcommand,
-                       timestamp=datetime.now(timezone.utc).isoformat())
+def _manifest(path: str, subcommand: str, seed: int | None) -> dict:
+    """Provenance attached to every output, in the order of its CSV lines."""
+    return {"subcommand": subcommand,
+            "config_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+            "tool_version": __version__, "seed": seed,
+            "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
 def parse_config(path: str) -> NetworkConfig:
@@ -149,48 +132,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(lines: list[str], output: str | None):
-    text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _protocol_list(raw: str) -> list[Protocol]:
     return [Protocol.parse(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def cmd_outage(args) -> int:
-    cfg = parse_config(args.config)
+# Each cmd_* takes the parsed arguments and scenario and returns its
+# payload (a JSON record or CSV lines), the seed it simulated with or
+# None, and its exit code; main stamps the manifest and writes it.
+
+def cmd_outage(args, cfg: NetworkConfig):
     proto = Protocol.parse(args.protocol)
-    manifest = _make_manifest(args.config, "outage", args.seed)
-    record: dict = {
-        "protocol": proto.value,
-        "rate_bpcu": args.rate,
-        "cognitive": args.cognitive,
-        "manifest": manifest.as_dict(),
-    }
+    record: dict = {"protocol": proto.value, "rate_bpcu": args.rate,
+                    "cognitive": args.cognitive}
     if args.method in ("analytic", "both"):
         p_out = analytic.outage(cfg, proto, args.rate, args.cognitive)
         record["outage_analytic"] = p_out
         record["throughput_analytic"] = analytic.throughput_from_outage(proto, args.rate, p_out)
-    if args.method in ("mc", "both"):
-        from fdrs import montecarlo   # numpy loads at a run's first simulation
-        est = montecarlo.estimate_outage(cfg, proto, args.rate, args.trials,
-                                         args.seed, args.cognitive, args.workers)
-        record["outage_mc"] = est.p_hat
-        record["stderr_mc"] = est.stderr
-        record["trials"] = est.trials
-    _emit([json.dumps(record, sort_keys=True)], args.output)
-    return 0
+    if args.method == "analytic":
+        return record, None, 0
+    from fdrs import montecarlo   # numpy loads at a run's first simulation
+    est = montecarlo.estimate_outage(cfg, proto, args.rate, args.trials,
+                                     args.seed, args.cognitive, args.workers)
+    record.update(outage_mc=est.p_hat, stderr_mc=est.stderr, trials=est.trials)
+    return record, args.seed, 0
 
 
 _CSV_HEADER = "axis,protocol,method,outage,throughput,stderr,trials,seed"
 
 
-def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
+def cmd_sweep(args, cfg: NetworkConfig):
     steps = args.steps
     if steps is None:
         if args.axis == "relay_count":
@@ -202,73 +172,56 @@ def cmd_sweep(args) -> int:
                               method=args.method, rate=args.rate,
                               trials=args.trials, seed=args.seed, workers=args.workers)
     result = analysis.run_sweep(spec, cfg)
-    manifest = _make_manifest(args.config, "sweep", args.seed)
-    lines = manifest.comment_lines() + [_CSV_HEADER]
+    lines = [_CSV_HEADER]
     for r in result.rows:
         lines.append(",".join(_fmt(v) for v in (
             r.axis_value, r.protocol.value, r.method, r.outage, r.throughput,
             r.stderr, r.trials, r.seed)))
-    _emit(lines, args.output)
     for proto, errs in result.errors.items():
         for e in errs:
             print(f"warning: {proto}: {e}", file=sys.stderr)
-    return 2 if result.errors else 0
+    seed = None if args.method == "analytic" else args.seed
+    return lines, seed, 2 if result.errors else 0
 
 
-def cmd_pl(args) -> int:
-    cfg = parse_config(args.config)
+def cmd_pl(args, cfg: NetworkConfig):
     feas = analytic.feasibility_dist(cfg)
     emp = None
     if args.trials:
         from fdrs import montecarlo   # numpy loads at a run's first simulation
         emp = montecarlo.estimate_feasibility(cfg, args.trials, args.seed, args.workers)
-    manifest = _make_manifest(args.config, "pl", args.seed if args.trials else None)
-    lines = manifest.comment_lines() + ["quantity,analytic,mc,stderr"]
+    lines = ["quantity,analytic,mc,stderr"]
     for L, p in enumerate(feas.p):
         mc_p = emp.p[L] if emp else None
         se = (p * (1 - p) / args.trials) ** 0.5 if emp else None
         lines.append(",".join(_fmt(v) for v in (f"p[{L}]", p, mc_p, se)))
     lines.append(",".join(_fmt(v) for v in (
         "p_tilde0", feas.p_tilde0, emp.p_tilde0 if emp else None, None)))
-    _emit(lines, args.output)
-    return 0
+    return lines, args.seed if emp else None, 0
 
 
-def cmd_diversity(args) -> int:
-    cfg = parse_config(args.config)
+def cmd_diversity(args, cfg: NetworkConfig):
     proto = Protocol.parse(args.protocol)
     fit = analysis.diversity_sweep(cfg, proto, args.rate, args.pmin_db,
                                    args.pmax_db, args.points, args.method,
                                    args.trials, args.seed, args.workers)
-    manifest = _make_manifest(args.config, "diversity",
-                              args.seed if args.method == "mc" else None)
-    record = {
-        "protocol": proto.value,
-        "slope": fit.slope,
-        "stderr": fit.stderr,
-        "points_used": fit.points_used,
-        "floor_detected": fit.floor_detected,
-        "manifest": manifest.as_dict(),
-    }
-    _emit([json.dumps(record, sort_keys=True)], args.output)
-    return 0
+    record = {"protocol": proto.value, "slope": fit.slope, "stderr": fit.stderr,
+              "points_used": fit.points_used, "floor_detected": fit.floor_detected}
+    return record, args.seed if args.method == "mc" else None, 0
 
 
-def cmd_validate(args) -> int:
-    cfg = parse_config(args.config)
+def cmd_validate(args, cfg: NetworkConfig):
     protos = [p for p in FD_PROTOCOLS if not config_violations(cfg, p, "analytic")]
     if args.protocols:
         protos = _protocol_list(args.protocols)
     rows = analysis.validate_report(cfg, protos, args.rate, args.trials,
                                     args.seed, args.workers)
-    manifest = _make_manifest(args.config, "validate", args.seed)
-    lines = manifest.comment_lines() + ["protocol,p_analytic,p_mc,stderr,z,status"]
+    lines = ["protocol,p_analytic,p_mc,stderr,z,status"]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (
             r.protocol.value, r.p_analytic, r.p_hat, r.stderr, r.z_score,
             "PASS" if r.passed else "FAIL")))
-    _emit(lines, args.output)
-    return 0 if all(r.passed for r in rows) else 2
+    return lines, args.seed, 0 if all(r.passed for r in rows) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "in cognitive underlay networks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, mc=True):
+    def common(p, trials=10 ** 6, trials_help=None):
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--output", help="write result here instead of stdout")
-        if mc:
-            p.add_argument("--trials", type=int, default=10 ** 6)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--trials", type=int, default=trials, help=trials_help)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("outage", help="single outage/throughput record (JSON)")
     common(p)
@@ -308,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("pl", help="feasible-relay-count distribution (CSV)")
-    common(p, mc=False)
-    p.add_argument("--trials", type=int, default=0,
-                   help="also estimate empirically with this many trials")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    common(p, trials=0, trials_help="also estimate empirically with this many trials")
     p.set_defaults(fn=cmd_pl)
 
     p = sub.add_parser("diversity", help="diversity-order slope fit (JSON)")
@@ -335,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # checked here because analytic-only runs never read them
         if args.workers < 1:
@@ -344,13 +291,27 @@ def main(argv=None) -> int:
         min_trials = 0 if args.subcommand == "pl" else 1   # pl: 0 = no simulation
         if args.trials < min_trials:
             raise ValueError(f"trials must be >= {min_trials}")
-        return args.fn(args)
+        payload, seed, code = args.fn(args, parse_config(args.config))
+        manifest = _manifest(args.config, args.subcommand, seed)
+        if isinstance(payload, dict):
+            lines = [json.dumps({**payload, "manifest": manifest}, sort_keys=True)]
+        else:
+            lines = [f"# fdrs {key}={value}" for key, value in manifest.items()] + payload
+        text = "\n".join(lines) + "\n"
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:   # e.g. a relay_count sweep too long to list
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

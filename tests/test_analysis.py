@@ -364,6 +364,26 @@ class TestSharedDrawDrivers:
         rows = analysis.run_sweep(spec, fig2b_cfg).rows
         assert list(rows) == self.per_cell_rows(spec, fig2b_cfg)
 
+    def test_one_cell_per_full_duplex_point(self, fig2b_cfg, monkeypatch):
+        # a full-duplex threshold ignores the equal-delivered-rate rule, so
+        # only the half-duplex baselines need a second cell per point
+        cells = []
+        counts = montecarlo.outage_counts
+
+        def counting(batch, *args, **kwargs):
+            cells.extend(batch)
+            return counts(batch, *args, **kwargs)
+        monkeypatch.setattr(montecarlo, "outage_counts", counting)
+        spec = analysis.SweepSpec(axis="rate_bpcu", start=0.5, stop=8, steps=16,
+                                  protocols=(Protocol.IDL, Protocol.IDL_DT, Protocol.SDF,
+                                             Protocol.HD_MRC, Protocol.HD_SDF),
+                                  method="both", trials=2000, seed=1)
+        rows = analysis.run_sweep(spec, fig2b_cfg).rows
+        assert len(cells) == 16 * (3 + 2 * 2)
+        monkeypatch.setattr(montecarlo, "outage_counts", counts)
+        mc_rows = [r for r in rows if r.method == "mc"]
+        assert mc_rows == self.per_cell_rows(spec, fig2b_cfg)
+
     def test_validate_report_matches_per_cell_calls(self, fig2b_cfg):
         rows = analysis.validate_report(fig2b_cfg, FD, 2.0, 20_000, seed=7, workers=2)
         for r in rows:

@@ -307,14 +307,38 @@ class TestDirectLinkCdfs:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("x", [3.0, 15.0])
     def test_oracle_raises_when_unresolved(self, fig2a_cfg, x):
-        # a 50 dB mean direct-link SNR: quad cannot resolve the (0, inf)
-        # integral and, unchecked, returned 1.0 at x = 3 and 1.2e-5 at
-        # x = 15 where the closed form gives 0.9511 and 0.9984
+        # a 50 dB mean direct-link SNR: integrated in units of that mean, the
+        # oracle resolves the (0, inf) integral to the closed form's 0.951139
+        # at x = 3 and 0.998385 at x = 15
         cfg = dataclasses.replace(fig2a_cfg, sd=LinkSpec(2, dB(20.0)),
                                   p_s=dB(30.0), p_r=dB(30.0))
-        assert an.cdf_conditional(x, cfg, Protocol.IDL, 3) > 0.95
-        with pytest.raises(ArithmeticError):
-            an.cdf_idl_quad(x, cfg, 3)
+        assert abs(an.cdf_conditional(x, cfg, Protocol.IDL, 3)
+                   - an.cdf_idl_quad(x, cfg, 3)) <= 1e-8
+        # an integral quad still cannot resolve raises rather than answer:
+        # it estimates -1.05 +- 0.2 where the value is pi/2 - Si(1) = 0.6247
+        with pytest.raises(ArithmeticError, match="error estimate"):
+            an._quad(lambda t: math.sin(1.0 / t) / t, 0.0, 1.0)
+
+    @pytest.mark.parametrize("power_db", [40.0, 50.0, 60.0, 70.0])
+    def test_oracles_at_high_power(self, fig4_cfg, power_db):
+        # fig4, lambda = 1: the RSI scale and the direct-link mean grow with
+        # power, so an oracle integrating in raw gains misses the density;
+        # ndl tends to F_Z^3 = 0.3744^3 = 0.0525, the truncated forms fall as 1/P
+        cfg = dataclasses.replace(fig4_cfg, p_s=dB(power_db), p_r=dB(power_db))
+        ratio = an.first_hop_ratio_params(cfg)
+        assert an.cdf_ratio_gamma_quad(3.0, ratio) == pytest.approx(
+            an.cdf_ratio_gamma(3.0, ratio), rel=1e-10)
+        assert an.cdf_ratio_gamma_quad(3.0, ratio) == pytest.approx(0.3744, abs=2e-4)
+        limits = {Protocol.NDL: 0.0525, Protocol.IDL: 0.1613,
+                  Protocol.IDL_DT: 0.1575 * 10 ** (-power_db / 10),
+                  Protocol.SDF: 0.1575 * 10 ** (-power_db / 10)}
+        for proto, quad in ((Protocol.NDL, an.cdf_ndl_quad), (Protocol.IDL, an.cdf_idl_quad),
+                            (Protocol.IDL_DT, an.cdf_idl_dt_quad),
+                            (Protocol.SDF, an.cdf_sdf_quad)):
+            value = quad(3.0, cfg, 3)
+            assert value == pytest.approx(an.cdf_conditional(3.0, cfg, proto, 3),
+                                          rel=1e-8), proto
+            assert value == pytest.approx(limits[proto], rel=2e-3), proto
 
     def test_sdf_tends_to_one(self, fig2a_cfg):
         assert an.cdf_conditional(1e6, fig2a_cfg, Protocol.SDF, 3) >= 1 - 1e-6
@@ -410,6 +434,17 @@ class TestFeasibility:
         fq = an.feasibility_dist_quad(fig2b_cfg)
         assert max(abs(a - b) for a, b in zip(f.p, fq.p)) <= 1e-9
         assert abs(f.p_tilde0 - fq.p_tilde0) <= 1e-9
+
+    @pytest.mark.parametrize("power_db", [-60.0, -20.0, 20.0, 60.0])
+    def test_quadrature_agreement_across_power(self, fig2b_cfg, power_db):
+        # at -60 dB the source interference's density sits within 1e-6 of 0
+        # on an interval that reaches out to the cap
+        for i_th_db in (3.0, 40.0):
+            cfg = dataclasses.replace(fig2b_cfg, p_s=dB(power_db), p_r=dB(power_db),
+                                      i_th=dB(i_th_db))
+            f, fq = an.feasibility_dist(cfg), an.feasibility_dist_quad(cfg)
+            assert max(abs(a - b) for a, b in zip(f.p, fq.p)) <= 1e-9, i_th_db
+            assert abs(f.p_tilde0 - fq.p_tilde0) <= 1e-9, i_th_db
 
     def test_vacuous_constraint(self, fig2b_cfg):
         f = an.feasibility_dist(dataclasses.replace(fig2b_cfg, i_th=1e9))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fdrs import analytic
+from fdrs import analytic, cli
 from fdrs.channel import ConfigError
 from fdrs.cli import main, parse_config
 from fdrs.specfun import NonConvergenceError
@@ -417,6 +417,85 @@ class TestValidateCommand:
         # pl reads --trials 0 as "no simulation"
         assert main(["pl", "--config", cfg, "--trials", "0"]) == 0
         assert main(["pl", "--config", cfg, "--trials", "-1"]) == 2
+
+
+# one run of every subcommand and method; True where the run simulates
+EVERY_OUTPUT = [
+    *((["outage", "--protocol", "sdf", "--rate", "2", "--cognitive", "--method", method,
+        "--trials", "2000"], method != "analytic") for method in ("analytic", "mc", "both")),
+    *((["sweep", "--axis", "rate_bpcu", "--from", "1", "--to", "2", "--steps", "2",
+        "--protocols", "ndl,sdf", "--method", method, "--trials", "2000"],
+       method != "analytic") for method in ("analytic", "both")),
+    (["pl"], False),
+    (["pl", "--trials", "2000"], True),
+    *((["diversity", "--protocol", "ndl", "--pmin-db", "0", "--pmax-db", "10",
+        "--points", "4", "--method", method, "--trials", "2000"], method == "mc")
+      for method in ("analytic", "mc")),
+    (["validate", "--rate", "2", "--protocols", "ndl,sdf", "--trials", "2000"], True),
+]
+
+
+def run_cli(argv, capsys):
+    """Exit code and stdout of one run on fig2b with seed 7."""
+    code = main([argv[0], "--config", str(CONFIG_DIR / "fig2b.cfg"), *argv[1:],
+                 "--seed", "7"])
+    return code, capsys.readouterr().out
+
+
+def manifest_of(text: str) -> dict:
+    """The run manifest of a JSON record or of a CSV table's comment lines."""
+    if text.startswith("{"):
+        return json.loads(text)["manifest"]
+    pairs = [ln[len("# fdrs "):].split("=", 1) for ln in text.splitlines()
+             if ln.startswith("# fdrs ")]
+    return {key: value for key, value in pairs}
+
+
+@pytest.mark.parametrize("argv,simulates", EVERY_OUTPUT)
+def test_manifest_records_seed_iff_run_simulates(argv, simulates, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    manifest = manifest_of(out)
+    assert list(manifest) == (["config_sha256", "seed", "subcommand", "timestamp",
+                               "tool_version"] if out.startswith("{") else
+                              ["subcommand", "config_sha256", "tool_version", "seed",
+                               "timestamp"])
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["seed"] in ((7, "7") if simulates else (None, "None"))
+
+
+@pytest.mark.parametrize("argv,simulates", EVERY_OUTPUT)
+def test_output_file_holds_the_stdout_bytes(argv, simulates, capsys, tmp_path, monkeypatch):
+    class FrozenClock(cli.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return cli.datetime(2020, 1, 1, tzinfo=tz)
+    monkeypatch.setattr(cli, "datetime", FrozenClock)
+    code, out = run_cli(argv, capsys)
+    path = tmp_path / "out.txt"
+    assert run_cli([*argv, "--output", str(path)], capsys) == (code, "")
+    assert path.read_bytes() == out.encode()
+
+
+# an address-space limit set in the child alone, then one sweep whose
+# relay counts do not fit in it
+OUT_OF_MEMORY_RUN = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, 400 * 2 ** 20))
+from fdrs.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sweep_too_long_for_memory_exit_code():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_RUN, "sweep", "--config",
+         str(CONFIG_DIR / "fig2a.cfg"), "--axis", "relay_count", "--from", "1",
+         "--to", "1e9", "--protocols", "ndl"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 # one fresh interpreter runs the closed forms and the simulator through the
