@@ -9,29 +9,20 @@ self-interference, both Gamma distributed.  The second hop is Gamma,
 conditioned on the direct-link SNR where one exists.
 
 Every direct-link CDF is one alternating binomial sum over positive
-blocks,
-    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k,
-    I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db,
-where s is the first-hop tail P(Z > x), and the feasibility
-distribution is an alternating sum of blocks of the same form.  For
-integer m the identity
-    Q(m, y)^k = e^(-k y) (sum_{j<m} y^j/j!)^k
-              = e^(-k y) sum_d c_{k,m}(d) y^d
-collapses the multinomial expansion to one term per degree d, with
-positive coefficients c_{k,m}(d) (specfun.ln_truncated_exp_power).
-Each degree leaves a one-dimensional inner integral over one table of
-incomplete-Gamma moments per block: a positive binomial sum up to inf
-(idl) or x (idl_dt) for the shifted argument x (b + 1); for the
-convolved argument x - b (sdf, feasibility) a positive Kummer series,
+blocks, F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with s = P(Z > x) and
+I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db, and the feasibility
+distribution is an alternating sum of such blocks.  For integer m,
+Q(m, y) = e^(-y) sum_{j<m} y^j/j!.  At the shifted argument x (b + 1)
+(idl, idl_dt) that sum is a positive polynomial in b, and block k sums
+its k-th power, one convolution from the (k-1)-th, against one table of
+incomplete-Gamma moments.  At the convolved argument x - b (sdf,
+feasibility) the power expands by degree over a positive Kummer series,
 replaced only beyond |w| = 30 (w the decay rate times x) by an
 alternating binomial sum whose condition number, times each term's
-error, stays within specfun.REL_TOL.  The protocols differ only in that
-inner integral and its upper limit.  The blocks I_k do not depend on L,
-so one block vector serves every relay count of the cognitive mixture.
-Those of the conditional CDFs do not depend on the cap either, so inside
-a shared_blocks() scope (one per analysis driver call) the points of a
-relay-count or cap sweep draw on one vector per block argument, each
-block is evaluated once, and so is each point's feasibility distribution.
+error, stays within specfun.REL_TOL.  Blocks do not depend on L, nor
+those of the conditional CDFs on the cap, so in a shared_blocks() scope
+(one per analysis driver call) a relay-count or cap sweep evaluates each
+block, F(x | L) list and feasibility distribution once.
 
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
@@ -234,15 +225,21 @@ def _ln_moments(count: int, shape: float, rate: float, upper: float) -> list[flo
     return [math.lgamma(r + shape) - (r + shape) * ln_rate + ln_p[r] for r in range(count)]
 
 
-def _ln_trunc_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
-    """ln of integral_0^upper (t+1)^d t^(shape-1) e^(-rate t) dt for
-    d = 0..count-1, rate > 0 and upper <= inf.
+def _ln_fsum(lns) -> float:
+    """ln sum_i e^(lns[i]), the terms scaled by the largest."""
+    peak = max(lns)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in lns))
 
-    Expanding (t+1)^d binomially leaves a positive sum over the moments
-    of _ln_moments, which every degree shares.
-    """
-    moments = _ln_moments(count, shape, rate, upper)
-    return [sf.ln_binomial_sum(moments, d, alternating=False)[0] for d in range(count)]
+
+def _ln_poly_times(ln_a: list[float], ln_b: list[float]) -> list[float]:
+    """ln coefficients of the product of two positive polynomials, given by theirs."""
+    return [_ln_fsum([ln_a[d - i] + v for i, v in enumerate(ln_b) if 0 <= d - i < len(ln_a)])
+            for d in range(len(ln_a) + len(ln_b) - 1)]
+
+
+def _ln_shifted_terms(ln_poly: list[float], shape: float, rate: float, upper: float) -> list[float]:
+    """ln E_i M_i: the coefficients ln_poly times the _ln_moments of (shape, rate)."""
+    return [e + mo for e, mo in zip(ln_poly, _ln_moments(len(ln_poly), shape, rate, upper))]
 
 
 _KUMMER_BRANCH_CAP = 30.0
@@ -302,13 +299,12 @@ _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def shared_blocks():
-    """Scope in which each block and each feasibility distribution is computed once.
+    """Scope that computes each block, F(x | L) list and feasibility_dist once.
 
-    Block k does not depend on _ln_blocks' count, so inside the scope
-    one vector is kept per tuple of its other arguments, and a call
-    computes only the entries its count adds: the points of a relay-count
-    or cap sweep share the blocks, and a point's protocols and rates its
-    feasibility_dist, bit-identical to unshared calls, until the scope exits.
+    Block k does not depend on _ln_blocks' count, nor F(x | L) on
+    _conditional_cdfs' relays, so one list is kept per tuple of the
+    other arguments and a call computes only the entries its count
+    adds, bit-identical to unshared calls, until the scope exits.
     """
     token = _SHARED_BLOCKS.set({})
     try:
@@ -317,42 +313,44 @@ def shared_blocks():
         _SHARED_BLOCKS.reset(token)
 
 
+def _kept(key: tuple, make):
+    """make(), kept per key inside a shared_blocks() scope; outside, made per call."""
+    memo = _SHARED_BLOCKS.get()
+    if memo is not None and key not in memo:
+        memo[key] = make()
+    return make() if memo is None else memo[key]
+
+
 def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
                theta0: float, convolved: bool, upper: float) -> list[float]:
     """ln I_k for k = 0..count, I_k = integral_0^upper Q(m, y(b)/theta)^k f(b) db.
 
-    f is the Gamma(shape, theta0) density and m an integer.  The hop
-    argument is y(b) = x (b + 1) (shifted, upper <= inf) or x - b
-    (convolved, upper = x).
-
-    Degree form: for integer m, Q(m, y)^k = e^(-k y) sum_d c_{k,m}(d) y^d
-    (sf.ln_truncated_exp_power).  Pulling e^(-k x/theta) out leaves
-    I_k = e^(-k x/theta) sum_d c_{k,m}(d) w^d J_d(rate_k) / (Gamma(shape)
-    theta0^shape), with w = x/theta and rate_k = 1/theta0 + k x/theta
-    when shifted, w = 1/theta and rate_k = 1/theta0 - k/theta when
-    convolved; _ln_trunc_integrals (shifted) or _ln_conv_integrals
-    (convolved) lists ln J_d for every degree, so work shared across
-    degrees is done once per block.  All terms are positive.  No block
-    depends on the relay count L, so one vector serves every
-    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with L <= count; inside
-    shared_blocks() a call extends the vector that an earlier call with
-    the same other arguments built.
+    f is the Gamma(shape, theta0) density, m an integer, and y(b) =
+    x (b + 1) (shifted, upper <= inf) or x - b (convolved, upper = x).
+    As Q(m, y) = e^(-y) P(y), P(y) = sum_{j<m} y^j/j!, I_k is
+    e^(-k x/theta) / (Gamma(shape) theta0^shape) times a positive sum.
+    Shifted: P(w (b + 1)) = sum_i p_i b^i, w = x/theta, p_i = (w^i/i!) sum_{l<m-i} w^l/l!;
+    the terms are E_{k,i} M_i, E_k (the k-th power's coefficients) being
+    E_(k-1) convolved with p and M_i the _ln_moments at rate 1/theta0 + k w.
+    Convolved: P(y)^k = sum_d c_{k,m}(d) y^d; the terms are c_{k,m}(d) theta^-d
+    J_d (_ln_conv_integrals) at rate 1/theta0 - k/theta.  In a shared_blocks()
+    scope a call extends the vector, and the last E_k, kept there.
     """
-    memo = _SHARED_BLOCKS.get()
-    key = (m, theta, x, shape, theta0, convolved, upper)
-    blocks = [] if memo is None else memo.setdefault(key, [])
-    if len(blocks) <= count:
-        ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
-        ln_weight = -math.log(theta) if convolved else math.log(x / theta)
-        ln_inner = _ln_conv_integrals if convolved else _ln_trunc_integrals
-        for k in range(len(blocks), count + 1):
-            rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
+    blocks, last = _kept((m, theta, x, shape, theta0, convolved, upper), lambda: ([], [[0.0]]))
+    ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
+    ln_weight = -math.log(theta)
+    ln_pow = [j * math.log(x / theta) - math.lgamma(j + 1.0) for j in range(m)]   # w^j/j!
+    ln_p = [ln_pow[i] + _ln_fsum(ln_pow[:m - i]) for i in range(m)]
+    for k in range(len(blocks), count + 1):
+        rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
+        if convolved:
             coeffs = sf.ln_truncated_exp_power(k, m)
-            inner = ln_inner(len(coeffs), shape, rate, upper)
+            inner = _ln_conv_integrals(len(coeffs), shape, rate, upper)
             lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
-            peak = max(lns)
-            blocks.append(-k * x / theta + ln_norm
-                          + (peak + math.log(math.fsum(math.exp(v - peak) for v in lns))))
+        else:
+            last[0] = _ln_poly_times(last[0], ln_p) if k else last[0]
+            lns = _ln_shifted_terms(last[0], shape, rate, upper)
+        blocks.append(-k * x / theta + ln_norm + _ln_fsum(lns))
     return blocks[:count + 1]
 
 
@@ -361,11 +359,8 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
 
 # whether the hop argument is convolved (x - b) or shifted (x (b + 1)),
 # and the upper limit of the direct-link SNR b in units of x
-_DIRECT_LINK_INNER = {
-    Protocol.IDL: (False, math.inf),
-    Protocol.IDL_DT: (False, 1.0),
-    Protocol.SDF: (True, 1.0),
-}
+_DIRECT_LINK_INNER = {Protocol.IDL: (False, math.inf), Protocol.IDL_DT: (False, 1.0),
+                      Protocol.SDF: (True, 1.0)}
 
 
 def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
@@ -376,8 +371,8 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     integrate (1 - s Q)^L over the direct-link SNR, s = P(Z > x), and
     the binomial expansion of the power gives the alternating sum
     F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k (sf.ln_binomial_sum,
-    clamped to [0, 1]); the positive blocks I_k come from _ln_blocks
-    and do not depend on L.
+    clamped to [0, 1]) over the blocks of _ln_blocks.  In a shared_blocks()
+    scope a call extends the list (and per_path or s) an earlier call built.
     """
     if relays < 1:
         raise ValueError("relays must be >= 1")
@@ -387,18 +382,25 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
         return [0.0] * (relays + 1)
     p1 = first_hop_ratio_params(cfg)
     th_rd = cfg.p_r * cfg.rd.theta
-    if protocol is Protocol.NDL:
+    ndl = protocol is Protocol.NDL
+    link = () if ndl else (cfg.sd.m, cfg.p_s * cfg.sd.theta)
+
+    def first_hop():   # NDL's per_path, or s
+        if not ndl:
+            return [], ratio_ccdf(x, p1)
         fz = cdf_ratio_gamma(x, p1)
-        per_path = fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd)
-        return [per_path ** n for n in range(relays + 1)]
-    fzbar = ratio_ccdf(x, p1)
-    convolved, upper = _DIRECT_LINK_INNER[protocol]
-    count = relays if fzbar > 0.0 else 0   # s = 0 leaves only the k = 0 block
-    ln_s = math.log(fzbar) if count else 0.0
-    ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x,
-                      cfg.sd.m, cfg.p_s * cfg.sd.theta, convolved, upper * x)
-    return [_probability(sf.ln_binomial_sum(ln_i, min(n, count), ln_ratio=ln_s)[0])
-            for n in range(relays + 1)]
+        return [], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd)
+    cdfs, s = _kept(("cdfs", protocol, x, p1, cfg.rd.m, th_rd) + link, first_hop)
+    if ndl:
+        cdfs.extend(s ** n for n in range(len(cdfs), relays + 1))
+    elif len(cdfs) <= relays:
+        convolved, upper = _DIRECT_LINK_INNER[protocol]
+        count = relays if s > 0.0 else 0   # s = 0 leaves only the k = 0 block
+        ln_s = math.log(s) if count else 0.0
+        ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
+        cdfs.extend(_probability(sf.ln_binomial_sum(ln_i, min(n, count), ln_ratio=ln_s)[0])
+                    for n in range(len(cdfs), relays + 1))
+    return cdfs[:relays + 1]
 
 
 def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
@@ -411,8 +413,7 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     as idl, but direct transmission is a fallback decoding branch, so the
     integration stops at x.  sdf: selective cooperation; the second hop is
     MRC-combined with the direct signal, so the inner integral carries the
-    convolution kernel (x - beta)^deg at a decay of either sign
-    (_ln_conv_integrals).
+    kernel (x - beta)^deg at a decay of either sign (_ln_conv_integrals).
     """
     validate_config(cfg, protocol, "analytic")
     return _conditional_cdfs(x, cfg, protocol, relays)[relays]
@@ -490,11 +491,7 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     args = _feasibility_args(cfg)
     if not cfg.rp.integer_m:
         raise ConfigError([f"feasibility closed form requires integer m_rp (got {cfg.rp.m})"])
-    memo = _SHARED_BLOCKS.get()
-    kept = [] if memo is None else memo.setdefault(("feasibility",) + args, [])
-    if not kept:
-        kept.append(_feasibility(*args))
-    return kept[0]
+    return _kept(("feasibility",) + args, lambda: _feasibility(*args))
 
 
 def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: float,
@@ -514,7 +511,8 @@ def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: fl
 
 def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:
     """Quadrature oracle for feasibility_dist; no integrality limits.
-    Integrates over t = beta/(P_S theta_sp), beta the source's interference."""
+    Integrates over t = beta/(P_S theta_sp), beta the source's interference;
+    a relay's chance to violate the cap is Q, never 1 - P."""
     k_total, m_sp, th_sp, m_rp, th_rp, cap = _feasibility_args(cfg)
     lower, upper = _scipy_gamma_cdfs()
     t_cap = cap / th_sp
@@ -522,9 +520,9 @@ def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:
 
     def p_exactly(feasible):
         def integrand(t):
-            f = lower(m_rp, (cap - th_sp * t) / th_rp)
-            return (math.comb(k_total, feasible) * f ** feasible
-                    * (1.0 - f) ** (k_total - feasible)
+            y = (cap - th_sp * t) / th_rp
+            return (math.comb(k_total, feasible) * lower(m_rp, y) ** feasible
+                    * upper(m_rp, y) ** (k_total - feasible)
                     * _gamma_pdf(t, m_sp, 1.0))
         return _quad(integrand, 0.0, t_cap, points)
 

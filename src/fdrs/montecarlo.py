@@ -227,8 +227,10 @@ def _count_chunk(groups, n_cells, seed, chunk_index, n):
             for point_cfg, thresholds in points:
                 sinrs = _point_sinrs(block, point_cfg, thresholds)
                 for protocol, sinr in sinrs.items():
-                    for i, gamma_th in thresholds[protocol]:
-                        hits[i] += np.count_nonzero(sinr < gamma_th)
+                    for gamma_th, cells in thresholds[protocol].items():
+                        hit = np.count_nonzero(sinr < gamma_th)
+                        for i in cells:
+                            hits[i] += hit
     return hits
 
 
@@ -267,16 +269,16 @@ def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: in
     cap applies iff point_cfg is cognitive.  Cells whose points differ
     only in p_s, p_r and i_th draw the same gains: each chunk of such a
     group is drawn once, from the (seed, chunk) key every group uses,
-    and evaluated once per distinct point_cfg for all of that point's
-    protocols and thresholds.  Counts are returned in cell order, each
-    equal to the count of a one-cell call with the same seed.
+    and evaluated once per distinct point_cfg; each distinct (protocol,
+    threshold) of a point is counted once for all its cells.  Counts come
+    in cell order, each equal to that of a one-cell call with the same seed.
     """
     _check_run(trials, seed)
     groups: list[tuple[list, list[tuple[NetworkConfig, dict]]]] = []
     for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
         validate_config(point_cfg, protocol, "mc")
         points = _entry(groups, _draw_fields(point_cfg), list)
-        _entry(points, point_cfg, dict).setdefault(protocol, []).append((i, gamma_th))
+        _entry(points, point_cfg, dict).setdefault(protocol, {}).setdefault(gamma_th, []).append(i)
     if not groups:
         return []
     counts = _run_chunks(lambda i, n: _count_chunk(groups, len(cells), seed, i, n),

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +385,30 @@ class TestSharedDrawDrivers:
         mc_rows = [r for r in rows if r.method == "mc"]
         assert mc_rows == self.per_cell_rows(spec, fig2b_cfg)
 
+    def test_one_comparison_per_distinct_threshold(self, fig2b_cfg, monkeypatch):
+        # a half-duplex baseline's equal-delivered-rate cell at rate r has
+        # the threshold of its throughput cell at rate 2r: on this sweep
+        # 16 of the 112 cells repeat another, so a block makes 96 comparisons
+        comparisons = [0]
+        sinrs = montecarlo._point_sinrs
+
+        class Counted(np.ndarray):
+            def __lt__(self, other):
+                comparisons[0] += 1
+                return np.asarray(self) < other
+
+        def counting(*args):
+            return {p: v.view(Counted) for p, v in sinrs(*args).items()}
+        monkeypatch.setattr(montecarlo, "_point_sinrs", counting)
+        spec = analysis.SweepSpec(axis="rate_bpcu", start=0.5, stop=8, steps=16,
+                                  protocols=(Protocol.IDL, Protocol.IDL_DT, Protocol.SDF,
+                                             Protocol.HD_MRC, Protocol.HD_SDF),
+                                  method="mc", trials=2000, seed=1)
+        rows = analysis.run_sweep(spec, fig2b_cfg).rows
+        assert comparisons[0] == 96
+        monkeypatch.setattr(montecarlo, "_point_sinrs", sinrs)
+        assert list(rows) == self.per_cell_rows(spec, fig2b_cfg)
+
     def test_validate_report_matches_per_cell_calls(self, fig2b_cfg):
         rows = analysis.validate_report(fig2b_cfg, FD, 2.0, 20_000, seed=7, workers=2)
         for r in rows:
@@ -422,9 +447,9 @@ class TestSharedBlocks:
 
     @staticmethod
     def counting(monkeypatch):
-        """Count _ln_blocks' block evaluations: one inner-integral list each."""
+        """Count _ln_blocks' block evaluations: one list of terms each."""
         calls = [0]
-        for name in ("_ln_trunc_integrals", "_ln_conv_integrals"):
+        for name in ("_ln_shifted_terms", "_ln_conv_integrals"):
             def inner(*args, _real=getattr(analytic, name)):
                 calls[0] += 1
                 return _real(*args)
@@ -485,3 +510,46 @@ class TestSharedBlocks:
                 raise ZeroDivisionError
         analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
         assert calls[0] == 3 * first
+
+    @staticmethod
+    def kept_lists(cfg, x, order):
+        """F(x | L) lists of every protocol for each K of `order`, taken
+        in that order inside one scope."""
+        with analytic.shared_blocks():
+            return {(proto, k): analytic._conditional_cdfs(x, cfg, proto, k)
+                    for k in order for proto in FD}
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3", "fig4"])
+    def test_lists_equal_unshared_calls_in_any_order(self, fig2a_cfg, fig3_cfg, fig4_cfg,
+                                                     name):
+        cfg = {"fig2a": fig2a_cfg, "fig3": self.relay_sweep_cfg(fig3_cfg),
+               "fig4": fig4_cfg}[name]
+        order = list(range(1, 17))
+        shuffled = order[:]
+        random.Random(17).shuffle(shuffled)
+        for x in (0.5, 3.0, 255.0):
+            expected = {(proto, k): analytic._conditional_cdfs(x, cfg, proto, k)
+                        for k in order for proto in FD}
+            for each in (order, order[::-1], shuffled):
+                assert self.kept_lists(cfg, x, each) == expected, (x, each)
+
+    def test_relay_sweep_evaluates_each_list_once(self, fig3_cfg, monkeypatch):
+        # K = 1..16 at one threshold: one first-hop tail per protocol, and
+        # one outer sum per protocol and L = 0..16
+        calls = {"ratio_ccdf": 0, "cdf_ratio_gamma": 0, "outer": 0}
+        for name in ("ratio_ccdf", "cdf_ratio_gamma"):
+            def wrapped(*args, _real=getattr(analytic, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(analytic, name, wrapped)
+        binomial_sum = analytic.sf.ln_binomial_sum
+
+        def outer(*args, **kwargs):
+            # made by _conditional_cdfs itself or by a comprehension in it
+            frames = (sys._getframe(1), sys._getframe(2))
+            calls["outer"] += any(f.f_code.co_name == "_conditional_cdfs" for f in frames)
+            return binomial_sum(*args, **kwargs)
+        monkeypatch.setattr(analytic.sf, "ln_binomial_sum", outer)
+        analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
+                           self.relay_sweep_cfg(fig3_cfg))
+        assert calls == {"ratio_ccdf": 3, "cdf_ratio_gamma": 1, "outer": 3 * 17}

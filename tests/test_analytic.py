@@ -1,6 +1,7 @@
 """Closed-form CDFs against exact special cases, quadrature oracles,
 Monte Carlo, and their structural properties."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -109,21 +110,22 @@ class TestRatioCdf:
 
 class TestTailIntegralIdentity:
     def test_matches_literal_whittaker_composition(self):
-        # the semi-infinite direct-link integral of the idl CDF,
-        # integral_0^inf (t+1)^deg t^(m-1) e^(-eta t) dt, equals
+        # the idl block I_1 = integral_0^inf Q(m_rd, w(b+1)) f_Gamma(b; m, theta0) db
+        # expands to e^(-w) sum_{j<m_rd} (w^j/j!) integral_0^inf (b+1)^j
+        # b^(m-1) e^(-eta b) db / (Gamma(m) theta0^m), eta = 1/theta0 + w, and
+        # integral_0^inf (t+1)^deg t^(m-1) e^(-eta t) dt equals
         # e^(eta/2) eta^(-(m+deg+1)/2) Gamma(m) W_{(deg-m+1)/2, -(m+deg)/2}(eta);
-        # the complete-Gamma moment route must agree with the literal W pairing
+        # the shifted-polynomial route must agree with the literal W pairing
         from fdrs import specfun as sf
-        from fdrs.analytic import _ln_trunc_integrals
-        for deg in (0, 1, 2, 3):
-            for m in (1.0, 2.0, 2.5):
-                for eta in (0.3, 1.7, 12.0):
-                    literal = (math.exp(eta / 2)
-                               * eta ** (-(m + deg + 1) / 2)
-                               * math.exp(sf.ln_gamma(m))
-                               * sf.whittaker_w((deg - m + 1) / 2, -(m + deg) / 2, eta))
-                    got = _ln_trunc_integrals(deg + 1, m, eta, math.inf)[deg]
-                    assert got == pytest.approx(math.log(literal), rel=1e-11), (deg, m, eta)
+        for m_rd, m, eta in itertools.product((2, 3, 4), (1.0, 2.0, 2.5), (0.3, 1.7, 12.0)):
+            w, theta0 = eta / 2, 2 / eta
+            literal = math.exp(-w) / theta0 ** m * math.fsum(
+                w ** j / math.factorial(j)
+                * math.exp(eta / 2) * eta ** (-(m + j + 1) / 2)
+                * sf.whittaker_w((j - m + 1) / 2, -(m + j) / 2, eta)
+                for j in range(m_rd))
+            got = an._ln_blocks(1, m_rd, 1.0 / w, 1.0, m, theta0, False, math.inf)[1]
+            assert got == pytest.approx(math.log(literal), rel=1e-11), (m_rd, m, eta)
 
 
 class TestMomentTable:
@@ -157,6 +159,81 @@ class TestMomentTable:
     def test_infinite_upper_is_complete_gamma(self):
         table = an._ln_moments(5, 2.5, 0.5, math.inf)
         assert table == [math.lgamma(r + 2.5) - (r + 2.5) * math.log(0.5) for r in range(5)]
+
+
+class TestShiftedBlocks:
+    # I_k = integral_0^U Q(m, w(b+1))^k f_Gamma(b; shape, theta0) db, the idl
+    # (U = inf) and idl_dt (U = x) blocks, against 40-digit quadrature of
+    # the integrand in log form: scaled by its peak, and split there and
+    # where it has fallen by e^-30, so that no segment hides its mass
+
+    @staticmethod
+    def ln_integrand(k, m, w, shape, theta0):
+        """The log of the integrand without its constant factor, in
+        floats; concave for shape >= 1."""
+        def g(b):
+            y = w * (b + 1.0)
+            ln_q = -y + math.log(math.fsum(y ** j / math.factorial(j) for j in range(m)))
+            return k * ln_q + (shape - 1.0) * math.log(b) - b / theta0 if b > 0 else -math.inf
+        return g
+
+    @classmethod
+    def reference(cls, k, m, theta, x, shape, theta0, upper):
+        import mpmath as mp
+        g = cls.ln_integrand(k, m, x / theta, shape, theta0)
+        end = upper if upper < math.inf else 1e6 * theta0
+        lo, hi = 0.0, end
+        for _ in range(200):   # golden-section search for the peak
+            a, c = lo + 0.382 * (hi - lo), lo + 0.618 * (hi - lo)
+            lo, hi = (a, hi) if g(a) < g(c) else (lo, c)
+        peak = 0.5 * (lo + hi)
+        top = g(peak if peak > 0 else math.ulp(0.0))
+        cuts = {0.0, peak}
+        for side in (0.0, end):
+            if g(side) < top - 30.0:
+                a, b = peak, side
+                for _ in range(100):
+                    mid = 0.5 * (a + b)
+                    a, b = (mid, b) if g(mid) >= top - 30.0 else (a, mid)
+                cuts.add(a)
+        with mp.workdps(40):
+            inv_fact = [1 / mp.factorial(j) for j in range(m)][::-1]
+            w, rate = mp.mpf(x) / theta, 1 / mp.mpf(theta0)
+            shift = -mp.loggamma(shape) - shape * mp.log(theta0) - top
+
+            def f(b):
+                y = w * (b + 1)
+                poly = mp.mpf(0)
+                for c in inv_fact:
+                    poly = poly * y + c
+                e = -k * y - b * rate + shift
+                if shape != 1:
+                    e += (shape - 1) * mp.log(b)
+                return poly ** k * mp.exp(e)
+            points = [mp.mpf(c) for c in sorted(cuts) if c < end]
+            return float(top + mp.log(mp.quad(f, points + [mp.mpf(upper)])))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_against_mpmath_quadrature(self, m):
+        x, theta0 = 3.0, 3.16
+        shape = (1.0, 2.5)[m % 2]
+        checked = 0
+        for theta in (0.05, 1.0, 1e4):
+            for upper in (math.inf, x):
+                got = an._ln_blocks(64, m, theta, x, shape, theta0, False, upper)
+                for k in (1, 6, 64):
+                    if got[k] < math.log(1e-300):
+                        continue
+                    ref = self.reference(k, m, theta, x, shape, theta0, upper)
+                    assert abs(got[k] - ref) <= 1e-13 * max(1.0, abs(ref)), (theta, upper, k)
+                    checked += 1
+        assert checked >= 14
+
+    def test_blocks_do_not_depend_on_count(self):
+        # block k is the same whether a call stops at k or goes further
+        full = an._ln_blocks(40, 4, 0.7, 3.0, 2.0, 3.16, False, 3.0)
+        assert [an._ln_blocks(k, 4, 0.7, 3.0, 2.0, 3.16, False, 3.0)[k]
+                for k in range(41)] == full
 
 
 class TestConvolvedIntegral:
@@ -445,6 +522,15 @@ class TestFeasibility:
             f, fq = an.feasibility_dist(cfg), an.feasibility_dist_quad(cfg)
             assert max(abs(a - b) for a, b in zip(f.p, fq.p)) <= 1e-9, i_th_db
             assert abs(f.p_tilde0 - fq.p_tilde0) <= 1e-9, i_th_db
+
+    def test_oracle_keeps_tiny_probabilities(self, fig2b_cfg):
+        # at -20 dB two relays meet the cap only with odds 2.15e-68, far
+        # below the rounding of 1 - P(violation); the oracle takes the
+        # relays' violation odds from Q, so it keeps those digits
+        cfg = dataclasses.replace(fig2b_cfg, p_s=dB(-20.0), p_r=dB(-20.0))
+        f, fq = an.feasibility_dist(cfg), an.feasibility_dist_quad(cfg)
+        assert f.p[2] == pytest.approx(2.1523e-68, rel=1e-4, abs=0.0)
+        assert fq.p[2] == pytest.approx(f.p[2], rel=1e-8, abs=0.0)
 
     def test_vacuous_constraint(self, fig2b_cfg):
         f = an.feasibility_dist(dataclasses.replace(fig2b_cfg, i_th=1e9))
