@@ -12,12 +12,12 @@ Every direct-link CDF is one alternating binomial sum over positive
 blocks, F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with s = P(Z > x) and
 I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db, and the feasibility
 distribution is an alternating sum of such blocks.  For integer m,
-Q(m, y) = e^(-y) sum_{j<m} y^j/j!.  At the shifted argument x (b + 1)
-(idl, idl_dt) that sum is a positive polynomial in b, and block k sums
-its k-th power, one convolution from the (k-1)-th, against one table of
-incomplete-Gamma moments.  At the convolved argument x - b (sdf,
-feasibility) the power expands by degree over a positive Kummer series,
-replaced only beyond |w| = 30 (w the decay rate times x) by an
+Q(m, y) = e^(-y) sum_{j<m} y^j/j!, a positive polynomial in b at the
+shifted argument x (b + 1) (idl, idl_dt) and in x - b at the convolved
+argument x - b (sdf, feasibility).  Block k sums the polynomial's k-th
+power, one convolution from the (k-1)-th, against one inner table:
+incomplete-Gamma moments when shifted; when convolved, positive Kummer
+series, replaced only beyond |w| = 30 (w the decay rate times x) by an
 alternating binomial sum whose condition number, times each term's
 error, stays within specfun.REL_TOL.  Blocks do not depend on L, nor
 those of the conditional CDFs on the cap, so in a shared_blocks() scope
@@ -237,11 +237,6 @@ def _ln_poly_times(ln_a: list[float], ln_b: list[float]) -> list[float]:
             for d in range(len(ln_a) + len(ln_b) - 1)]
 
 
-def _ln_shifted_terms(ln_poly: list[float], shape: float, rate: float, upper: float) -> list[float]:
-    """ln E_i M_i: the coefficients ln_poly times the _ln_moments of (shape, rate)."""
-    return [e + mo for e, mo in zip(ln_poly, _ln_moments(len(ln_poly), shape, rate, upper))]
-
-
 _KUMMER_BRANCH_CAP = 30.0
 _ULP = math.ulp(1.0)
 
@@ -327,29 +322,32 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
 
     f is the Gamma(shape, theta0) density, m an integer, and y(b) =
     x (b + 1) (shifted, upper <= inf) or x - b (convolved, upper = x).
-    As Q(m, y) = e^(-y) P(y), P(y) = sum_{j<m} y^j/j!, I_k is
-    e^(-k x/theta) / (Gamma(shape) theta0^shape) times a positive sum.
-    Shifted: P(w (b + 1)) = sum_i p_i b^i, w = x/theta, p_i = (w^i/i!) sum_{l<m-i} w^l/l!;
-    the terms are E_{k,i} M_i, E_k (the k-th power's coefficients) being
-    E_(k-1) convolved with p and M_i the _ln_moments at rate 1/theta0 + k w.
-    Convolved: P(y)^k = sum_d c_{k,m}(d) y^d; the terms are c_{k,m}(d) theta^-d
-    J_d (_ln_conv_integrals) at rate 1/theta0 - k/theta.  In a shared_blocks()
-    scope a call extends the vector, and the last E_k, kept there.
+    As Q(m, y) = e^(-y) P(y), P(y) = sum_{j<m} y^j/j!, P(y(b)/theta)^k is
+    a positive polynomial whose coefficients E_k are E_(k-1) convolved
+    with the base p (_ln_poly_times), and I_k is e^(-k x/theta) /
+    (Gamma(shape) theta0^shape) times sum_i E_{k,i} T_i.  Shifted: powers
+    of b, p_i = (w^i/i!) sum_{l<m-i} w^l/l! with w = x/theta, and T the
+    _ln_moments at rate 1/theta0 + k w.  Convolved: powers of x - b,
+    p_j = theta^-j/j!, and T the _ln_conv_integrals at rate
+    1/theta0 - k/theta.  In a shared_blocks() scope a call extends the
+    blocks, and the chain E_k, which idl and idl_dt share, kept there.
     """
-    blocks, last = _kept((m, theta, x, shape, theta0, convolved, upper), lambda: ([], [[0.0]]))
+    blocks = _kept((m, theta, x, shape, theta0, convolved, upper), list)
+    chain = _kept(("chain", m, theta, x, convolved), lambda: [[0.0]])
     ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
-    ln_weight = -math.log(theta)
-    ln_pow = [j * math.log(x / theta) - math.lgamma(j + 1.0) for j in range(m)]   # w^j/j!
-    ln_p = [ln_pow[i] + _ln_fsum(ln_pow[:m - i]) for i in range(m)]
+    if convolved:
+        ln_p = [-j * math.log(theta) - math.lgamma(j + 1.0) for j in range(m)]
+        inner = _ln_conv_integrals
+    else:
+        ln_pow = [j * math.log(x / theta) - math.lgamma(j + 1.0) for j in range(m)]   # w^j/j!
+        ln_p = [ln_pow[i] + _ln_fsum(ln_pow[:m - i]) for i in range(m)]
+        inner = _ln_moments
     for k in range(len(blocks), count + 1):
+        if k == len(chain):
+            chain.append(_ln_poly_times(chain[-1], ln_p))
         rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
-        if convolved:
-            coeffs = sf.ln_truncated_exp_power(k, m)
-            inner = _ln_conv_integrals(len(coeffs), shape, rate, upper)
-            lns = [c + d * ln_weight + j for d, (c, j) in enumerate(zip(coeffs, inner))]
-        else:
-            last[0] = _ln_poly_times(last[0], ln_p) if k else last[0]
-            lns = _ln_shifted_terms(last[0], shape, rate, upper)
+        table = inner(len(chain[k]), shape, rate, upper)
+        lns = [e + t for e, t in zip(chain[k], table)]
         blocks.append(-k * x / theta + ln_norm + _ln_fsum(lns))
     return blocks[:count + 1]
 

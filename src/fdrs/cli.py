@@ -211,9 +211,13 @@ def cmd_diversity(args, cfg: NetworkConfig):
 
 
 def cmd_validate(args, cfg: NetworkConfig):
-    protos = [p for p in FD_PROTOCOLS if not config_violations(cfg, p, "analytic")]
     if args.protocols:
         protos = _protocol_list(args.protocols)
+    else:
+        why = [config_violations(cfg, p, "analytic") for p in FD_PROTOCOLS]
+        protos = [p for p, errs in zip(FD_PROTOCOLS, why) if not errs]
+        if not protos:   # no closed form to validate against
+            raise ConfigError(list(dict.fromkeys(e for errs in why for e in errs)))
     rows = analysis.validate_report(cfg, protos, args.rate, args.trials,
                                     args.seed, args.workers)
     lines = ["protocol,p_analytic,p_mc,stderr,z,status"]

@@ -31,16 +31,13 @@ such evaluation and the recurrence DLMF 8.8.5.
 The confluent hypergeometric family (Kummer M, Tricomi U, Whittaker W)
 is evaluated through series and finite polynomial forms rather than a
 general-purpose implementation; the supported region is documented per
-function.  The coefficient table of a truncated-exponential power, into
-which the closed forms expand integer-shape Gamma tails, is computed
-exactly.  ln_binomial_sum is the one binomial-sum kernel: every closed
+function.  ln_binomial_sum is the one binomial-sum kernel: every closed
 form that expands a power binomially sums through it and gets the sum's
 condition number with it.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 __all__ = [
     "NonConvergenceError",
@@ -54,7 +51,6 @@ __all__ = [
     "ln_kummer_m",
     "tricomi_u",
     "whittaker_w",
-    "ln_truncated_exp_power",
 ]
 
 
@@ -223,15 +219,14 @@ def ln_comb(n: int, k: int) -> float:
     return f[n] - f[k] - f[n - k]
 
 
-def ln_binomial_sum(ln_seq, top: int, first: int = 0, ln_ratio: float = 0.0,
-                    alternating: bool = True) -> tuple[float | None, float]:
-    """(ln S, kappa) for S = sum_{j<=top} (-1)^j C(top, j) e^(j ln_ratio + ln_seq[first+j]),
-    without the signs (-1)^j when alternating is False.
+def ln_binomial_sum(ln_seq, top: int, first: int = 0,
+                    ln_ratio: float = 0.0) -> tuple[float | None, float]:
+    """(ln S, kappa) for S = sum_{j<=top} (-1)^j C(top, j) e^(j ln_ratio + ln_seq[first+j]).
 
     Terms are scaled by the largest and added with math.fsum.  kappa =
     sum|t| / S is the condition number: a relative error e in every term
     moves S by at most e kappa, and the scaling adds about ulp(1) kappa.
-    Positive sums skip that pass (kappa = 1).  S <= 0 gives (None, inf).
+    S <= 0 gives (None, inf).
     """
     f = _ln_factorials(top)
     lns = [f[top] - f[j] - f[top - j] + j * ln_ratio + ln_seq[first + j]
@@ -240,8 +235,6 @@ def ln_binomial_sum(ln_seq, top: int, first: int = 0, ln_ratio: float = 0.0,
     if peak == -math.inf:
         return None, math.inf
     mags = [math.exp(v - peak) for v in lns]
-    if not alternating:
-        return peak + math.log(math.fsum(mags)), 1.0
     total = math.fsum(-t if j % 2 else t for j, t in enumerate(mags))
     if not total > 0.0:
         return None, math.inf
@@ -405,35 +398,3 @@ def whittaker_w(a: float, b: float, z: float) -> float:
     # e^scale underflows to 0 for very large z; U stays finite there, so
     # the product degrades gracefully instead of producing NaN.
     return math.exp(scale) * u if scale > -745 else 0.0
-
-
-@lru_cache(maxsize=None)
-def _truncated_exp_power_ints(k: int, m: int) -> tuple[int, ...]:
-    """Coefficients of ((m-1)! sum_{j<m} t^j/j!)^k, which are integers."""
-    if k == 0:
-        return (1,)
-    prev = _truncated_exp_power_ints(k - 1, m)
-    base = [math.factorial(m - 1) // math.factorial(j) for j in range(m)]
-    out = [0] * (len(prev) + m - 1)
-    for i, c in enumerate(prev):
-        for j, b in enumerate(base):
-            out[i + j] += c * b
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def ln_truncated_exp_power(k: int, m: int) -> tuple[float, ...]:
-    """ln c_{k,m}(d) = ln [t^d] (sum_{j<m} t^j/j!)^k for d = 0..k(m-1).
-
-    The multinomial expansion of the power has one term per composition
-    (k_0..k_{m-1}) of k, weighted k!/prod_j (k_j! j!^k_j) and of degree
-    d = sum_j j k_j; c_{k,m}(d) is the sum of the weights of degree d.
-    Every coefficient is positive, and scaled by (m-1)!^k they are
-    integers, computed exactly here, so each entry is rounded once.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    shift = k * math.lgamma(m)
-    return tuple(math.log(c) - shift for c in _truncated_exp_power_ints(k, m))

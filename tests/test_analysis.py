@@ -446,12 +446,14 @@ class TestSharedBlocks:
                                    rp=dataclasses.replace(fig3_cfg.rp, m=2.0))
 
     @staticmethod
-    def counting(monkeypatch):
-        """Count _ln_blocks' block evaluations: one list of terms each."""
+    def counting(monkeypatch, names=("_ln_moments", "_ln_conv_integrals")):
+        """Count the calls _ln_blocks itself makes to `names`; by default
+        its block evaluations, one inner table each (not the moment
+        tables that _ln_conv_integrals takes)."""
         calls = [0]
-        for name in ("_ln_shifted_terms", "_ln_conv_integrals"):
+        for name in names:
             def inner(*args, _real=getattr(analytic, name)):
-                calls[0] += 1
+                calls[0] += sys._getframe(1).f_code.co_name == "_ln_blocks"
                 return _real(*args)
             monkeypatch.setattr(analytic, name, inner)
         return calls
@@ -481,6 +483,15 @@ class TestSharedBlocks:
             calls[0] = 0
             analysis.run_sweep(spec, cfg)
             assert calls[0] == blocks
+
+    def test_one_power_step_per_chain_and_count(self, sweeps, monkeypatch):
+        # the relay sweep grows three chains E_1..E_16 by one convolution
+        # each: idl and idl_dt share theirs, sdf and the feasibility cap
+        # have their own
+        spec, cfg = sweeps["relay"]
+        calls = self.counting(monkeypatch, ("_ln_poly_times",))
+        analysis.run_sweep(spec, cfg)
+        assert calls[0] == 3 * 16
 
     def test_no_sharing_outside_a_sweep(self, fig3_cfg, monkeypatch):
         cfg = dataclasses.replace(self.relay_sweep_cfg(fig3_cfg), k=16)

@@ -271,19 +271,23 @@ class TestConvolvedIntegral:
         assert worst <= 5e-12
 
     def test_block_against_mpmath_quadrature(self):
-        # K = 12, m = 6, shape 6: every block has rho U between 48 and 120,
-        # where the binomial sums of the high degrees cancel
+        # m = 6 and shape 6 up to k = 12: every block has rho U between 48
+        # and 120, where the binomial sums of the high degrees cancel; at
+        # m = 2 and 4, k = 16 (rho U = 24) and k = 32 (rho U = -72) take
+        # powers far along the chain.  The integrand is divided by the
+        # closed form, as mpmath's error target is absolute
         import mpmath as mp
-        count, m, theta, x, shape, theta0 = 12, 6, 1.0, 6.0, 6.0, 0.05
-        got = an._ln_blocks(count, m, theta, x, shape, theta0, True, x)
-        with mp.workdps(30):
-            for k, ln_i in enumerate(got):
-                def integrand(b):
-                    q = mp.gammainc(m, (x - b) / theta, mp.inf, regularized=True)
-                    return (q ** k * b ** (shape - 1) * mp.exp(-b / theta0)
-                            / (mp.gamma(shape) * theta0 ** shape))
-                ref = mp.quad(integrand, [0, 0.1, 0.3, 0.6, 1, 2, x])
-                assert abs(ln_i - float(mp.log(ref))) <= 1e-11, k
+        theta, x, shape, theta0 = 1.0, 6.0, 6.0, 0.05
+        for m, ks in ((6, range(13)), (2, (16, 32)), (4, (16, 32))):
+            got = an._ln_blocks(max(ks), m, theta, x, shape, theta0, True, x)
+            with mp.workdps(30):
+                for k in ks:
+                    def integrand(b):
+                        q = mp.gammainc(m, (x - b) / theta, mp.inf, regularized=True)
+                        return (q ** k * b ** (shape - 1) * mp.exp(-b / theta0 - got[k])
+                                / (mp.gamma(shape) * theta0 ** shape))
+                    ref = mp.quad(integrand, [0, 0.1, 0.3, 0.6, 1, 2, 3, 4, 5, x])
+                    assert abs(float(mp.log(ref))) <= 1e-11, (m, k)
 
 
 class TestNdlCdf:

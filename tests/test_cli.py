@@ -394,6 +394,16 @@ class TestValidateCommand:
         assert rc == 0
         assert out.count("PASS") == 4 and "FAIL" not in out
 
+    def test_no_closed_form_exits_one(self, tmp_path, capsys):
+        # non-integer m_rr leaves no full-duplex closed form to validate
+        path = tmp_path / "fig2a_mrr.cfg"
+        path.write_text((CONFIG_DIR / "fig2a.cfg").read_text().replace("m_rr = 2", "m_rr = 1.5"))
+        rc = main(["validate", "--config", str(path), "--rate", "2", "--trials", "1000"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        for proto in ("ndl", "idl", "idl_dt", "sdf"):
+            assert f"{proto} analytic requires integer m_rr (got 1.5)" in captured.err
+
     def test_zero_workers_exit_code(self, capsys):
         # analytic-only runs never simulate, but reject the flag all the same
         for argv in (["validate", "--rate", "2", "--trials", "1000"],

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fdrs import analytic as an
 from fdrs import specfun as sf
 
 mp.mp.dps = 40
@@ -154,27 +155,23 @@ class TestBinomialSum:
     LN_VALUES = [math.log(v) for v in VALUES]
 
     @staticmethod
-    def exact(top, first, ratio, alternating):
+    def exact(top, first, ratio):
         terms = [math.comb(top, j) * ratio ** j * TestBinomialSum.VALUES[first + j]
                  for j in range(top + 1)]
-        total = sum(-t if alternating and j % 2 else t for j, t in enumerate(terms))
+        total = sum(-t if j % 2 else t for j, t in enumerate(terms))
         return total, sum(terms) / total
 
-    @pytest.mark.parametrize("alternating", [True, False])
+    @pytest.mark.parametrize("alternating", [True])
     @pytest.mark.parametrize("ratio", [Fraction(1), Fraction(1, 2), Fraction(3, 4)])
     @pytest.mark.parametrize("first", [0, 3])
     @pytest.mark.parametrize("top", [0, 1, 4, 10])
     def test_against_exact_sum(self, top, first, ratio, alternating):
-        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES, top, first, math.log(ratio),
-                                         alternating)
-        total, cond = self.exact(top, first, ratio, alternating)
+        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES, top, first, math.log(ratio))
+        total, cond = self.exact(top, first, ratio)
         # kappa bounds the relative error of S, and so of kappa = sum|t| / S
         tol = 1e-14 * float(cond)
         assert math.exp(ln_s) == pytest.approx(float(total), rel=tol)
-        if alternating:
-            assert kappa == pytest.approx(float(cond), rel=tol)
-        else:
-            assert kappa == 1.0
+        assert kappa == pytest.approx(float(cond), rel=tol)
 
     def test_top_zero_is_the_entry(self):
         assert sf.ln_binomial_sum([0.5, -1.25], 0, first=1, ln_ratio=3.0) == (-1.25, 1.0)
@@ -183,7 +180,6 @@ class TestBinomialSum:
         assert sf.ln_binomial_sum([0.0, math.log(2.0)], 1) == (None, math.inf)
         assert sf.ln_binomial_sum([0.0, 0.0], 1) == (None, math.inf)
         assert sf.ln_binomial_sum([-math.inf] * 3, 2) == (None, math.inf)
-        assert sf.ln_binomial_sum([-math.inf] * 3, 2, alternating=False) == (None, math.inf)
 
     def test_ln_comb(self):
         for n in (0, 1, 7, 60):
@@ -368,8 +364,7 @@ def compositions(total, parts):
 
 
 class TestCompositions:
-    """The brute-force enumeration behind TestTruncatedExpPower, and the
-    coefficient table's domain."""
+    """The brute-force enumeration behind TestTruncatedExpPower."""
 
     def test_small_cases(self):
         assert set(compositions(2, 2)) == {(2, 0), (1, 1), (0, 2)}
@@ -383,36 +378,41 @@ class TestCompositions:
         assert len(set(items)) == len(items)
         assert all(sum(c) == total and len(c) == parts and min(c) >= 0 for c in items)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sf.ln_truncated_exp_power(2, 0)
-        with pytest.raises(ValueError):
-            sf.ln_truncated_exp_power(-1, 2)
-
 
 class TestTruncatedExpPower:
-    def test_small_cases(self):
-        assert sf.ln_truncated_exp_power(0, 3) == (0.0,)
-        # (1 + t)^2 and 1 + t + t^2/2
-        assert [math.exp(v) for v in sf.ln_truncated_exp_power(2, 2)] == pytest.approx(
-            [1.0, 2.0, 1.0], rel=1e-15)
-        assert [math.exp(v) for v in sf.ln_truncated_exp_power(1, 3)] == pytest.approx(
-            [1.0, 1.0, 0.5], rel=1e-15)
+    """The power chain E_k of the convolved blocks (analytic._ln_blocks):
+    at theta = 1, E_{k,d} = ln [t^d] (sum_{j<m} t^j/j!)^k."""
+
+    @staticmethod
+    def chain(count, m):
+        with an.shared_blocks():
+            an._ln_blocks(count, m, 1.0, 1.0, 1.0, 1.0, True, 1.0)
+            (chain,) = [v for key, v in an._SHARED_BLOCKS.get().items() if key[0] == "chain"]
+        return chain
 
     def test_matches_composition_enumeration(self):
         # c_{k,m}(d) sums the multinomial weights k!/prod_j (k_j! j!^k_j)
-        # of the compositions (k_0..k_{m-1}) of k with sum_j j k_j = d
+        # of the compositions (k_0..k_{m-1}) of k with sum_j j k_j = d; the
+        # exact powers are checked against that up to k = 12, and the chain
+        # against the exact powers up to k = 64
         for m in range(1, 7):
-            for k in range(13):
-                by_degree = {}
-                for comp in compositions(k, m):
-                    deg = sum(j * kj for j, kj in enumerate(comp))
-                    weight = math.exp(math.lgamma(k + 1) - math.fsum(
-                        math.lgamma(kj + 1) + kj * math.lgamma(j + 1)
-                        for j, kj in enumerate(comp)))
-                    by_degree.setdefault(deg, []).append(weight)
-                table = sf.ln_truncated_exp_power(k, m)
-                assert len(table) == k * (m - 1) + 1 == len(by_degree)
-                for deg, ln_c in enumerate(table):
-                    assert math.exp(ln_c) == pytest.approx(
-                        math.fsum(by_degree[deg]), rel=1e-13), (k, m, deg)
+            base = [Fraction(1, math.factorial(j)) for j in range(m)]
+            exact = [Fraction(1)]
+            chain = self.chain(64, m)
+            for k in range(65):
+                if k:
+                    exact = [sum(exact[d - j] * b for j, b in enumerate(base)
+                                 if 0 <= d - j < len(exact))
+                             for d in range(len(exact) + m - 1)]
+                if k <= 12:
+                    by_degree = [Fraction(0)] * len(exact)
+                    for comp in compositions(k, m):
+                        by_degree[sum(j * kj for j, kj in enumerate(comp))] += Fraction(
+                            math.factorial(k), math.prod(
+                                math.factorial(kj) * math.factorial(j) ** kj
+                                for j, kj in enumerate(comp)))
+                    assert by_degree == exact, (k, m)
+                assert len(chain[k]) == k * (m - 1) + 1 == len(exact)
+                for deg, (ln_c, c) in enumerate(zip(chain[k], exact)):
+                    ln_ref = math.log(c.numerator) - math.log(c.denominator)
+                    assert abs(ln_c - ln_ref) <= 1e-13 * max(1.0, abs(ln_ref)), (k, m, deg)
