@@ -23,10 +23,6 @@ __all__ = ["SweepSpec", "SweepRow", "SweepResult", "DiversityFit",
 
 AXES = ("power_db", "rate_bpcu", "relay_count", "ith_db")
 
-# analytic outage below this is dominated by float64 cancellation noise
-# in the alternating binomial sums and is excluded from slope fits
-ANALYTIC_P_FLOOR = 1e-15
-
 
 def _check_bounds(start: float, stop: float):
     for name, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
@@ -251,10 +247,10 @@ def diversity_sweep(cfg: NetworkConfig, protocol: Protocol, rate: float,
                     seed: int = 0, workers: int = 1) -> DiversityFit:
     """Power sweep P_S = P_R = P followed by a slope fit.
 
-    Points below the estimator's resolution are dropped before the
-    fit: simulated outage needs at least 100 hits, analytic outage must
-    clear the float64 cancellation floor of the closed forms.  A
-    protocol the method cannot evaluate raises ConfigError.
+    Simulated points below 100 hits are dropped before the fit; every
+    positive analytic point is kept, as each is accurate to
+    specfun.REL_TOL or its evaluation raised.  A protocol the method
+    cannot evaluate raises ConfigError.
     """
     if method not in ("analytic", "mc"):
         raise ValueError("method must be analytic or mc")
@@ -263,8 +259,7 @@ def diversity_sweep(cfg: NetworkConfig, protocol: Protocol, rate: float,
     if result.errors:
         raise ConfigError(result.errors[protocol.value])
     kept = [(db_to_linear(r.axis_value), r.outage) for r in result.rows
-            if (r.outage > ANALYTIC_P_FLOOR if r.method == "analytic"
-                else r.outage >= 100 / trials)]
+            if (r.outage > 0.0 if r.method == "analytic" else r.outage >= 100 / trials)]
     if len(kept) < 4:
         raise ValueError("fewer than 4 usable points above the resolution floor")
     return diversity_fit(kept)

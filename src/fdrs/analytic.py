@@ -27,14 +27,28 @@ block, F(x | L) list and feasibility distribution once.
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
 expressions stay usable from deep-tail diversity sweeps (probabilities
-~1e-18) up to thresholds of 1e6.  The outer sums are clamped to [0, 1]
-and their condition number is not yet checked.
+~1e-18) up to thresholds of 1e6.
+
+Each outer entry, F(x | L) or p[n], is routed by the condition number
+kappa of its sum: the closed form where (ulp(1) + sf.GAMMA_REL_TOL)
+kappa <= sf.REL_TOL, and otherwise the positive integral the binomial
+expansion came from, integral g^L f_sd with g = F_Z + s P(m, y/theta)
+(or C(K, n) P^n Q^(K-n) under the cap), by Gauss rules in the density's
+own variable: panels of Legendre nodes and a Laguerre tail, each panel
+doubled until the rules agree within sf.REL_TOL; where they never do,
+ArithmeticError.  kappa comes from the same nodes as integral
+(1 + s Q)^L f / F (C(K, n) integral Q^(K-n) (1 + Q)^n f / p[n]), so no
+block is evaluated past the last entry that uses it.  The node vectors
+do not depend on L or K and are kept in a shared_blocks() scope, where
+a relay-count sweep then pays a multiply-add per node and entry.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 from fdrs import specfun as sf
@@ -294,12 +308,15 @@ _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def shared_blocks():
-    """Scope that computes each block, F(x | L) list and feasibility_dist once.
+    """Scope that computes each block, F(x | L) list, Gauss rule and
+    feasibility_dist once.
 
     Block k does not depend on _ln_blocks' count, nor F(x | L) on
-    _conditional_cdfs' relays, so one list is kept per tuple of the
-    other arguments and a call computes only the entries its count
-    adds, bit-identical to unshared calls, until the scope exits.
+    _conditional_cdfs' relays, nor a rule's node vectors on the powers
+    it is asked for, so one list or rule is kept per tuple of the other
+    arguments and a call computes only the entries its count adds,
+    bit-identical to unshared calls, until the scope exits.  An entry's
+    route and node count depend on that entry alone.
     """
     token = _SHARED_BLOCKS.set({})
     try:
@@ -353,6 +370,196 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
 
 
 # ---------------------------------------------------------------------------
+# the positive route: Gauss rules in the direct link's (or the source
+# interference's) own variable
+
+_PANEL_NODES = tuple(8 << j for j in range(5))   # Gauss nodes a panel takes at each level
+_UNDERFLOW = sys.float_info.min / sf.REL_TOL   # below it REL_TOL is beyond a float
+# an alternating sum keeps REL_TOL while (ulp + its blocks' error) kappa does
+_KAPPA_MAX = sf.REL_TOL / (_ULP + sf.GAMMA_REL_TOL)
+
+
+def _panel_ends(hi: float, fine: float, top: float = 0.0, edge: float = math.inf) -> list[float]:
+    """Panel ends in (0, hi) in units of the density's scale, growing
+    fourfold from `fine` and from hi - edge towards 0, each within a
+    quarter of hi of its end; with hi = inf, from `fine` up to the first
+    past `top`, where a Laguerre tail takes over."""
+    ends, e = [], fine
+    while (e < hi / 4) if hi < math.inf else (top > 0.0 and (not ends or ends[-1] < top)):
+        ends.append(e)
+        e *= 4.0
+    e = edge
+    while e < hi / 4:
+        ends.append(hi - e)
+        e *= 4.0
+    return sorted(ends)
+
+
+def _panel_rule(shape: float, lo: float, up: float, level: int) -> tuple[list, list]:
+    """Nodes t and weights, times the Gamma(shape, 1) density, for
+    integral_lo^up dt with _PANEL_NODES[level] nodes: Legendre, through
+    t = up v^k on a first panel (lo = 0) so that the density's
+    t^(shape-1) becomes the smooth v^(k shape-1); Laguerre in t - lo for
+    up = inf (lo > 0)."""
+    n = _PANEL_NODES[level]
+    ln_norm = -math.lgamma(shape)
+    if up == math.inf:
+        us, uw = sf.gauss_rule(n, 0.0)
+        return ([lo + u for u in us],
+                [w * math.exp((shape - 1.0) * math.log(lo + u) - lo + ln_norm)
+                 for u, w in zip(us, uw)])
+    vs, vw = sf.gauss_rule(n)
+    if lo or abs(shape - round(shape)) < 1e-9:
+        ts = [lo + (up - lo) * v for v in vs]
+        scale = (up - lo) * math.exp(ln_norm)
+        return ts, [w * scale * t ** (shape - 1.0) * math.exp(-t) for t, w in zip(ts, vw)]
+    k = math.ceil(6.0 / shape)
+    ts = [up * v ** k for v in vs]
+    return ts, [w * k * v ** (k - 1) * up * math.exp((shape - 1.0) * math.log(t) - t + ln_norm)
+                for t, v, w in zip(ts, vs, vw)]
+
+
+def _power(table: list, vec, exp: int) -> list[float]:
+    """table[exp], the table of a vector's powers grown by multiplication."""
+    while len(table) <= exp:
+        table.append(list(map(operator.mul, table[-1], vec)))
+    return table[exp]
+
+
+class _Nodes:
+    """integral_0^hi b_i(beta)^e b_j(beta)^d f(beta) dbeta for positive
+    node functions b, f the Gamma(shape, theta0) density, over panels in
+    t = beta/theta0, each refined by doubling its Gauss nodes until the
+    changes of the panels add up to REL_TOL of the total.
+
+    The node vectors b do not depend on the exponents, and their powers
+    are grown by repeated multiplication and summed by fsum, so an
+    entry's value depends only on its own exponents, never on which
+    entries were asked for before it.
+    """
+
+    def __init__(self, bases, shape: float, theta0: float, bounds: list[float],
+                 shared: dict | None = None):
+        """Panels between consecutive `bounds` (in t, from 0; inf last for a
+        Laguerre tail).  Rules with the same node functions may share
+        `shared`, where each panel's node vectors and sums are kept."""
+        self._panels = list(zip(bounds, bounds[1:]))
+        self._bases, self._shape, self._theta0 = bases, shape, theta0
+        # (panel, level) -> node vectors, their powers and weighted powers; and sums
+        self._cache = {} if shared is None else shared
+        self._kappas = {}
+
+    def _sum(self, panel: int, level: int, exps: tuple) -> float:
+        """The panel's sum of w b_i^e (b_j^d) at `level` for exps (i, e[, j, d])."""
+        key = (self._panels[panel], level, exps)
+        value = self._cache.get(key)
+        if value is None:
+            rule = self._cache.get(key[:2])
+            if rule is None:
+                ts, ws = _panel_rule(self._shape, *self._panels[panel], level)
+                vecs = self._bases([self._theta0 * t for t in ts])
+                rule = self._cache[key[:2]] = (vecs, [[[1.0] * len(ws)] for _ in vecs],
+                                               [[ws] for _ in vecs])
+            vecs, plain, weighted = rule
+            col = _power(weighted[exps[0]], vecs[exps[0]], exps[1])
+            if len(exps) > 2 and exps[3]:
+                col = map(operator.mul, _power(plain[exps[2]], vecs[exps[2]], exps[3]), col)
+            value = self._cache[key] = math.fsum(col)
+        return value
+
+    @staticmethod
+    def _first(exps: tuple) -> int:
+        """An entry's first level: the first with at least twice as many
+        nodes a panel as the power it raises the node functions to."""
+        return min(max(0, (2 * sum(exps[1::2]) - 1).bit_length() - 3), len(_PANEL_NODES) - 2)
+
+    def kappa(self, exps: tuple, abs_exps: tuple) -> float:
+        """sum|t| / S of the entry, abs_exps giving sum|t|: the larger of
+        its values on the entry's first two levels, as the first alone is
+        not yet checked against a finer rule."""
+        kappa = self._kappas.get(abs_exps)
+        if kappa is None:
+            kappa, panels = 0.0, range(len(self._panels))
+            for level in (self._first(exps), self._first(exps) + 1):
+                value = math.fsum([self._sum(p, level, exps) for p in panels])
+                kappa = max(kappa, math.fsum([self._sum(p, level, abs_exps) for p in panels])
+                            / value if value > 0.0 else math.inf)
+            self._kappas[abs_exps] = kappa
+        return kappa
+
+    def value(self, exps: tuple) -> float:
+        """Every panel at the entry's first two levels; while the changes
+        of the last doublings add up to more than REL_TOL of the total,
+        the panel with the largest is doubled once more.  ArithmeticError
+        once that panel has no level left."""
+        first = self._first(exps) + 1
+        panels = range(len(self._panels))
+        levels = [first for _ in panels]
+        vals = [self._sum(p, first, exps) for p in panels]
+        errs = [abs(v - self._sum(p, first - 1, exps)) for p, v in zip(panels, vals)]
+        total, err = math.fsum(vals), math.fsum(errs)
+        while err > sf.REL_TOL * total and total >= _UNDERFLOW:
+            worst = errs.index(max(errs))
+            if levels[worst] == len(_PANEL_NODES) - 1:
+                raise ArithmeticError(f"Gauss rules of up to {_PANEL_NODES[-1]} nodes a panel "
+                                      f"leave {err:.3g} of {total:.6g}")
+            levels[worst] += 1
+            value = self._sum(worst, levels[worst], exps)
+            errs[worst], vals[worst] = abs(value - vals[worst]), value
+            total, err = math.fsum(vals), math.fsum(errs)
+        return total
+
+
+def _positive(rules: tuple, exps: tuple) -> float:
+    """The value of the first of `rules` whose levels converge; the last
+    one's ArithmeticError if none does."""
+    for nodes in rules[:-1]:
+        try:
+            return nodes.value(exps)
+        except ArithmeticError:
+            pass
+    return rules[-1].value(exps)
+
+
+def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol,
+                       s: float) -> tuple[_Nodes, ...]:
+    """The rules, to be tried in turn, for F(x | L) = integral g^L f_sd
+    and its kappa integral (1 + s Q)^L f_sd, with g = F_Z + s P(m_rd,
+    y/theta_rd), P and Q from one evaluation and F_Z never 1 - s.
+    Panels on [0, x] grow from 0 in the scale on which y changes by 1
+    (y = x - b), or by 1 or half itself (y = x (b + 1)); y = x - b gets
+    them from x as well, where it vanishes.  idl and idl_dt share their
+    panels on [0, x] in a shared_blocks() scope.  idl's last rule runs on
+    in panels past the knee where Q < 1e-13, for the powers g^L that
+    carry the mass out there; where y changes no faster than the
+    density, a Laguerre tail from x is tried first."""
+    p1 = first_hop_ratio_params(cfg)
+    fz = _kept(("F_Z", x, p1), lambda: cdf_ratio_gamma(x, p1))   # one per threshold
+    m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
+    m_sd, th_sd = cfg.sd.m, cfg.p_s * cfg.sd.theta
+    convolved, upper = _DIRECT_LINK_INNER[protocol]
+    hi = upper * x / th_sd
+
+    def bases(betas):   # g and 1 + s Q at each node
+        pqs = [sf._reg_gamma(m_rd, max(x - b if convolved else x * (b + 1.0), 0.0) / th_rd)
+               for b in betas]
+        return [fz + s * p for p, _ in pqs], [1.0 + s * q for _, q in pqs]
+    if convolved:
+        edge = th_rd / th_sd
+        return (_Nodes(bases, m_sd, th_sd, [0.0, *_panel_ends(hi, min(1.0, edge), edge=edge), hi]),)
+    # idl and idl_dt share the panels on [0, x]; idl's run on past the knee
+    scale = th_rd / (x * th_sd)
+    knee = (2.0 * m_rd + 32.0) * scale - 1.0 / th_sd   # where Q(m_rd, y) < 1e-13
+    shared = _kept(("shifted nodes", x, p1, m_rd, th_rd, m_sd, th_sd), dict)
+    near = [0.0, *_panel_ends(x / th_sd, min(1.0, scale)), x / th_sd]
+    if hi < math.inf:
+        return (_Nodes(bases, m_sd, th_sd, near, shared),)
+    far = near + [e for e in _panel_ends(math.inf, 4.0 * near[-1], knee) if e > near[-1]]
+    rules = [near + [math.inf]] if scale >= 1.0 else []   # a Laguerre tail first, if it fits
+    return tuple(_Nodes(bases, m_sd, th_sd, b, shared) for b in rules + [far + [math.inf]])
+
+
+# ---------------------------------------------------------------------------
 # end-to-end SINR CDFs without the interference constraint
 
 # whether the hop argument is convolved (x - b) or shifted (x (b + 1)),
@@ -366,11 +573,15 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     """F(x | L) for L = 0..relays from one evaluation shared by every L.
 
     NDL keeps its product form per_path^L.  The direct-link protocols
-    integrate (1 - s Q)^L over the direct-link SNR, s = P(Z > x), and
-    the binomial expansion of the power gives the alternating sum
-    F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k (sf.ln_binomial_sum,
-    clamped to [0, 1]) over the blocks of _ln_blocks.  In a shared_blocks()
-    scope a call extends the list (and per_path or s) an earlier call built.
+    integrate g^L = (1 - s Q)^L over the direct-link SNR, s = P(Z > x).
+    Entry L is the alternating sum F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k
+    (sf.ln_binomial_sum over the blocks of _ln_blocks) while its
+    condition number kappa, ((1 + s) / (1 - s))^L at most or else taken
+    from the first Gauss rule, keeps (ulp + sf.GAMMA_REL_TOL) kappa within
+    sf.REL_TOL; past that L, the positive integral of g^L by the rules of
+    _direct_link_nodes, or ArithmeticError.  In a shared_blocks() scope a
+    call extends the list (with per_path or s, and the rules) an earlier
+    call built.
     """
     if relays < 1:
         raise ValueError("relays must be >= 1")
@@ -383,21 +594,36 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     ndl = protocol is Protocol.NDL
     link = () if ndl else (cfg.sd.m, cfg.p_s * cfg.sd.theta)
 
-    def first_hop():   # NDL's per_path, or s
+    def first_hop():   # the list; NDL's per_path or s; the rules; the first L kappa rules out
         if not ndl:
-            return [], ratio_ccdf(x, p1)
+            return [[], ratio_ccdf(x, p1), None, math.inf]
         fz = cdf_ratio_gamma(x, p1)
-        return [], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd)
-    cdfs, s = _kept(("cdfs", protocol, x, p1, cfg.rd.m, th_rd) + link, first_hop)
+        return [[], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd), None, math.inf]
+    state = _kept(("cdfs", protocol, x, p1, cfg.rd.m, th_rd) + link, first_hop)
+    cdfs, s = state[:2]
     if ndl:
         cdfs.extend(s ** n for n in range(len(cdfs), relays + 1))
-    elif len(cdfs) <= relays:
-        convolved, upper = _DIRECT_LINK_INNER[protocol]
-        count = relays if s > 0.0 else 0   # s = 0 leaves only the k = 0 block
-        ln_s = math.log(s) if count else 0.0
-        ln_i = _ln_blocks(count, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
-        cdfs.extend(_probability(sf.ln_binomial_sum(ln_i, min(n, count), ln_ratio=ln_s)[0])
-                    for n in range(len(cdfs), relays + 1))
+        return cdfs[:relays + 1]
+    convolved, upper = _DIRECT_LINK_INNER[protocol]
+
+    def closed(n):   # kappa <= ((1 + s) / F_Z)^n, as g >= F_Z = 1 - s; or from the rules
+        if s < 1.0 and n * (math.log1p(s) - math.log1p(-s)) <= math.log(_KAPPA_MAX):
+            return True
+        if state[3] < n:   # kappa grows with L, so each L past one it rules out is too
+            return False
+        if state[2] is None:
+            state[2] = _direct_link_nodes(x, cfg, protocol, s)
+        if state[2][0].kappa((0, n), (1, n)) <= _KAPPA_MAX:
+            return True
+        state[3] = n
+        return False
+    new = [(n, closed(n)) for n in range(len(cdfs), relays + 1)]
+    top = max((n for n, c in new if c), default=-1) if s > 0.0 else 0   # s = 0: block 0 only
+    if top >= 0:
+        ln_i = _ln_blocks(top, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
+        ln_s = math.log(s) if s > 0.0 else 0.0
+    cdfs.extend(_probability(sf.ln_binomial_sum(ln_i, min(n, top), ln_ratio=ln_s)[0]) if c
+                else min(_positive(state[2], (0, n)), 1.0) for n, c in new)
     return cdfs[:relays + 1]
 
 
@@ -412,6 +638,9 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     integration stops at x.  sdf: selective cooperation; the second hop is
     MRC-combined with the direct signal, so the inner integral carries the
     kernel (x - beta)^deg at a decay of either sign (_ln_conv_integrals).
+    A direct-link value is the closed form where its condition number
+    allows, else the positive Gauss-rule integral (_conditional_cdfs);
+    either is within specfun.REL_TOL, or the call raises ArithmeticError.
     """
     validate_config(cfg, protocol, "analytic")
     return _conditional_cdfs(x, cfg, protocol, relays)[relays]
@@ -482,9 +711,13 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     events are only conditionally independent given it; integrating the
     conditional binomial over the source-interference density yields
     finite sums of the convolution integrals in _ln_conv_integrals.
-    Requires integer m_rp (series expansion of the per-relay tail) and
-    symmetric relays.  A shared_blocks() scope computes it once per tuple
-    of _feasibility_args; outside a scope every call computes it.
+    p[n] takes that alternating sum where its condition number allows,
+    else the positive integral of C(K, n) P^n Q^(K-n) by Gauss rules,
+    as does p_tilde0 always; each is within specfun.REL_TOL or the call
+    raises ArithmeticError.  Requires integer m_rp (series expansion of
+    the per-relay tail) and symmetric relays.  A shared_blocks() scope
+    computes it once per tuple of _feasibility_args, and its rules once
+    per cap; outside a scope every call computes it.
     """
     args = _feasibility_args(cfg)
     if not cfg.rp.integer_m:
@@ -494,17 +727,41 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
 
 def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: float,
                  cap: float) -> FeasibilityDist:
-    # B_q = integral_0^cap Q(m_rp, (cap-b)/th_rp)^q f_I_SP(b) db is the
-    # chance that the source meets the cap and q given relays do not;
-    # expanding (1 - Q)^n gives
-    # P(exactly n feasible) = C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
-    ln_b = _ln_blocks(k_total, int(round(m_rp)), th_rp, cap, m_sp, th_sp, True, cap)
-    p_tilde0 = math.exp(ln_b[k_total])
+    # with b the source's interference, P and Q = 1 - P a relay's chances
+    # to meet and to violate the cap: P(exactly n feasible) is
+    # C(K, n) integral_0^cap P^n Q^(K-n) f_I_SP(b) db, and expanding
+    # (1 - Q)^n gives the closed form C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
+    # over the blocks B_q = integral_0^cap Q^q f_I_SP(b) db
+    nodes = _kept(("cap nodes", m_sp, th_sp, m_rp, th_rp, cap),
+                  lambda: _cap_nodes(m_sp, th_sp, m_rp, th_rp, cap))
+    p_tilde0 = nodes.value((1, k_total))
     probs = [min(sf.reg_upper_gamma(m_sp, cap / th_sp) + p_tilde0, 1.0)]
-    for feasible in range(1, k_total + 1):
-        ln_sum, _ = sf.ln_binomial_sum(ln_b, feasible, first=k_total - feasible)
-        probs.append(_probability(ln_sum, sf.ln_comb(k_total, feasible)))
+    # kappa grows with K at fixed n (its weight is the value's tilted by
+    # ((1 + Q) / P)^n, which grows with Q), so K = n rules out most n cheaply
+    closed = [False] + [all(nodes.kappa((1, k - n, 0, n), (1, k - n, 2, n)) <= _KAPPA_MAX
+                            for k in (n, k_total)) for n in range(1, k_total + 1)]
+    if any(closed):
+        ln_b = _ln_blocks(k_total, int(round(m_rp)), th_rp, cap, m_sp, th_sp, True, cap)
+    for n in range(1, k_total + 1):
+        if closed[n]:
+            ln_sum, _ = sf.ln_binomial_sum(ln_b, n, first=k_total - n)
+        else:
+            value = nodes.value((1, k_total - n, 0, n))
+            ln_sum = math.log(value) if value > 0.0 else None
+        probs.append(_probability(ln_sum, sf.ln_comb(k_total, n)))
     return FeasibilityDist(p=tuple(probs), p_tilde0=min(p_tilde0, probs[0]))
+
+
+def _cap_nodes(m_sp: float, th_sp: float, m_rp: float, th_rp: float, cap: float) -> _Nodes:
+    """The nodes of P(m_rp, y), Q(m_rp, y) and 1 + Q at y = (cap - b)/th_rp
+    over the source interference b, from one evaluation each; panels are
+    graded from 0 and from the cap in the relays' scale."""
+    def bases(betas):   # P, Q and 1 + Q at each node
+        pqs = [sf._reg_gamma(m_rp, max(cap - b, 0.0) / th_rp) for b in betas]
+        return [p for p, _ in pqs], [q for _, q in pqs], [1.0 + q for _, q in pqs]
+    scale = th_rp / th_sp
+    hi = cap / th_sp
+    return _Nodes(bases, m_sp, th_sp, [0.0, *_panel_ends(hi, min(1.0, scale), edge=scale), hi])
 
 
 def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:

@@ -10,18 +10,23 @@ Regularized incomplete Gammas P(a, x) and Q(a, x) = 1 - P(a, x) share
 the factor D(a, x) = x^a e^-x / Gamma(a + 1).  For x <= max(a, 1) the
 power series P = D sum_n x^n / ((a+1)...(a+n)) (DLMF 8.7.1) is summed;
 above it the continued fraction for Q (DLMF 8.9.2, even part) runs in
-the modified Lentz form.  The complement is 1 minus the computed
-value, which stays below 0.85 in either region, so at most one digit
-cancels.  For a >= 20, D is taken as
-e^(-a phi(x/a)) / (sqrt(2 pi a) e^mu(a)), with phi(l) = l - 1 - ln l
-and mu the Stirling series (Temme's factor; Gil, Segura & Temme, SIAM
-J. Sci. Comput. 34(6), 2012), so the large logarithms a ln x and
-ln Gamma(a + 1) never cancel.  Near x = a both expansions need
-O(sqrt(a)) terms, so Temme's uniform expansion is not needed up to
-a = 400.  Over a in [0.5, 400] and x in [0, 2e4] the relative error of
-P and Q is below GAMMA_REL_TOL = 1e-13 where the value exceeds 1e-30,
-and below GAMMA_DEEP_REL_TOL = 1e-12 down to 1e-300, where the
-conditioning of exp, |ln value| times the unit roundoff, takes over;
+the modified Lentz form.  For integer a <= 30 and x < 600, the finite
+sum Q = e^-x sum_{j<a} x^j/j! of positive terms comes first wherever
+it gives Q <= 0.9: its relative error is at most (3a - 2) 2^-53 (2j
+roundings in term j, a - 1 in the sum), so that of P = 1 - Q is within
+9 (3a - 2) 2^-53 < 8.8e-14 for a <= 30, inside GAMMA_REL_TOL.  The
+complement is 1 minus the computed value, which stays below 0.85 in
+the series and fraction regions, so at most one digit cancels there.
+For a >= 20, D is taken as e^(-a phi(x/a)) / (sqrt(2 pi a) e^mu(a)),
+with phi(l) = l - 1 - ln l and mu the Stirling series (Temme's factor;
+Gil, Segura & Temme, SIAM J. Sci. Comput. 34(6), 2012), so the large
+logarithms a ln x and ln Gamma(a + 1) never cancel.  Near x = a both
+expansions need O(sqrt(a)) terms, so Temme's uniform expansion is not
+needed up to a = 400.  Over a in [0.5, 400] and x in [0, 2e4] the
+relative error of P and Q is below GAMMA_REL_TOL = 1e-13 where the
+value exceeds 1e-30, and below GAMMA_DEEP_REL_TOL = 1e-12 down to
+1e-300, where the conditioning of exp, |ln value| times the unit
+roundoff, takes over;
 smaller values underflow as floats do.  A series or fraction that has
 not converged within MAX_TERMS raises NonConvergenceError, which
 happens only far outside that domain (a beyond about 10^6 near x = a).
@@ -33,7 +38,8 @@ is evaluated through series and finite polynomial forms rather than a
 general-purpose implementation; the supported region is documented per
 function.  ln_binomial_sum is the one binomial-sum kernel: every closed
 form that expands a power binomially sums through it and gets the sum's
-condition number with it.
+condition number with it.  gauss_rule gives the Legendre and generalized
+Laguerre rules that the positive integrals behind those sums take.
 """
 from __future__ import annotations
 
@@ -47,6 +53,7 @@ __all__ = [
     "ln_reg_lower_gammas",
     "ln_comb",
     "ln_binomial_sum",
+    "gauss_rule",
     "ln_beta",
     "ln_kummer_m",
     "tricomi_u",
@@ -62,6 +69,10 @@ GAMMA_REL_TOL = 1e-13
 GAMMA_DEEP_REL_TOL = 1e-12
 
 _EPS = 2.0 ** -53
+# integer orders up to this take Q as a finite sum, while e^-x stays far
+# from underflow
+_FINITE_SUM_MAX_A = 30.0
+_FINITE_SUM_MAX_X = 600.0
 _LENTZ_TINY = 1e-300
 _STIRLING_MIN_A = 20.0
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -140,11 +151,17 @@ def _reg_gamma(a: float, x: float) -> tuple[float, float]:
         return 0.0, 1.0
     if math.isinf(x):
         return 1.0, 0.0
-    d = math.exp(_ln_power_exp(a, x))
+    if a <= _FINITE_SUM_MAX_A and x < _FINITE_SUM_MAX_X and float(a).is_integer():
+        q = term = math.exp(-x)   # Q(n, x) = e^-x sum_{j<n} x^j / j!, positive terms
+        for j in range(1, int(a)):
+            term *= x / j
+            q += term
+        if q <= 0.9:   # then 1 - q loses at most one digit
+            return 1.0 - q, q
     if x <= a or x <= 1.0:
-        p = d * _lower_series(a, x)
+        p = math.exp(_ln_power_exp(a, x)) * _lower_series(a, x)
         return p, 1.0 - p
-    q = d * a * _upper_fraction(a, x)
+    q = math.exp(_ln_power_exp(a, x)) * a * _upper_fraction(a, x)
     return 1.0 - q, q
 
 
@@ -239,6 +256,79 @@ def ln_binomial_sum(ln_seq, top: int, first: int = 0,
     if not total > 0.0:
         return None, math.inf
     return peak + math.log(total), math.fsum(mags) / total
+
+
+_GAUSS = {}   # (n, alpha) -> the Gauss rule gauss_rule gave for it
+
+
+def gauss_rule(n: int, alpha: float | None = None) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(nodes, weights) of the n-point Gauss rule, kept per (n, alpha).
+
+    alpha None: Gauss-Legendre on [0, 1]; otherwise generalized
+    Gauss-Laguerre for the weight t^alpha e^-t on (0, inf), alpha > -1.
+    The nodes are the roots of the orthogonal polynomial (the
+    eigenvalues of Golub & Welsch's 1969 Jacobi matrix), from Halley's
+    iteration on its three-term recurrence started at the asymptotic
+    guesses of Numerical Recipes' gauleg and gaulag.  Each weight is the
+    Christoffel number 1 / sum_{j<n} p_j(node)^2 over the orthonormal
+    polynomials, a sum of positive terms, accurate where the derivative
+    formula loses digits for n beyond about 30.
+    """
+    key = (n, alpha)
+    if key not in _GAUSS:
+        lag = alpha is not None
+        a = alpha if lag else 0.0
+        # p_(j+1) = (b_j - c_j z) p_j - d_j p_(j-1), and the norms h_j of p_j
+        steps = [((2 * j + 1 + a) / (j + 1), 1.0 / (j + 1), (j + a) / (j + 1)) if lag
+                 else (0.0, -(2 * j + 1) / (j + 1), j / (j + 1)) for j in range(n)]
+        norms = [math.exp(math.lgamma(j + a + 1) - math.lgamma(j + 1)) if lag else 2 / (2 * j + 1)
+                 for j in range(n)]
+
+        def run(z):   # p_n(z) and p_(n-1)(z)
+            p, q = 1.0, 0.0
+            for b, c, d in steps:
+                p, q = (b - c * z) * p - d * q, p
+            return p, q
+
+        nodes = []
+        for i in range(n if lag else (n + 1) // 2):
+            if not lag:
+                z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            elif i == 0:
+                z = (1.0 + a) * (3.0 + 0.92 * a) / (1.0 + 2.4 * n + 1.8 * a)
+            elif i == 1:
+                z += (15.0 + 6.25 * a) / (1.0 + 0.9 * a + 2.5 * n)
+            else:
+                z += ((1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) + 1.26 * (i - 1) * a
+                      / (1.0 + 3.5 * (i - 1))) * (z - nodes[i - 2]) / (1.0 + 0.3 * a)
+            scale = z if lag else 1.0
+            for _ in range(100):   # cubic convergence: past a step of 1e-8, z is exact
+                p, q = run(z)
+                if lag:   # Halley's step; the second derivative from Laguerre's equation
+                    d1 = (n * p - (n + a) * q) / z
+                    d2 = ((z - a - 1.0) * d1 - n * p) / z
+                else:     # and from Legendre's
+                    d1 = n * (z * p - q) / ((z - 1.0) * (z + 1.0))
+                    d2 = (2.0 * z * d1 - n * (n + 1) * p) / ((1.0 - z) * (1.0 + z))
+                dz = 2.0 * p * d1 / (2.0 * d1 * d1 - p * d2)
+                z -= dz
+                if abs(dz) <= 1e-8 * scale:
+                    break
+            nodes.append(z)
+        weights = []
+        for z in nodes:
+            p, q, total = 1.0, 0.0, 0.0
+            for (b, c, d), h in zip(steps, norms):
+                total += p * p / h
+                p, q = (b - c * z) * p - d * q, p
+            weights.append(1.0 / total)
+        if not lag:   # roots from 1 down to 0 of [-1, 1], mapped onto [0, 1]
+            half, m = [0.5 * w for w in weights], n // 2
+            nodes = ([0.5 - 0.5 * z for z in nodes[:m]] + [0.5] * (n % 2)
+                     + [0.5 + 0.5 * z for z in reversed(nodes[:m])])
+            weights = half[:m] + half[m:] + half[m - 1::-1] if m else half
+        _GAUSS[key] = (tuple(nodes), tuple(weights))
+    return _GAUSS[key]
 
 
 def ln_beta(a: float, b: float) -> float:

@@ -93,7 +93,7 @@ class TestDiversityFit:
         result = analysis.run_sweep(analysis.SweepSpec("power_db", 10, 50, 17, (proto,)), cfg)
         self.assert_matches_numpy_fit([(db_to_linear(r.axis_value), r.outage)
                                        for r in result.rows
-                                       if r.outage > analysis.ANALYTIC_P_FLOOR])
+                                       if r.outage > 0.0])
 
 
 class TestDiversitySweep:
@@ -475,7 +475,7 @@ class TestSharedBlocks:
                     for v in spec.axis_values() for proto in FD]
         assert [r.outage for r in analysis.run_sweep(spec, cfg).rows] == expected
 
-    @pytest.mark.parametrize("name,blocks", [("relay", 68), ("ith", 116)])
+    @pytest.mark.parametrize("name,blocks", [("relay", 11), ("ith", 97)])
     def test_each_block_evaluated_once_per_sweep(self, sweeps, monkeypatch, name, blocks):
         spec, cfg = sweeps[name]
         calls = self.counting(monkeypatch)
@@ -485,26 +485,35 @@ class TestSharedBlocks:
             assert calls[0] == blocks
 
     def test_one_power_step_per_chain_and_count(self, sweeps, monkeypatch):
-        # the relay sweep grows three chains E_1..E_16 by one convolution
-        # each: idl and idl_dt share theirs, sdf and the feasibility cap
-        # have their own
+        # the relay sweep grows each chain only as far as an entry whose
+        # kappa allows the closed form reaches: idl and idl_dt share E_1,
+        # sdf has its own E_1, and the feasibility cap E_1..E_4
         spec, cfg = sweeps["relay"]
         calls = self.counting(monkeypatch, ("_ln_poly_times",))
         analysis.run_sweep(spec, cfg)
-        assert calls[0] == 3 * 16
+        assert calls[0] == 1 + 1 + 4
+
+    def test_relay_sweep_skips_blocks_no_entry_uses(self, sweeps, monkeypatch):
+        # every entry past the ones kappa leaves to the closed form takes
+        # the positive route, so no block beyond them is evaluated
+        spec, cfg = sweeps["relay"]
+        calls = self.counting(monkeypatch)
+        analysis.run_sweep(spec, cfg)
+        assert calls[0] <= 12
 
     def test_no_sharing_outside_a_sweep(self, fig3_cfg, monkeypatch):
         cfg = dataclasses.replace(self.relay_sweep_cfg(fig3_cfg), k=16)
         calls = self.counting(monkeypatch)
         analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
-        # 17 feasibility blocks and 17 conditional blocks, K = 16
-        assert calls[0] == 34
+        # K = 16: kappa leaves the closed form only sdf's F(x | 1), from
+        # blocks 0 and 1; every feasibility entry takes the positive route
+        assert calls[0] == 2
         analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
                            self.relay_sweep_cfg(fig3_cfg))
         calls[0] = 0
         analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
         analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
-        assert calls[0] == 68
+        assert calls[0] == 4
 
     def test_scope_nests_and_ends(self, fig2b_cfg, monkeypatch):
         calls = self.counting(monkeypatch)
@@ -545,8 +554,9 @@ class TestSharedBlocks:
                 assert self.kept_lists(cfg, x, each) == expected, (x, each)
 
     def test_relay_sweep_evaluates_each_list_once(self, fig3_cfg, monkeypatch):
-        # K = 1..16 at one threshold: one first-hop tail per protocol, and
-        # one outer sum per protocol and L = 0..16
+        # K = 1..16 at one threshold: one first-hop tail per protocol, one
+        # F_Z more that the direct-link protocols' rules share, and one outer
+        # sum per direct-link protocol and L = 0, 1, where kappa allows it
         calls = {"ratio_ccdf": 0, "cdf_ratio_gamma": 0, "outer": 0}
         for name in ("ratio_ccdf", "cdf_ratio_gamma"):
             def wrapped(*args, _real=getattr(analytic, name), _name=name):
@@ -563,4 +573,4 @@ class TestSharedBlocks:
         monkeypatch.setattr(analytic.sf, "ln_binomial_sum", outer)
         analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
                            self.relay_sweep_cfg(fig3_cfg))
-        assert calls == {"ratio_ccdf": 3, "cdf_ratio_gamma": 1, "outer": 3 * 17}
+        assert calls == {"ratio_ccdf": 3, "cdf_ratio_gamma": 1 + 1, "outer": 3 * 2}

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdrs import analytic as an
 from fdrs import montecarlo
+from fdrs import specfun as sf
 from fdrs.channel import (
     ConfigError,
     LinkSpec,
@@ -116,7 +119,6 @@ class TestTailIntegralIdentity:
         # integral_0^inf (t+1)^deg t^(m-1) e^(-eta t) dt equals
         # e^(eta/2) eta^(-(m+deg+1)/2) Gamma(m) W_{(deg-m+1)/2, -(m+deg)/2}(eta);
         # the shifted-polynomial route must agree with the literal W pairing
-        from fdrs import specfun as sf
         for m_rd, m, eta in itertools.product((2, 3, 4), (1.0, 2.0, 2.5), (0.3, 1.7, 12.0)):
             w, theta0 = eta / 2, 2 / eta
             literal = math.exp(-w) / theta0 ** m * math.fsum(
@@ -133,7 +135,6 @@ class TestMomentTable:
     # evaluation and the recurrence P(a, x) = P(a+1, x) + x^a e^-x / Gamma(a+1)
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 4.0])
     def test_recurrence_matches_per_entry_values(self, shape):
-        from fdrs import specfun as sf
         import mpmath as mp
         count, upper = 201, 3.0
         for rate in (1e-3, 0.25, 5.0, 30.0, 50.0, 84.0, 200.0):
@@ -494,6 +495,115 @@ class TestRayleighReduction:
                        - ray.outage_sdf(p, x, 3, lam, **self.PIS)) <= 1e-10
 
 
+QUAD = {Protocol.IDL: an.cdf_idl_quad, Protocol.IDL_DT: an.cdf_idl_dt_quad,
+        Protocol.SDF: an.cdf_sdf_quad}
+
+
+def with_m_rd(cfg, m):
+    return dataclasses.replace(cfg, rd=LinkSpec(m, cfg.rd.avg_power))
+
+
+def matches_oracle_or_raises(x, cfg, proto, relays):
+    try:
+        value = an.cdf_conditional(x, cfg, proto, relays)
+    except ArithmeticError:
+        return
+    assert value == pytest.approx(QUAD[proto](x, cfg, relays), rel=1e-10, abs=1e-300)
+
+
+class TestRouting:
+    """Each F(x | L) and p[n] is the closed form where its condition
+    number allows, the positive route where that converges, or raises."""
+
+    @pytest.mark.parametrize("scenario,proto,relays", [
+        ("fig2a", Protocol.SDF, 16), ("fig2a", Protocol.SDF, 20),
+        ("fig2a", Protocol.IDL_DT, 40), ("fig2a", Protocol.IDL, 64),
+        ("fig3 m_rd=4", Protocol.SDF, 16), ("fig3 m_rd=4", Protocol.IDL, 64),
+        ("fig3 m_rd=4", Protocol.IDL_DT, 64),
+        ("fig4 0 40", Protocol.IDL_DT, 3), ("fig4 0 50", Protocol.IDL_DT, 3),
+        ("fig4 0 50", Protocol.SDF, 3), ("fig4 0 60", Protocol.IDL_DT, 3),
+        ("fig4 0 60", Protocol.SDF, 3), ("fig4 0.5 60", Protocol.SDF, 3),
+    ])
+    def test_ill_conditioned_rows(self, fig2a_cfg, fig3_cfg, fig4_cfg, scenario, proto,
+                                  relays):
+        # x = 3 where the alternating sums lost every digit, or returned 0 or
+        # 1 where quadrature gives 1e-41 .. 1e-5; fig4 as "fig4 lambda power_db"
+        if scenario.startswith("fig4"):
+            _, lam, power_db = scenario.split()
+            cfg = dataclasses.replace(fig4_cfg, rsi_lambda=float(lam),
+                                      p_s=dB(float(power_db)), p_r=dB(float(power_db)))
+        else:
+            cfg = fig2a_cfg if scenario == "fig2a" else with_m_rd(fig3_cfg, 4)
+        matches_oracle_or_raises(3.0, cfg, proto, relays)
+
+    @pytest.mark.parametrize("k", [19, 32, 64])
+    def test_feasibility_at_large_relay_counts(self, fig2b_cfg, k):
+        cfg = dataclasses.replace(fig2b_cfg, k=k)
+        f, fq = an.feasibility_dist(cfg), an.feasibility_dist_quad(cfg)
+        assert math.fsum(f.p) == pytest.approx(1.0, abs=1e-12)
+        for p, q in zip(f.p, fq.p):
+            assert p == pytest.approx(q, rel=1e-10, abs=1e-300)
+
+    def test_feasibility_of_the_relay_sweep(self, fig3_cfg):
+        # the analytic-relay-sweep scenario at K = 16, whose cap sums
+        # have condition numbers up to 4.7e6
+        cfg = dataclasses.replace(fig3_cfg, k=16, rp=LinkSpec(2, fig3_cfg.rp.avg_power))
+        f, fq = an.feasibility_dist(cfg), an.feasibility_dist_quad(cfg)
+        for p, q in zip(f.p, fq.p):
+            assert p == pytest.approx(q, rel=1e-10, abs=0.0)
+        assert f.p_tilde0 == pytest.approx(fq.p_tilde0, rel=1e-10, abs=0.0)
+
+    def test_closed_form_where_kappa_allows(self, fig2a_cfg, monkeypatch):
+        # K = 3 at 6 bpcu: the bound ((1 + s) / (1 - s))^L on kappa is
+        # near 1, so no Gauss rule is built; at 1 bpcu the rules are
+        built = []
+        monkeypatch.setattr(an, "_direct_link_nodes", lambda *args: built.append(args))
+        for proto in QUAD:
+            an.cdf_conditional(63.0, fig2a_cfg, proto, 3)
+        assert not built
+        with pytest.raises(TypeError):   # the stand-in returns no rules
+            an.cdf_conditional(1.0, fig2a_cfg, Protocol.IDL, 3)
+        assert built
+
+    @pytest.mark.parametrize("scenario,m_rd,power_db,x,proto,relays", [
+        ("fig3", 2, 10.0, 7.0, Protocol.IDL, 3), ("fig4", 4, 0.0, 3.0, Protocol.IDL_DT, 3),
+        ("fig2a", 4, 0.0, 15.0, Protocol.SDF, 4),
+    ])
+    def test_closed_form_near_the_kappa_limit(self, fig2a_cfg, fig3_cfg, fig4_cfg, monkeypatch,
+                                              scenario, m_rd, power_db, x, proto, relays):
+        # entries whose kappa is just under the limit take the closed form,
+        # and are within REL_TOL of a 30-digit quadrature of the same
+        # integral integral (1 - s Q)^L f_sd, with the same s
+        import mpmath as mp
+        base = {"fig2a": fig2a_cfg, "fig3": fig3_cfg, "fig4": fig4_cfg}[scenario]
+        cfg = dataclasses.replace(with_m_rd(base, m_rd), p_s=dB(power_db), p_r=dB(power_db))
+        s = an.ratio_ccdf(x, an.first_hop_ratio_params(cfg))
+        kappa = an._direct_link_nodes(x, cfg, proto, s)[0].kappa((0, relays), (1, relays))
+        assert 9.0 < kappa <= an._KAPPA_MAX
+        monkeypatch.setattr(an, "_positive", None)   # the positive route is not taken
+        got = an.cdf_conditional(x, cfg, proto, relays)
+        th_rd, m_sd, th_sd = cfg.p_r * cfg.rd.theta, cfg.sd.m, cfg.p_s * cfg.sd.theta
+        with mp.workdps(30):
+            def integrand(t):   # t = beta / theta_sd
+                y = x - th_sd * t if proto is Protocol.SDF else x * (th_sd * t + 1)
+                q = mp.gammainc(m_rd, y / th_rd, mp.inf, regularized=True)
+                return (1 - s * q) ** relays * t ** (m_sd - 1) * mp.exp(-t) / mp.gamma(m_sd)
+            hi = mp.inf if proto is Protocol.IDL else mp.mpf(x) / th_sd
+            ref = mp.quad(integrand, [0, 1, 4, 16, 64, hi] if hi == mp.inf
+                          else [0, hi / 4, hi / 2, hi])
+        assert got == pytest.approx(float(ref), rel=sf.REL_TOL, abs=0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(scenario=st.sampled_from(["fig2a", "fig3", "fig4"]), m_rd=st.integers(1, 4),
+           power_db=st.floats(-5.0, 30.0), x=st.floats(1.0, 16.0),
+           relays=st.integers(1, 24), proto=st.sampled_from(sorted(QUAD, key=str)))
+    def test_value_matches_oracle_or_raises(self, fig2a_cfg, fig3_cfg, fig4_cfg, scenario,
+                                            m_rd, power_db, x, relays, proto):
+        base = {"fig2a": fig2a_cfg, "fig3": fig3_cfg, "fig4": fig4_cfg}[scenario]
+        cfg = dataclasses.replace(with_m_rd(base, m_rd), p_s=dB(power_db), p_r=dB(power_db))
+        matches_oracle_or_raises(x, cfg, proto, relays)
+
+
 class TestFeasibility:
     def test_erlang_single_relay(self):
         # unit-mean source and relay interference, cap 2:
@@ -585,7 +695,6 @@ class TestCognitiveMixture:
         shut = dataclasses.replace(fig2b_cfg, i_th=1e-6)
         f = an.feasibility_dist(shut)
         x = 3.0
-        from fdrs import specfun as sf
         expect = f.p[0] - sf.reg_upper_gamma(
             shut.sd.m, x / (shut.p_s * shut.sd.theta)) * f.p_tilde0
         assert an.cdf_cognitive(x, shut, Protocol.IDL_DT) == pytest.approx(expect, abs=1e-9)
@@ -605,7 +714,6 @@ class TestCognitiveMixture:
         cfg = dataclasses.replace(fig3_cfg, k=8, rd=LinkSpec(4, fig3_cfg.rd.avg_power),
                                   rp=LinkSpec(2, fig3_cfg.rp.avg_power))
         f = an.feasibility_dist(cfg)
-        from fdrs import specfun as sf
         for x in (0.5, 3.0, 15.0):
             parts = [f.p[0]]
             if proto.has_dt_branch:

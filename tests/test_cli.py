@@ -1,5 +1,6 @@
 """Config ingestion, subcommand behavior, exit codes, and output stability."""
 import json
+import math
 import os
 import re
 import subprocess
@@ -350,6 +351,41 @@ class TestPlCommand:
     def test_requires_cognitive(self, ndl_rayleigh_path, capsys):
         rc = main(["pl", "--config", ndl_rayleigh_path])
         assert rc == 1
+
+
+def fig2b_with_relays(tmp_path, k):
+    path = tmp_path / f"fig2b_k{k}.cfg"
+    path.write_text((CONFIG_DIR / "fig2b.cfg").read_text().replace("k = 3", f"k = {k}"))
+    return str(path)
+
+
+class TestLargeRelayCounts:
+    """fig2b past K = 18, where the alternating feasibility sums used to
+    miss 1 and every cognitive command exited 2."""
+
+    @pytest.mark.parametrize("k", [19, 64])
+    def test_pl_probabilities_sum_to_one(self, tmp_path, capsys, k):
+        assert main(["pl", "--config", fig2b_with_relays(tmp_path, k)]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("p[")]
+        assert len(rows) == k + 1
+        assert math.fsum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [19, 64])
+    def test_cognitive_outage(self, tmp_path, capsys, k):
+        rc = main(["outage", "--config", fig2b_with_relays(tmp_path, k),
+                   "--protocol", "sdf", "--rate", "2", "--cognitive"])
+        assert rc == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["outage_analytic"] < 1.0
+
+    def test_relay_sweep_to_24(self, capsys):
+        rc = main(["sweep", "--config", str(CONFIG_DIR / "fig2b.cfg"), "--axis", "relay_count",
+                   "--from", "1", "--to", "24", "--protocols", "ndl,idl,idl_dt,sdf"])
+        assert rc == 0
+        data = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]
+                if not ln.startswith("#")]
+        for proto in ("ndl", "idl", "idl_dt", "sdf"):
+            assert [int(r[0]) for r in data if r[1] == proto] == list(range(1, 25))
 
 
 @pytest.mark.parametrize("argv", [
