@@ -6,13 +6,12 @@ command line import it only when a run simulates, so an analytic run
 never pays for numpy's import.
 
 Every link class fades Nakagami-m, so its power gain is drawn as
-Gamma(m, avg_power/m); `draw_gains` draws one batch of every
-configured link in a fixed order.  `_count_chunk` and
-`_feasibility_chunk` call it through this module's global, so a
-wrapper set on `montecarlo.draw_gains` sees every draw.  Shapes 1 and
-2 are drawn as the sum of one or two unit exponentials, which is
-exactly Gamma(m, 1) and costs less than numpy's Gamma sampler there;
-every other shape, integer or real, is drawn by that sampler.
+Gamma(m, avg_power/m): at integer m <= 5 as -log of a product of m
+uniforms, which is exact and cheaper than numpy's Gamma sampler there,
+and by that sampler otherwise.  `draw_gains` draws one batch of every
+configured link in a fixed order; `_count_chunk` calls it through this
+module's global, so a wrapper set on `montecarlo.draw_gains` sees every
+outage draw.  `_feasibility_chunk` draws only the cap links sp and rp.
 
 Trials are processed in fixed chunks of 65536, each driven by its own
 SFC64 stream seeded by SeedSequence([seed, chunk index]).  The seed
@@ -89,14 +88,17 @@ _RELAY_PATH = {Protocol.IDL_DT: Protocol.IDL, Protocol.HD_SDF: Protocol.HD_MRC}
 
 
 def _gamma(rng: np.random.Generator, m: float, theta: float, shape) -> np.ndarray:
-    """Gamma(m, theta) variates; at shapes 1 and 2 theta times a sum of
-    unit exponentials, summed and scaled in place."""
-    if m not in (1.0, 2.0):
+    """Gamma(m, theta) variates; at integer m <= 5, -theta log(U_1...U_m),
+    the product formed in place and clamped to the smallest positive double
+    so that no gain is infinite.  Small gains are resolved to about
+    1e-16 theta, which affects only events of probability below 1e-14."""
+    if not float(m).is_integer() or m > 5:
         return rng.gamma(m, theta, shape)
-    out = rng.standard_exponential(shape)
-    if m == 2.0:
-        out += rng.standard_exponential(shape)
-    out *= theta
+    out = rng.random(shape)
+    for _ in range(int(m) - 1):
+        out *= rng.random(shape)
+    np.log(np.maximum(out, math.ulp(0.0), out=out), out=out)
+    out *= -theta
     return out
 
 
@@ -143,10 +145,7 @@ def _check_run(trials: int, seed: int):
 
 def _chunk_sizes(trials: int):
     full, rest = divmod(trials, CHUNK_TRIALS)
-    sizes = [CHUNK_TRIALS] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
 def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple:
@@ -310,7 +309,9 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
 
 
 def _feasibility_chunk(cfg, seed, chunk_index, n):
-    gains = draw_gains(cfg, _chunk_rng(seed, chunk_index), n)
+    rng = _chunk_rng(seed, chunk_index)   # feasibility reads only the cap links
+    gains = {"sp": _gamma(rng, cfg.sp.m, cfg.sp.theta, n),
+             "rp": _draw_class(cfg, "rp", rng, n)}
     # the full-duplex cap rule, the one the closed form counts under
     feasible, dt_allowed = _feasibility_masks(gains, cfg, (False,))
     feasible_count = np.count_nonzero(feasible[False], axis=0)
@@ -324,9 +325,8 @@ def estimate_feasibility(cfg: NetworkConfig, trials: int, seed: int,
     """Empirical distribution of the number of cap-compliant relays."""
     _check_run(trials, seed)
     require_cognitive(cfg)
-    sizes = _chunk_sizes(trials)
     results = _run_chunks(lambda i, n: _feasibility_chunk(cfg, seed, i, n),
-                          sizes, workers)
+                          _chunk_sizes(trials), workers)
     counts = np.sum([c for c, _ in results], axis=0)
     tilde0 = sum(t for _, t in results)
     return FeasibilityDist(p=tuple(counts / trials), p_tilde0=tilde0 / trials)

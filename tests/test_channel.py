@@ -147,15 +147,41 @@ class TestGammaSampling:
 
 
 class TestSamplerPaths:
-    # shapes 1 and 2 are drawn as sums of unit exponentials, every other
-    # shape by numpy's Gamma sampler; each path must give Gamma(m, theta)
-    @pytest.mark.parametrize("m", [1.0, 2.0, 2.5, 3.0])
+    # integer shapes up to 5 are drawn as -theta log of a product of m
+    # uniforms, real shapes and larger integer shapes by numpy's Gamma
+    # sampler; each path must give Gamma(m, theta)
+    @pytest.mark.parametrize("m", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
     def test_ks(self, m):
         theta = 1.7
         cfg = make_cfg(k=2, sr=LinkSpec(m, m * theta))
         draws = draw_gains(cfg, np.random.Generator(np.random.SFC64(23)), 20_000)["sr"]
         for row in draws:
             assert stats.kstest(row, "gamma", args=(m, 0, theta)).pvalue > 0.01
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_lower_tail(self, m):
+        # a product of uniforms near 1 sets the smallest gains: counts
+        # below low quantiles must stay binomial
+        theta, n = 1.7, 10 ** 6
+        cfg = make_cfg(k=1, sr=LinkSpec(m, m * theta))
+        draws = draw_gains(cfg, np.random.Generator(np.random.SFC64(29)), n)["sr"][0]
+        for q in (1e-3, 1e-4):
+            hits = np.count_nonzero(draws < stats.gamma.ppf(q, m, scale=theta))
+            assert abs(hits - n * q) <= 4 * math.sqrt(n * q * (1 - q)), q
+
+    def test_zero_uniforms_give_finite_gains(self):
+        # random() may return 0.0; a product of 0 must not become an
+        # infinite gain
+        class ZeroUniforms:
+            def random(self, shape):
+                return np.zeros(shape)
+
+        cfg = make_cfg(sr=LinkSpec(1, 2.0), rd=LinkSpec(5, 2.0),
+                       sp=LinkSpec(3, 1.0), rp=LinkSpec(4, 1.0), i_th=2.0)
+        gains = draw_gains(cfg, ZeroUniforms(), 8)
+        assert sorted(gains) == ["rd", "rp", "rr", "sd", "sp", "sr"]
+        for name, g in gains.items():
+            assert np.all(np.isfinite(g)) and np.all(g > 0), name
 
     def test_mixed_override_moments(self):
         specs = (LinkSpec(2, 31.6), LinkSpec(0.7, 5.0), LinkSpec(2, 0.5))
