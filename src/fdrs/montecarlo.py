@@ -31,14 +31,16 @@ simulation with the same seed would give.
 
 A chunk is evaluated once per distinct scenario point.  The terms every
 protocol of a duplex class shares (the first hop with the relays that
-violate the cap set to -inf, P_R g_rd, P_S g_sd and the cap masks) are
-computed once per point; each protocol adds only its second hop, the
-min and the max over relays, and a protocol with a direct branch
-reuses its relay-only twin's max.  The evaluation runs over column
-blocks of BLOCK_TRIALS trials so that its (k, n) temporaries stay in
-cache.  A trial's SINR depends on its own column only, and hit counts
-are exact integer sums over blocks, so no count depends on the block
-size.
+violate the cap given a first hop of 0, P_R g_rd, P_S g_sd and the cap
+masks) are computed once per point; each protocol adds only its second
+hop, the min and the max over relays, and a protocol with a direct
+branch reuses its relay-only twin's max.  Every hop is >= 0, so a relay
+with a 0 first hop never raises the max above 0, and a trial with no
+usable relay reads SINR 0: every count is the one that leaving such
+relays out gives.  The evaluation runs over column blocks of
+BLOCK_TRIALS trials so that its (k, n) temporaries stay in cache.  A
+trial's SINR depends on its own column only, and hit counts are exact
+integer sums over blocks, so no count depends on the block size.
 """
 from __future__ import annotations
 
@@ -162,10 +164,23 @@ def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple
     i_sp = cfg.p_s * gains["sp"]
     i_rp = cfg.p_r * gains["rp"]
     dt_allowed = i_sp <= cfg.i_th
-    feasible = {half_duplex: (dt_allowed[None, :] & (i_rp <= cfg.i_th)) if half_duplex
-                else (i_sp[None, :] + i_rp) <= cfg.i_th
-                for half_duplex in duplex_classes}
+    feasible = {}
+    if True in duplex_classes:
+        feasible[True] = dt_allowed[None, :] & (i_rp <= cfg.i_th)
+    if False in duplex_classes:
+        i_rp += i_sp
+        feasible[False] = i_rp <= cfg.i_th
     return feasible, dt_allowed
+
+
+_NAN_BITS = 0x7FF8000000000000   # a float64 NaN's bits
+
+
+def _zero_unless(values, allowed, out=None):
+    """values >= 0 where `allowed` holds, else 0, without a branch: fmin
+    passes each value bit for bit against the NaN bound where the rule
+    holds, and takes the 0.0 bound where it fails."""
+    return np.fmin(values, (allowed * _NAN_BITS).view(np.float64), out=out)
 
 
 def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
@@ -173,46 +188,49 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
     at one scenario point.
 
     What a duplex class shares is computed once: its first hop, with
-    the relays that violate the cap set to -inf (min(-inf, y) = -inf
-    keeps them out of the max over relays), P_R g_rd and P_S g_sd.  A
+    the relays that violate the cap given a first hop of 0, P_R g_rd and
+    P_S g_sd.  Every hop is >= 0, so such a relay cannot raise the max
+    over relays above 0: the counts are those of leaving it out.  A
     protocol with a direct-transmission branch reuses the relayed path
     of its relay-only twin (IDL_DT that of IDL, HD_SDF that of HD_MRC).
     The cap applies iff cfg is cognitive; under it the direct branch is
-    allowed iff the source alone meets it.  With no usable relay and no
-    allowed direct branch the SINR is 0.
+    allowed iff the source alone meets it, and else reads 0.  With no
+    usable relay and no allowed direct branch the SINR is 0.
     """
     duplex_classes = dict.fromkeys(p.half_duplex for p in protocols)
     direct = cfg.p_s * gains.get("sd", 0.0)
     relay_rd = cfg.p_r * gains["rd"]
     first = {}
     for half_duplex in duplex_classes:
-        if half_duplex:
-            first[half_duplex] = cfg.p_s * gains["sr"]
-        else:
-            first[half_duplex] = cfg.p_s * gains["sr"] / (
-                cfg.p_r ** cfg.rsi_lambda * gains["rr"] + 1.0)
+        hop = cfg.p_s * gains["sr"]
+        if not half_duplex:
+            rsi = cfg.p_r ** cfg.rsi_lambda * gains["rr"]
+            rsi += 1.0
+            hop /= rsi
+        first[half_duplex] = hop
     direct_branch = direct
     if cfg.is_cognitive:
         feasible, dt_allowed = _feasibility_masks(gains, cfg, duplex_classes)
         for half_duplex, hop in first.items():
-            hop[~feasible[half_duplex]] = -np.inf
-        direct_branch = np.where(dt_allowed, direct, -np.inf)
+            _zero_unless(hop, feasible[half_duplex], out=hop)
+        direct_branch = _zero_unless(direct, dt_allowed)
     relayed = {}
     sinrs = {}
+    per_relay = np.empty_like(relay_rd)   # every relayed path's min, in turn
     for protocol in protocols:
         path = _RELAY_PATH.get(protocol, protocol)
         if path not in relayed:
             if path is Protocol.NDL:
                 second = relay_rd
             elif path is Protocol.IDL:  # direct signal interferes with the second hop
-                second = relay_rd / (direct + 1.0)
+                second = np.divide(relay_rd, direct + 1.0, out=per_relay)
             else:  # SDF, HD_MRC: relayed and direct signals combined
-                second = relay_rd + direct
-            relayed[path] = np.minimum(first[path.half_duplex], second).max(axis=0)
+                second = np.add(relay_rd, direct, out=per_relay)
+            relayed[path] = np.minimum(first[path.half_duplex], second, out=per_relay).max(axis=0)
         sinr = relayed[path]
         if protocol.has_dt_branch:
             sinr = np.maximum(sinr, direct_branch)
-        sinrs[protocol] = np.maximum(sinr, 0.0)
+        sinrs[protocol] = sinr
     return sinrs
 
 

@@ -604,6 +604,70 @@ class TestRouting:
         matches_oracle_or_raises(x, cfg, proto, relays)
 
 
+class TestDirectLinkOracleLooseEnd:
+    """The ROADMAP loose end "the direct-link oracles return wrong values
+    without raising", pinned: where g^L carries the mass far into the
+    direct-link density's tail (idl, L = 16 and 64), or where that density
+    is singular at 0 (sdf with m_sd = 1/2), `cdf_idl_quad` and
+    `cdf_sdf_quad` return values off by up to four orders of magnitude and
+    raise nothing.  Each oracle test is an xfail(strict=True): it starts
+    to pass, and so fails, once the oracle is right or raises, and the
+    marker goes then.  The references are F(0.5 | L) to 40 digits, from
+    this mpmath snippet (50 and 70 digits agree to 42):
+
+        from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf, linspace
+        mp.dps = 50
+
+        def reference(cfg, sdf, x, relays):
+            x = mpf(x)
+            th = lambda link, p: mpf(p) * mpf(link.avg_power) / link.m
+            m1, th1, m2, th2 = cfg.sr.m, th(cfg.sr, cfg.p_s), cfg.rr.m, th(cfg.rr, cfg.p_r)
+            m_rd, th_rd = cfg.rd.m, th(cfg.rd, cfg.p_r)
+            m_sd, th_sd = cfg.sd.m, th(cfg.sd, cfg.p_s)
+            Q = lambda a, y: gammainc(a, y, inf, regularized=True)
+            pdf = lambda b, m, t: b ** (m - 1) * exp(-b / t) / (gamma(m) * t ** m)
+            s = quad(lambda u: Q(m1, x * (th2 * u + 1) / th1) * pdf(u, m2, 1),
+                     [0, 1, 4, 16, 64, inf])
+            if sdf:   # b = u^2 takes out the density's b^(-1/2) at m_sd = 1/2
+                g = lambda u: ((1 - s * Q(m_rd, (x - u * u) / th_rd)) ** relays
+                               * 2 * u * pdf(u * u, m_sd, th_sd))
+                return quad(g, linspace(0, x ** 0.5, 33))
+            g = lambda b: (1 - s * Q(m_rd, x * (b + 1) / th_rd)) ** relays * pdf(b, m_sd, th_sd)
+            return quad(g, [0] + [mpf(2) ** j for j in range(-6, 12)] + [inf])
+
+    with cfg fig2a (its m_sd set to 0.5 for sdf); rsi_lambda = 1 there.
+    """
+
+    # (protocol, m_sd, L): F(0.5 | L) on fig2a
+    REFERENCE = {
+        (Protocol.IDL, 2.0, 16): 6.112673172630474330118971560291937296959e-16,
+        (Protocol.IDL, 2.0, 64): 9.885963048595713985924904348103360816001e-29,
+        (Protocol.SDF, 0.5, 8): 1.870917717027202868162169528383644570971e-19,
+    }
+
+    @staticmethod
+    def scenario(fig2a_cfg, m_sd):
+        return dataclasses.replace(fig2a_cfg, sd=LinkSpec(m_sd, fig2a_cfg.sd.avg_power))
+
+    @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: f"{c[0].value}-m_sd{c[1]}-L{c[2]}")
+    def test_production_route_matches_reference(self, fig2a_cfg, case):
+        proto, m_sd, relays = case
+        got = an.cdf_conditional(0.5, self.scenario(fig2a_cfg, m_sd), proto, relays)
+        assert got == pytest.approx(self.REFERENCE[case], rel=1e-10, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP loose end: the direct-link oracles return "
+                              "wrong values without raising")
+    @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: f"{c[0].value}-m_sd{c[1]}-L{c[2]}")
+    def test_oracle_matches_reference_or_raises(self, fig2a_cfg, case):
+        proto, m_sd, relays = case
+        try:
+            got = QUAD[proto](0.5, self.scenario(fig2a_cfg, m_sd), relays)
+        except ArithmeticError:
+            return
+        assert got == pytest.approx(self.REFERENCE[case], rel=10 * an.QUAD_TOL, abs=0.0)
+
+
 class TestFeasibility:
     def test_erlang_single_relay(self):
         # unit-mean source and relay interference, cap 2:

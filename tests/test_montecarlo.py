@@ -301,6 +301,63 @@ class TestCountsAgainstReference:
         assert hits == [0, 1000] * len(Protocol)
 
 
+class TestCapSemantics:
+    """A relay that fails the cap reads a first hop of 0, and a disallowed
+    direct branch reads 0, whatever their gains: the SINRs never go NaN
+    and count exactly as reference_sinr's, which leaves those links out."""
+
+    THRESHOLDS = (0.0, 1e-300, 3.0, 255.0)
+
+    def assert_matches_reference(self, gains, cfg, thresholds):
+        sinrs = mc._point_sinrs(gains, cfg, list(Protocol))
+        for proto, sinr in sinrs.items():
+            ref = reference_sinr(gains, cfg, proto, *reference_masks(gains, cfg, proto))
+            assert not np.isnan(sinr).any(), proto
+            assert (sinr >= 0.0).all(), proto
+            for gamma_th in thresholds:
+                assert np.count_nonzero(sinr < gamma_th) == np.count_nonzero(
+                    ref < gamma_th), (proto, gamma_th)
+        return sinrs
+
+    def test_overflowed_hops_of_excluded_links(self, fig2b_cfg):
+        # p_s = p_r = 10 and I_th = 3 dB.  Trial 0: relay 0 fails the cap
+        # (P_R g_rp = 10) with P_S g_sr = +inf; relay 1 and the source meet
+        # it.  Trial 1: the source alone breaks the cap (P_S g_sp = 10), and
+        # the direct SNR is +inf.  Trial 2: relay 0 fails the cap with a
+        # first hop of inf / inf.
+        cfg = dataclasses.replace(fig2b_cfg, k=2, p_s=10.0, p_r=10.0)
+        gains = {name: np.array(g, float) for name, g in {
+            "sr": [[1e308, 1e308, 1e308], [0.2, 0.2, 0.3]],
+            "rr": [[0.5, 1e308, 1e308], [0.1, 0.1, 0.1]],
+            "rd": [[1.0, 1.0, 1.0], [0.1, 0.1, 0.2]],
+            "sd": [0.1, 1e308, 0.05],
+            "sp": [0.01, 1.0, 0.01],
+            "rp": [[1.0, 0.01, 1.0], [0.01, 0.01, 0.01]]}.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            sinrs = self.assert_matches_reference(gains, cfg, self.THRESHOLDS)
+        for proto, sinr in sinrs.items():
+            assert sinr[1] == 0.0, proto
+            assert 0.0 < sinr[0] < math.inf and 0.0 < sinr[2] < math.inf, proto
+
+    @pytest.mark.parametrize("cap", ["closed", "vacuous", "half"])
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_random_draws(self, fig2b_cfg, k, cap):
+        cfg = dataclasses.replace(fig2b_cfg, k=k)
+        for seed in range(3):
+            gains = draw_gains(cfg, np.random.default_rng(seed), 4096)
+            load = cfg.p_s * gains["sp"] + cfg.p_r * gains["rp"]   # full-duplex cap load
+            i_th = {"closed": 1e-300, "vacuous": 1e300, "half": float(np.median(load))}[cap]
+            point = dataclasses.replace(cfg, i_th=i_th)
+            ref = reference_sinr(gains, point, Protocol.SDF,
+                                 *reference_masks(gains, point, Protocol.SDF))
+            thresholds = self.THRESHOLDS + (2 ** 0.5 - 1.0, *np.quantile(ref, [0.1, 0.5, 0.9]))
+            sinrs = self.assert_matches_reference(gains, point, thresholds)
+            if cap == "closed":
+                assert not any(s.any() for s in sinrs.values())
+            if cap == "half":
+                assert 0.4 < np.mean(load <= i_th) < 0.6
+
+
 class TestStream:
     """The counts a seed gives are pinned: a change to the bit generator,
     the seeding or the sampler changes every Monte Carlo output and must
