@@ -10,11 +10,11 @@ conditioned on the direct-link SNR where one exists.
 
 Every direct-link CDF is one alternating binomial sum over positive
 blocks, F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with s = P(Z > x) and
-I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db, and the feasibility
-distribution is an alternating sum of such blocks.  For integer m,
-Q(m, y) = e^(-y) sum_{j<m} y^j/j!, a positive polynomial in b at the
-shifted argument x (b + 1) (idl, idl_dt) and in x - b at the convolved
-argument x - b (sdf, feasibility).  Block k sums the polynomial's k-th
+I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db, and so is the paper's
+feasibility distribution.  For integer m, Q(m, y) = e^(-y) sum_{j<m}
+y^j/j!, a positive polynomial in b at the shifted argument x (b + 1)
+(idl, idl_dt) and in x - b at the convolved argument x - b (sdf, the
+paper's feasibility sums).  Block k sums the polynomial's k-th
 power, one convolution from the (k-1)-th, against one inner table:
 incomplete-Gamma moments when shifted; when convolved, positive Kummer
 series, replaced only beyond |w| = 30 (w the decay rate times x) by an
@@ -29,18 +29,16 @@ scaled by the largest in log space and added with math.fsum, so the
 expressions stay usable from deep-tail diversity sweeps (probabilities
 ~1e-18) up to thresholds of 1e6.
 
-Each outer entry, F(x | L) or p[n], is routed by the condition number
-kappa of its sum: the closed form where (ulp(1) + sf.GAMMA_REL_TOL)
-kappa <= sf.REL_TOL, and otherwise the positive integral the binomial
-expansion came from, integral g^L f_sd with g = F_Z + s P(m, y/theta)
-(or C(K, n) P^n Q^(K-n) under the cap), by Gauss rules in the density's
-own variable: panels of Legendre nodes and a Laguerre tail, each panel
-doubled until the rules agree within sf.REL_TOL; where they never do,
-ArithmeticError.  kappa comes from the same nodes as integral
-(1 + s Q)^L f / F (C(K, n) integral Q^(K-n) (1 + Q)^n f / p[n]), so no
-block is evaluated past the last entry that uses it.  The node vectors
-do not depend on L or K and are kept in a shared_blocks() scope, where
-a relay-count sweep then pays a multiply-add per node and entry.
+F(x | L) is that closed form where the a-priori bound
+((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp(1) +
+sf.GAMMA_REL_TOL) kappa within sf.REL_TOL.  Every other F(x | L), and
+every p[n], is the positive integral the binomial expansion came from,
+integral g^L f_sd with g = F_Z + s P(m, y/theta) (or C(K, n) P^n
+Q^(K-n) under the cap), by Gauss rules in the density's own variable:
+panels of Legendre nodes and a Laguerre tail, each doubled until the
+rules agree within sf.REL_TOL; where they never do, ArithmeticError.
+The node vectors depend on neither L nor K; a shared_blocks() scope
+keeps them, so a sweep pays a multiply-add per node and entry.
 """
 from __future__ import annotations
 
@@ -430,12 +428,11 @@ class _Nodes:
     """integral_0^hi b_i(beta)^e b_j(beta)^d f(beta) dbeta for positive
     node functions b, f the Gamma(shape, theta0) density, over panels in
     t = beta/theta0, each refined by doubling its Gauss nodes until the
-    changes of the panels add up to REL_TOL of the total.
-
-    The node vectors b do not depend on the exponents, and their powers
-    are grown by repeated multiplication and summed by fsum, so an
-    entry's value depends only on its own exponents, never on which
-    entries were asked for before it.
+    changes of the panels add up to REL_TOL of the total.  The node
+    vectors b do not depend on the exponents, and their powers are grown
+    by repeated multiplication and summed by fsum, so an entry's value
+    depends on its own exponents alone, never on the entries asked for
+    before it.
     """
 
     def __init__(self, bases, shape: float, theta0: float, bounds: list[float],
@@ -447,7 +444,6 @@ class _Nodes:
         self._bases, self._shape, self._theta0 = bases, shape, theta0
         # (panel, level) -> node vectors, their powers and weighted powers; and sums
         self._cache = {} if shared is None else shared
-        self._kappas = {}
 
     def _sum(self, panel: int, level: int, exps: tuple) -> float:
         """The panel's sum of w b_i^e (b_j^d) at `level` for exps (i, e[, j, d])."""
@@ -472,20 +468,6 @@ class _Nodes:
         """An entry's first level: the first with at least twice as many
         nodes a panel as the power it raises the node functions to."""
         return min(max(0, (2 * sum(exps[1::2]) - 1).bit_length() - 3), len(_PANEL_NODES) - 2)
-
-    def kappa(self, exps: tuple, abs_exps: tuple) -> float:
-        """sum|t| / S of the entry, abs_exps giving sum|t|: the larger of
-        its values on the entry's first two levels, as the first alone is
-        not yet checked against a finer rule."""
-        kappa = self._kappas.get(abs_exps)
-        if kappa is None:
-            kappa, panels = 0.0, range(len(self._panels))
-            for level in (self._first(exps), self._first(exps) + 1):
-                value = math.fsum([self._sum(p, level, exps) for p in panels])
-                kappa = max(kappa, math.fsum([self._sum(p, level, abs_exps) for p in panels])
-                            / value if value > 0.0 else math.inf)
-            self._kappas[abs_exps] = kappa
-        return kappa
 
     def value(self, exps: tuple) -> float:
         """Every panel at the entry's first two levels; while the changes
@@ -524,8 +506,7 @@ def _positive(rules: tuple, exps: tuple) -> float:
 def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol,
                        s: float) -> tuple[_Nodes, ...]:
     """The rules, to be tried in turn, for F(x | L) = integral g^L f_sd
-    and its kappa integral (1 + s Q)^L f_sd, with g = F_Z + s P(m_rd,
-    y/theta_rd), P and Q from one evaluation and F_Z never 1 - s.
+    with g = F_Z + s P(m_rd, y/theta_rd), F_Z never 1 - s.
     Panels on [0, x] grow from 0 in the scale on which y changes by 1
     (y = x - b), or by 1 or half itself (y = x (b + 1)); y = x - b gets
     them from x as well, where it vanishes.  idl and idl_dt share their
@@ -540,10 +521,9 @@ def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol,
     convolved, upper = _DIRECT_LINK_INNER[protocol]
     hi = upper * x / th_sd
 
-    def bases(betas):   # g and 1 + s Q at each node
-        pqs = [sf._reg_gamma(m_rd, max(x - b if convolved else x * (b + 1.0), 0.0) / th_rd)
-               for b in betas]
-        return [fz + s * p for p, _ in pqs], [1.0 + s * q for _, q in pqs]
+    def bases(betas):   # g at each node
+        ys = [max(x - b if convolved else x * (b + 1.0), 0.0) / th_rd for b in betas]
+        return [[fz + s * sf._reg_gamma(m_rd, y)[0] for y in ys]]
     if convolved:
         edge = th_rd / th_sd
         return (_Nodes(bases, m_sd, th_sd, [0.0, *_panel_ends(hi, min(1.0, edge), edge=edge), hi]),)
@@ -575,13 +555,12 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     NDL keeps its product form per_path^L.  The direct-link protocols
     integrate g^L = (1 - s Q)^L over the direct-link SNR, s = P(Z > x).
     Entry L is the alternating sum F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k
-    (sf.ln_binomial_sum over the blocks of _ln_blocks) while its
-    condition number kappa, ((1 + s) / (1 - s))^L at most or else taken
-    from the first Gauss rule, keeps (ulp + sf.GAMMA_REL_TOL) kappa within
-    sf.REL_TOL; past that L, the positive integral of g^L by the rules of
-    _direct_link_nodes, or ArithmeticError.  In a shared_blocks() scope a
-    call extends the list (with per_path or s, and the rules) an earlier
-    call built.
+    (sf.ln_binomial_sum over the blocks of _ln_blocks) while the bound
+    ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp +
+    sf.GAMMA_REL_TOL) kappa within sf.REL_TOL; past that L, the positive
+    integral of g^L by the rules of _direct_link_nodes, or
+    ArithmeticError.  In a shared_blocks() scope a call extends the list
+    (with per_path or s, and the rules) an earlier call built.
     """
     if relays < 1:
         raise ValueError("relays must be >= 1")
@@ -594,11 +573,11 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     ndl = protocol is Protocol.NDL
     link = () if ndl else (cfg.sd.m, cfg.p_s * cfg.sd.theta)
 
-    def first_hop():   # the list; NDL's per_path or s; the rules; the first L kappa rules out
+    def first_hop():   # the list; NDL's per_path or s; the rules
         if not ndl:
-            return [[], ratio_ccdf(x, p1), None, math.inf]
+            return [[], ratio_ccdf(x, p1), None]
         fz = cdf_ratio_gamma(x, p1)
-        return [[], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd), None, math.inf]
+        return [[], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd), None]
     state = _kept(("cdfs", protocol, x, p1, cfg.rd.m, th_rd) + link, first_hop)
     cdfs, s = state[:2]
     if ndl:
@@ -606,22 +585,16 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
         return cdfs[:relays + 1]
     convolved, upper = _DIRECT_LINK_INNER[protocol]
 
-    def closed(n):   # kappa <= ((1 + s) / F_Z)^n, as g >= F_Z = 1 - s; or from the rules
-        if s < 1.0 and n * (math.log1p(s) - math.log1p(-s)) <= math.log(_KAPPA_MAX):
-            return True
-        if state[3] < n:   # kappa grows with L, so each L past one it rules out is too
-            return False
-        if state[2] is None:
-            state[2] = _direct_link_nodes(x, cfg, protocol, s)
-        if state[2][0].kappa((0, n), (1, n)) <= _KAPPA_MAX:
-            return True
-        state[3] = n
-        return False
-    new = [(n, closed(n)) for n in range(len(cdfs), relays + 1)]
+    # closed where kappa <= ((1 + s) / F_Z)^L allows it, as g >= F_Z = 1 - s
+    ln_growth = math.log1p(s) - math.log1p(-s) if s < 1.0 else math.inf
+    new = [(n, n == 0 or n * ln_growth <= math.log(_KAPPA_MAX))
+           for n in range(len(cdfs), relays + 1)]
     top = max((n for n, c in new if c), default=-1) if s > 0.0 else 0   # s = 0: block 0 only
     if top >= 0:
         ln_i = _ln_blocks(top, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
         ln_s = math.log(s) if s > 0.0 else 0.0
+    if state[2] is None and not all(c for _, c in new):   # the positive route's rules
+        state[2] = _direct_link_nodes(x, cfg, protocol, s)
     cdfs.extend(_probability(sf.ln_binomial_sum(ln_i, min(n, top), ln_ratio=ln_s)[0]) if c
                 else min(_positive(state[2], (0, n)), 1.0) for n, c in new)
     return cdfs[:relays + 1]
@@ -638,8 +611,8 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     integration stops at x.  sdf: selective cooperation; the second hop is
     MRC-combined with the direct signal, so the inner integral carries the
     kernel (x - beta)^deg at a decay of either sign (_ln_conv_integrals).
-    A direct-link value is the closed form where its condition number
-    allows, else the positive Gauss-rule integral (_conditional_cdfs);
+    A direct-link value is the closed form where the bound on its condition
+    number allows, else the positive Gauss-rule integral (_conditional_cdfs);
     either is within specfun.REL_TOL, or the call raises ArithmeticError.
     """
     validate_config(cfg, protocol, "analytic")
@@ -708,20 +681,20 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     """Exact distribution of the number of relays satisfying the cap.
 
     The source interference is common to all relays, so feasibility
-    events are only conditionally independent given it; integrating the
-    conditional binomial over the source-interference density yields
-    finite sums of the convolution integrals in _ln_conv_integrals.
-    p[n] takes that alternating sum where its condition number allows,
-    else the positive integral of C(K, n) P^n Q^(K-n) by Gauss rules,
-    as does p_tilde0 always; each is within specfun.REL_TOL or the call
-    raises ArithmeticError.  Requires integer m_rp (series expansion of
-    the per-relay tail) and symmetric relays.  A shared_blocks() scope
-    computes it once per tuple of _feasibility_args, and its rules once
-    per cap; outside a scope every call computes it.
+    events are only conditionally independent given it.  Each p[n]
+    (n >= 1), and p_tilde0, is the conditional binomial C(K, n) P^n
+    Q^(K-n) integrated over the source-interference density by Gauss
+    rules, never the paper's alternating sum of convolution integrals,
+    whose condition number grows with K; each is within specfun.REL_TOL
+    or the call raises ArithmeticError.  Requires symmetric relays and
+    integer m_rp: at other shapes the rules stall at the cap, where
+    P(m_rp, y) ~ y^m_rp.  A shared_blocks() scope computes it once per
+    tuple of _feasibility_args, and its rules once per cap; outside a
+    scope every call computes it.
     """
     args = _feasibility_args(cfg)
     if not cfg.rp.integer_m:
-        raise ConfigError([f"feasibility closed form requires integer m_rp (got {cfg.rp.m})"])
+        raise ConfigError([f"analytic feasibility requires integer m_rp (got {cfg.rp.m})"])
     return _kept(("feasibility",) + args, lambda: _feasibility(*args))
 
 
@@ -729,36 +702,25 @@ def _feasibility(k_total: int, m_sp: float, th_sp: float, m_rp: float, th_rp: fl
                  cap: float) -> FeasibilityDist:
     # with b the source's interference, P and Q = 1 - P a relay's chances
     # to meet and to violate the cap: P(exactly n feasible) is
-    # C(K, n) integral_0^cap P^n Q^(K-n) f_I_SP(b) db, and expanding
-    # (1 - Q)^n gives the closed form C(K, n) sum_l C(n, l) (-1)^l B_{K-n+l}
-    # over the blocks B_q = integral_0^cap Q^q f_I_SP(b) db
+    # C(K, n) integral_0^cap P^n Q^(K-n) f_I_SP(b) db
     nodes = _kept(("cap nodes", m_sp, th_sp, m_rp, th_rp, cap),
                   lambda: _cap_nodes(m_sp, th_sp, m_rp, th_rp, cap))
     p_tilde0 = nodes.value((1, k_total))
     probs = [min(sf.reg_upper_gamma(m_sp, cap / th_sp) + p_tilde0, 1.0)]
-    # kappa grows with K at fixed n (its weight is the value's tilted by
-    # ((1 + Q) / P)^n, which grows with Q), so K = n rules out most n cheaply
-    closed = [False] + [all(nodes.kappa((1, k - n, 0, n), (1, k - n, 2, n)) <= _KAPPA_MAX
-                            for k in (n, k_total)) for n in range(1, k_total + 1)]
-    if any(closed):
-        ln_b = _ln_blocks(k_total, int(round(m_rp)), th_rp, cap, m_sp, th_sp, True, cap)
     for n in range(1, k_total + 1):
-        if closed[n]:
-            ln_sum, _ = sf.ln_binomial_sum(ln_b, n, first=k_total - n)
-        else:
-            value = nodes.value((1, k_total - n, 0, n))
-            ln_sum = math.log(value) if value > 0.0 else None
-        probs.append(_probability(ln_sum, sf.ln_comb(k_total, n)))
+        value = nodes.value((1, k_total - n, 0, n))
+        probs.append(_probability(math.log(value) if value > 0.0 else None,
+                                  sf.ln_comb(k_total, n)))
     return FeasibilityDist(p=tuple(probs), p_tilde0=min(p_tilde0, probs[0]))
 
 
 def _cap_nodes(m_sp: float, th_sp: float, m_rp: float, th_rp: float, cap: float) -> _Nodes:
-    """The nodes of P(m_rp, y), Q(m_rp, y) and 1 + Q at y = (cap - b)/th_rp
-    over the source interference b, from one evaluation each; panels are
+    """The nodes of P(m_rp, y) and Q(m_rp, y) at y = (cap - b)/th_rp over
+    the source interference b, from one evaluation each; panels are
     graded from 0 and from the cap in the relays' scale."""
-    def bases(betas):   # P, Q and 1 + Q at each node
+    def bases(betas):   # P and Q at each node
         pqs = [sf._reg_gamma(m_rp, max(cap - b, 0.0) / th_rp) for b in betas]
-        return [p for p, _ in pqs], [q for _, q in pqs], [1.0 + q for _, q in pqs]
+        return [p for p, _ in pqs], [q for _, q in pqs]
     scale = th_rp / th_sp
     hi = cap / th_sp
     return _Nodes(bases, m_sp, th_sp, [0.0, *_panel_ends(hi, min(1.0, scale), edge=scale), hi])
@@ -801,6 +763,10 @@ def cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol) -> float:
     P_L come from feasibility_dist, shared within a shared_blocks() scope.
     """
     validate_config(cfg, protocol, "analytic")
+    return _cdf_cognitive(x, cfg, protocol)
+
+
+def _cdf_cognitive(x: float, cfg: NetworkConfig, protocol: Protocol) -> float:
     feas = feasibility_dist(cfg)
     parts = [feas.p[0]]
     if protocol.has_dt_branch:
@@ -854,7 +820,7 @@ def outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     if gamma_th == 0.0:
         return 0.0
     if cognitive:
-        return cdf_cognitive(gamma_th, cfg, protocol)
+        return _cdf_cognitive(gamma_th, cfg, protocol)
     return cdf_conditional(gamma_th, cfg, protocol, cfg.k)
 
 

@@ -92,6 +92,9 @@ class LinkSpec:
         return abs(self.m - round(self.m)) < 1e-9
 
 
+MAX_MEAN_SNR = 1e300   # 3000 dB: gains drawn far into their tails, and their sums, stay finite
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Full scenario: relay count, powers, RSI scaling, and link classes.
@@ -142,6 +145,17 @@ class NetworkConfig:
                 elif len(specs) != self.k:
                     errors.append(
                         f"relay_overrides[{name!r}] has {len(specs)} entries, expected k={self.k}")
+        if not errors:   # each link's mean SNR, power times average gain, overrides included
+            powers = {"sr": ("p_s", self.p_s), "rd": ("p_r", self.p_r),
+                      "rr": ("p_r^lambda", self.p_r ** self.rsi_lambda),
+                      "sd": ("p_s", self.p_s), "sp": ("p_s", self.p_s), "rp": ("p_r", self.p_r)}
+            for name, (power, value) in powers.items():
+                specs = [getattr(self, name), *(self.relay_overrides or {}).get(name, ())]
+                snr = max((value * spec.avg_power for spec in specs if spec is not None),
+                          default=0.0)
+                if not snr <= MAX_MEAN_SNR:
+                    errors.append(f"link {name}: mean SNR {power}*pi_{name} = {snr:.4g} "
+                                  f"exceeds {MAX_MEAN_SNR:g} (3000 dB)")
         if errors:
             raise ConfigError(errors)
 

@@ -475,7 +475,9 @@ class TestSharedBlocks:
                     for v in spec.axis_values() for proto in FD]
         assert [r.outage for r in analysis.run_sweep(spec, cfg).rows] == expected
 
-    @pytest.mark.parametrize("name,blocks", [("relay", 11), ("ith", 97)])
+    # the blocks of the direct-link entries that the bound on kappa leaves to
+    # the closed form (no feasibility entry takes a block)
+    @pytest.mark.parametrize("name,blocks", [("relay", 6), ("ith", 3)])
     def test_each_block_evaluated_once_per_sweep(self, sweeps, monkeypatch, name, blocks):
         spec, cfg = sweeps[name]
         calls = self.counting(monkeypatch)
@@ -486,12 +488,12 @@ class TestSharedBlocks:
 
     def test_one_power_step_per_chain_and_count(self, sweeps, monkeypatch):
         # the relay sweep grows each chain only as far as an entry whose
-        # kappa allows the closed form reaches: idl and idl_dt share E_1,
-        # sdf has its own E_1, and the feasibility cap E_1..E_4
+        # kappa bound allows the closed form reaches: idl and idl_dt share
+        # E_1, and sdf has its own E_1
         spec, cfg = sweeps["relay"]
         calls = self.counting(monkeypatch, ("_ln_poly_times",))
         analysis.run_sweep(spec, cfg)
-        assert calls[0] == 1 + 1 + 4
+        assert calls[0] == 1 + 1
 
     def test_relay_sweep_skips_blocks_no_entry_uses(self, sweeps, monkeypatch):
         # every entry past the ones kappa leaves to the closed form takes

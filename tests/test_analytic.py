@@ -3,6 +3,7 @@ Monte Carlo, and their structural properties."""
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from fdrs.channel import (
     db_to_linear,
 )
 
+import paper_closed_form as paper
 import rayleigh as ray
+import route_audit
 
 dB = db_to_linear
 
@@ -571,17 +574,22 @@ class TestRouting:
     ])
     def test_closed_form_near_the_kappa_limit(self, fig2a_cfg, fig3_cfg, fig4_cfg, monkeypatch,
                                               scenario, m_rd, power_db, x, proto, relays):
-        # entries whose kappa is just under the limit take the closed form,
-        # and are within REL_TOL of a 30-digit quadrature of the same
-        # integral integral (1 - s Q)^L f_sd, with the same s
+        # entries whose closed form has kappa just under the limit, but
+        # whose a-priori bound on kappa fails, take the positive route: no
+        # block of theirs is evaluated, and they are within REL_TOL of a
+        # 30-digit quadrature of the same integral (1 - s Q)^L f_sd, with
+        # the same s
         import mpmath as mp
         base = {"fig2a": fig2a_cfg, "fig3": fig3_cfg, "fig4": fig4_cfg}[scenario]
         cfg = dataclasses.replace(with_m_rd(base, m_rd), p_s=dB(power_db), p_r=dB(power_db))
-        s = an.ratio_ccdf(x, an.first_hop_ratio_params(cfg))
-        kappa = an._direct_link_nodes(x, cfg, proto, s)[0].kappa((0, relays), (1, relays))
-        assert 9.0 < kappa <= an._KAPPA_MAX
-        monkeypatch.setattr(an, "_positive", None)   # the positive route is not taken
+        s, closed = paper.direct_link(x, cfg, proto, relays)
+        assert 9.0 < closed[relays][1] <= an._KAPPA_MAX and not paper.bound_holds(s, relays)
+        counts = []
+        real = an._ln_blocks
+        monkeypatch.setattr(an, "_ln_blocks", lambda count, *args: counts.append(count)
+                            or real(count, *args))
         got = an.cdf_conditional(x, cfg, proto, relays)
+        assert max(counts, default=0) < relays
         th_rd, m_sd, th_sd = cfg.p_r * cfg.rd.theta, cfg.sd.m, cfg.p_s * cfg.sd.theta
         with mp.workdps(30):
             def integrand(t):   # t = beta / theta_sd
@@ -602,6 +610,51 @@ class TestRouting:
         base = {"fig2a": fig2a_cfg, "fig3": fig3_cfg, "fig4": fig4_cfg}[scenario]
         cfg = dataclasses.replace(with_m_rd(base, m_rd), p_s=dB(power_db), p_r=dB(power_db))
         matches_oracle_or_raises(x, cfg, proto, relays)
+
+
+class TestRouteByBound:
+    """A direct-link F(x | L) is the closed form iff the a-priori bound
+    ((1 + s) / (1 - s))^L <= _KAPPA_MAX holds; every p[n] is the positive
+    integral, and the paper's closed forms stay within 2 REL_TOL of the
+    production values wherever their own kappa allows."""
+
+    @pytest.mark.parametrize("x", [0.3, 3.0, 15.0, 63.0])
+    @pytest.mark.parametrize("proto", sorted(QUAD, key=str))
+    def test_closed_form_iff_bound_holds(self, fig3_cfg, monkeypatch, proto, x):
+        cfg, relays = with_m_rd(fig3_cfg, 2), 24
+        positive = []
+        real = an._positive
+        monkeypatch.setattr(an, "_positive", lambda rules, exps: positive.append(exps[1])
+                            or real(rules, exps))
+        an._conditional_cdfs(x, cfg, proto, relays)
+        s = an.ratio_ccdf(x, an.first_hop_ratio_params(cfg))
+        assert positive == [n for n in range(relays + 1) if not paper.bound_holds(s, n)]
+
+    def test_feasibility_takes_no_block(self, fig2b_cfg, fig3_cfg, monkeypatch):
+        sweep_cfg = dataclasses.replace(fig3_cfg, k=16, rp=LinkSpec(2, fig3_cfg.rp.avg_power))
+        monkeypatch.setattr(an, "_ln_blocks", None)
+        for cfg in (fig2b_cfg, sweep_cfg, dataclasses.replace(fig2b_cfg, k=64)):
+            assert math.fsum(an.feasibility_dist(cfg).p) == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def check_against_closed_form(points, entries):
+        """The number of sampled entries the bound moved off a closed form
+        whose own kappa keeps REL_TOL; asserts every such entry's value."""
+        moved = 0
+        for point in points:
+            for index, got, ref, kappa, bound in entries(point):
+                if kappa <= an._KAPPA_MAX:
+                    assert got == pytest.approx(ref, rel=2 * sf.REL_TOL, abs=0.0), (point, index)
+                    moved += not bound
+        return moved
+
+    def test_direct_link_matches_paper_closed_form(self):
+        points = random.Random(25).sample(route_audit.direct_link_points(), 120)
+        assert self.check_against_closed_form(points, route_audit.direct_link_entries) > 100
+
+    def test_feasibility_matches_paper_closed_form(self):
+        points = random.Random(25).sample(route_audit.feasibility_points(), 60)
+        assert self.check_against_closed_form(points, route_audit.feasibility_entries) > 10
 
 
 class TestDirectLinkOracleLooseEnd:

@@ -1,6 +1,7 @@
 """Scenario validation and seeded Gamma sampling."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ class TestNetworkConfig:
     def test_rsi_scale(self):
         cfg = make_cfg(p_r=100.0, rsi_lambda=0.5, rr=LinkSpec(2, 4.0))
         assert cfg.rsi_scale == pytest.approx(10.0 * 2.0)
+
+    @pytest.mark.parametrize("overrides,link", [
+        (dict(p_s=1e299), "link sr: mean SNR p_s*pi_sr"),
+        (dict(p_r=1e299), "link rd: mean SNR p_r*pi_rd"),
+        (dict(p_r=1e150, rsi_lambda=1.0, rd=LinkSpec(2, 1e-20), rr=LinkSpec(2, 1e160)),
+         "link rr: mean SNR p_r^lambda*pi_rr"),
+        (dict(sd=LinkSpec(2, math.inf)), "link sd: mean SNR p_s*pi_sd = inf"),
+        (dict(sp=LinkSpec(1, 1e301), rp=LinkSpec(1, 1.0), i_th=1.0), "link sp:"),
+        (dict(sp=LinkSpec(1, 1.0), rp=LinkSpec(1, 1e301), i_th=1.0), "link rp:"),
+        (dict(relay_overrides={"sr": (LinkSpec(1, 1.0), LinkSpec(1, 1e301), LinkSpec(1, 1.0))}),
+         "link sr:"),
+    ])
+    def test_mean_snr_within_3000_db(self, overrides, link):
+        # a link's power times average gain may not exceed 1e300, where
+        # simulated gains and their sums could overflow
+        with pytest.raises(ConfigError, match=re.escape(link)) as exc:
+            make_cfg(**overrides)
+        assert len(exc.value.errors) == 1 and "exceeds 1e+300 (3000 dB)" in str(exc.value)
+        assert make_cfg(p_s=1e290, p_r=1e290).p_s == 1e290
+        # the self-interference link sees p_r^lambda, not p_r
+        assert make_cfg(p_r=1e299, rsi_lambda=0.0, rd=LinkSpec(2, 1e-20)).rsi_scale == 1.0
 
 
 class TestValidation:

@@ -209,6 +209,36 @@ class TestOutageCommand:
         out = capsys.readouterr()
         assert out.out == "" and err in out.err
 
+    @staticmethod
+    def fig2a_at(tmp_path, power_db):
+        text = (CONFIG_DIR / "fig2a.cfg").read_text()
+        p = tmp_path / f"fig2a_{power_db}.cfg"
+        p.write_text(text.replace("p_s_db = 0", f"p_s_db = {power_db}")
+                     .replace("p_r_db = 0", f"p_r_db = {power_db}")
+                     .replace("pi_rr_db = 3", "pi_rr_db = 20"))
+        return str(p)
+
+    @pytest.mark.parametrize("method", ["mc", "analytic"])
+    def test_overflowing_mean_snr_exit_code(self, tmp_path, capsys, method):
+        # at 3075 dB the simulated first hop was inf/inf (a NaN SINR, never
+        # an outage) and the closed form took the log of an underflowed 0
+        rc = main(["outage", "--config", self.fig2a_at(tmp_path, 3075), "--protocol", "ndl",
+                   "--rate", "0.1", "--method", method, "--trials", "1000"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.out == ""
+        assert "config error: link sr: mean SNR p_s*pi_sr = inf exceeds 1e+300" in out.err
+
+    def test_largest_powers_answer_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fdrs.cli", "outage", "--config",
+             self.fig2a_at(tmp_path, 2900), "--protocol", "ndl", "--rate", "0.1",
+             "--method", "both", "--trials", "20000", "--seed", "1"],
+            env=dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert 0.0 < record["outage_analytic"] < 1.0 and 0.0 < record["outage_mc"] < 1.0
+
     def test_numeric_failure_exit_code(self, ndl_rayleigh_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise NonConvergenceError("series did not converge")
