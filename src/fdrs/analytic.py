@@ -27,7 +27,9 @@ block, F(x | L) list and feasibility distribution once.
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
 expressions stay usable from deep-tail diversity sweeps (probabilities
-~1e-18) up to thresholds of 1e6.
+~1e-18) up to thresholds of 1e6.  An outer sum stops where its terms
+fall below half an ulp (_cut): at most 20 blocks, whatever L is.  F_Z
+and s come from one Whittaker sum per threshold (ratio_tails).
 
 F(x | L) is that closed form where the a-priori bound
 ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp(1) +
@@ -134,38 +136,30 @@ def _ratio_whittaker_sum(z: float, p: RatioParams) -> float:
     return math.fsum(terms)
 
 
-def _require_integer_m2(p: RatioParams):
+def ratio_tails(z: float, p: RatioParams) -> tuple[float, float]:
+    """(F_Z(z), P(Z > z)) of Z = X1/(X2+1) at z >= 0; real m1 >= 1/2, integer m2 >= 1.
+
+    F_Z(z) = P(m1, z/theta1) + W, W = sum_{k<m2} B c^-d theta2^-k W_{a,b}(c)
+    with a = (m1-k-1)/2, b = -(m1+k)/2, c = z/theta1 + 1/theta2,
+    d = (m1+k+1)/2 and B = e^{-(z/theta1 - 1/theta2)/2} (z/theta1)^m1
+    / Gamma(m1); P(Z > z) = Q(m1, z/theta1) - W, from the upper tail so
+    that it keeps its relative accuracy close to 1.
+    """
     if abs(p.m2 - round(p.m2)) > 1e-9:
-        raise ValueError(
-            f"closed-form ratio CDF requires integer m2, got {p.m2}; "
-            "use cdf_ratio_gamma_quad for non-integer shapes")
+        raise ValueError(f"closed-form ratio CDF requires integer m2, got {p.m2}; "
+                         "use cdf_ratio_gamma_quad for non-integer shapes")
+    if not z >= 0:
+        raise ValueError("z must be >= 0")
+    if z == 0:
+        return 0.0, 1.0
+    lower, upper = sf._reg_gamma(p.m1, z / p.theta1)
+    w = _ratio_whittaker_sum(z, p)
+    return min(max(lower + w, 0.0), 1.0), min(max(upper - w, 0.0), 1.0)
 
 
 def cdf_ratio_gamma(z: float, p: RatioParams) -> float:
-    """CDF of Z = X1/(X2+1) at z >= 0; real m1 >= 1/2, integer m2 >= 1.
-
-    F_Z(z) = P(m1, z/theta1) + sum_{k<m2} B c^-d theta2^-k W_{a,b}(c)
-    with a = (m1-k-1)/2, b = -(m1+k)/2, c = z/theta1 + 1/theta2,
-    d = (m1+k+1)/2 and B = e^{-(z/theta1 - 1/theta2)/2} (z/theta1)^m1
-    / Gamma(m1).
-    """
-    _require_integer_m2(p)
-    if z < 0:
-        raise ValueError("z must be >= 0")
-    if z == 0:
-        return 0.0
-    val = sf.reg_lower_gamma(p.m1, z / p.theta1) + _ratio_whittaker_sum(z, p)
-    return min(max(val, 0.0), 1.0)
-
-
-def ratio_ccdf(z: float, p: RatioParams) -> float:
-    """P(Z > z), assembled from the upper tail so it stays relatively
-    accurate when close to 1 (needed by the high-power diversity sweeps)."""
-    _require_integer_m2(p)
-    if z <= 0:
-        return 1.0
-    val = sf.reg_upper_gamma(p.m1, z / p.theta1) - _ratio_whittaker_sum(z, p)
-    return min(max(val, 0.0), 1.0)
+    """CDF of Z = X1/(X2+1) at z >= 0: ratio_tails' first value."""
+    return ratio_tails(z, p)[0]
 
 
 def _gamma_pdf(t: float, m: float, theta: float) -> float:
@@ -289,8 +283,9 @@ def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> l
         err = sf.GAMMA_REL_TOL + _ULP * (abs(math.lgamma(big)) + big * abs(math.log(rho))
                                          + 2.0 * math.lgamma(top_max + 1.0) + top_max * abs(ln_u))
         for d in range(count):
-            top, first, ln_pref = (d, 0, d * ln_u) if w > 0 else (n - 1, d, (n - 1) * ln_u - w)
-            ln_j, kappa = sf.ln_binomial_sum(moments, top, first, -ln_u)
+            top, ln_seq, ln_pref = ((d, moments, d * ln_u) if w > 0
+                                    else (n - 1, moments[d:], (n - 1) * ln_u - w))
+            ln_j, kappa = sf.ln_binomial_sum(ln_seq, top, -ln_u)
             if ln_j is not None and (_ULP + err) * kappa <= sf.REL_TOL:
                 out[d] = ln_pref + ln_j
     for d in range(count):
@@ -503,8 +498,7 @@ def _positive(rules: tuple, exps: tuple) -> float:
     return rules[-1].value(exps)
 
 
-def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol,
-                       s: float) -> tuple[_Nodes, ...]:
+def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol) -> tuple[_Nodes, ...]:
     """The rules, to be tried in turn, for F(x | L) = integral g^L f_sd
     with g = F_Z + s P(m_rd, y/theta_rd), F_Z never 1 - s.
     Panels on [0, x] grow from 0 in the scale on which y changes by 1
@@ -515,7 +509,7 @@ def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol,
     carry the mass out there; where y changes no faster than the
     density, a Laguerre tail from x is tried first."""
     p1 = first_hop_ratio_params(cfg)
-    fz = _kept(("F_Z", x, p1), lambda: cdf_ratio_gamma(x, p1))   # one per threshold
+    fz, s = _kept(("first hop", x, p1), lambda: ratio_tails(x, p1))   # one per threshold
     m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
     m_sd, th_sd = cfg.sd.m, cfg.p_s * cfg.sd.theta
     convolved, upper = _DIRECT_LINK_INNER[protocol]
@@ -548,6 +542,13 @@ _DIRECT_LINK_INNER = {Protocol.IDL: (False, math.inf), Protocol.IDL_DT: (False, 
                       Protocol.SDF: (True, 1.0)}
 
 
+def _cut(n: int, s: float) -> int:
+    """The number of blocks F(x | n)'s closed form sums: n + 1, or fewer,
+    up to the first k with (n s)^k / k! < ulp(1) / (2 _KAPPA_MAX)."""
+    return next((k for k in range(n + 1)
+                 if (n * s) ** k / math.factorial(k) < _ULP / (2.0 * _KAPPA_MAX)), n + 1)
+
+
 def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
                       relays: int) -> list[float]:
     """F(x | L) for L = 0..relays from one evaluation shared by every L.
@@ -561,6 +562,12 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     integral of g^L by the rules of _direct_link_nodes, or
     ArithmeticError.  In a shared_blocks() scope a call extends the list
     (with per_path or s, and the rules) an earlier call built.
+
+    The sum stops before the first k with (L s)^k / k! < ulp(1) / (2
+    _KAPPA_MAX) (_cut), at k <= 20 as the bound keeps L s <= 1.15.  The
+    rest is exact to rounding: its terms C(L, k) s^k I_k <= (L s)^k / k!
+    I_0 alternate and shrink (I_k <= I_0, (L - k) s < k + 1), so add up
+    to less than the first, while F(x | L) >= (1 - s)^L I_0 >= I_0 / _KAPPA_MAX.
     """
     if relays < 1:
         raise ValueError("relays must be >= 1")
@@ -574,10 +581,8 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     link = () if ndl else (cfg.sd.m, cfg.p_s * cfg.sd.theta)
 
     def first_hop():   # the list; NDL's per_path or s; the rules
-        if not ndl:
-            return [[], ratio_ccdf(x, p1), None]
-        fz = cdf_ratio_gamma(x, p1)
-        return [[], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd), None]
+        fz, s = _kept(("first hop", x, p1), lambda: ratio_tails(x, p1))
+        return [[], fz + (1.0 - fz) * sf.reg_lower_gamma(cfg.rd.m, x / th_rd) if ndl else s, None]
     state = _kept(("cdfs", protocol, x, p1, cfg.rd.m, th_rd) + link, first_hop)
     cdfs, s = state[:2]
     if ndl:
@@ -585,17 +590,18 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
         return cdfs[:relays + 1]
     convolved, upper = _DIRECT_LINK_INNER[protocol]
 
-    # closed where kappa <= ((1 + s) / F_Z)^L allows it, as g >= F_Z = 1 - s
+    # closed where kappa <= ((1 + s) / F_Z)^L allows it, as g >= F_Z = 1 - s;
+    # c > 0 blocks for a closed entry, c = 0 for a positive one
     ln_growth = math.log1p(s) - math.log1p(-s) if s < 1.0 else math.inf
-    new = [(n, n == 0 or n * ln_growth <= math.log(_KAPPA_MAX))
+    new = [(n, _cut(n, s) if n == 0 or n * ln_growth <= math.log(_KAPPA_MAX) else 0)
            for n in range(len(cdfs), relays + 1)]
-    top = max((n for n, c in new if c), default=-1) if s > 0.0 else 0   # s = 0: block 0 only
+    top = max((c for _, c in new), default=0) - 1
     if top >= 0:
         ln_i = _ln_blocks(top, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
-        ln_s = math.log(s) if s > 0.0 else 0.0
+        ln_s = math.log(s) if s > 0.0 else 0.0   # s = 0: block 0 only
     if state[2] is None and not all(c for _, c in new):   # the positive route's rules
-        state[2] = _direct_link_nodes(x, cfg, protocol, s)
-    cdfs.extend(_probability(sf.ln_binomial_sum(ln_i, min(n, top), ln_ratio=ln_s)[0]) if c
+        state[2] = _direct_link_nodes(x, cfg, protocol)
+    cdfs.extend(_probability(sf.ln_binomial_sum(ln_i[:c], n, ln_s)[0]) if c
                 else min(_positive(state[2], (0, n)), 1.0) for n, c in new)
     return cdfs[:relays + 1]
 

@@ -38,7 +38,8 @@ is evaluated through series and finite polynomial forms rather than a
 general-purpose implementation; the supported region is documented per
 function.  ln_binomial_sum is the one binomial-sum kernel: every closed
 form that expands a power binomially sums through it and gets the sum's
-condition number with it.  gauss_rule gives the Legendre and generalized
+condition number with it; it keeps no state, and a sequence shorter
+than the sum cuts it.  gauss_rule gives the Legendre and generalized
 Laguerre rules that the positive integrals behind those sums take.
 """
 from __future__ import annotations
@@ -218,37 +219,24 @@ def ln_reg_lower_gammas(a: float, count: int, x: float) -> list[float]:
     return out
 
 
-_LN_FACT = (0.0,)   # ln k!: the one source of binomial coefficients
-
-
-def _ln_factorials(n: int) -> tuple[float, ...]:
-    """ln k! for k = 0..n at least.  A longer table replaces the shared
-    one instead of growing it, so a table already handed out stays valid."""
-    global _LN_FACT
-    if len(_LN_FACT) <= n:
-        _LN_FACT = tuple(math.lgamma(k + 1.0) for k in range(2 * n + 1))
-    return _LN_FACT
-
-
 def ln_comb(n: int, k: int) -> float:
     """ln C(n, k) for 0 <= k <= n."""
-    f = _ln_factorials(n)
-    return f[n] - f[k] - f[n - k]
+    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
-def ln_binomial_sum(ln_seq, top: int, first: int = 0,
-                    ln_ratio: float = 0.0) -> tuple[float | None, float]:
-    """(ln S, kappa) for S = sum_{j<=top} (-1)^j C(top, j) e^(j ln_ratio + ln_seq[first+j]).
+def ln_binomial_sum(ln_seq, top: int, ln_ratio: float = 0.0) -> tuple[float | None, float]:
+    """(ln S, kappa) for S = sum_{j<=top} (-1)^j C(top, j) e^(j ln_ratio + ln_seq[j]),
+    the terms past the end of ln_seq counting as 0.
 
     Terms are scaled by the largest and added with math.fsum.  kappa =
     sum|t| / S is the condition number: a relative error e in every term
     moves S by at most e kappa, and the scaling adds about ulp(1) kappa.
     S <= 0 gives (None, inf).
     """
-    f = _ln_factorials(top)
-    lns = [f[top] - f[j] - f[top - j] + j * ln_ratio + ln_seq[first + j]
-           for j in range(top + 1)]
-    peak = max(lns)
+    ln_top = math.lgamma(top + 1.0)
+    lns = [ln_top - math.lgamma(j + 1.0) - math.lgamma(top - j + 1.0) + j * ln_ratio + v
+           for j, v in zip(range(top + 1), ln_seq)]
+    peak = max(lns, default=-math.inf)
     if peak == -math.inf:
         return None, math.inf
     mags = [math.exp(v - peak) for v in lns]

@@ -35,7 +35,7 @@ def bound_holds(s: float, relays: int) -> bool:
 def direct_link(x: float, cfg, protocol, relays: int) -> tuple[float, list[tuple[float, float]]]:
     """(s, [(F(x | L), kappa) for L = 0..relays]) of an idl, idl_dt or
     sdf scenario, every F(x | L) from the paper's alternating sum."""
-    s = an.ratio_ccdf(x, an.first_hop_ratio_params(cfg))
+    s = an.ratio_tails(x, an.first_hop_ratio_params(cfg))[1]
     convolved, upper = an._DIRECT_LINK_INNER[protocol]
     ln_i = an._ln_blocks(relays, int(round(cfg.rd.m)), cfg.p_r * cfg.rd.theta, x, cfg.sd.m,
                          cfg.p_s * cfg.sd.theta, convolved, upper * x)
@@ -52,6 +52,6 @@ def feasibility(cfg) -> list[tuple[float, float]]:
     ln_b = an._ln_blocks(k_total, int(round(m_rp)), th_rp, cap, m_sp, th_sp, True, cap)
     out = []
     for n in range(1, k_total + 1):
-        ln_sum, kappa = sf.ln_binomial_sum(ln_b, n, first=k_total - n)
+        ln_sum, kappa = sf.ln_binomial_sum(ln_b[k_total - n:], n)
         out.append((_value(ln_sum, sf.ln_comb(k_total, n)), kappa))
     return out

@@ -556,15 +556,16 @@ class TestSharedBlocks:
                 assert self.kept_lists(cfg, x, each) == expected, (x, each)
 
     def test_relay_sweep_evaluates_each_list_once(self, fig3_cfg, monkeypatch):
-        # K = 1..16 at one threshold: one first-hop tail per protocol, one
-        # F_Z more that the direct-link protocols' rules share, and one outer
+        # K = 1..16 at one threshold: one first-hop evaluation that every
+        # protocol and the direct-link protocols' rules share, and one outer
         # sum per direct-link protocol and L = 0, 1, where kappa allows it
-        calls = {"ratio_ccdf": 0, "cdf_ratio_gamma": 0, "outer": 0}
-        for name in ("ratio_ccdf", "cdf_ratio_gamma"):
-            def wrapped(*args, _real=getattr(analytic, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(analytic, name, wrapped)
+        calls = {"ratio_tails": 0, "outer": 0}
+        tails = analytic.ratio_tails
+
+        def first_hop(*args):
+            calls["ratio_tails"] += 1
+            return tails(*args)
+        monkeypatch.setattr(analytic, "ratio_tails", first_hop)
         binomial_sum = analytic.sf.ln_binomial_sum
 
         def outer(*args, **kwargs):
@@ -575,4 +576,4 @@ class TestSharedBlocks:
         monkeypatch.setattr(analytic.sf, "ln_binomial_sum", outer)
         analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
                            self.relay_sweep_cfg(fig3_cfg))
-        assert calls == {"ratio_ccdf": 3, "cdf_ratio_gamma": 1 + 1, "outer": 3 * 2}
+        assert calls == {"ratio_tails": 1, "outer": 3 * 2}

@@ -91,7 +91,8 @@ class TestRatioCdf:
     def test_ccdf_complements_cdf(self):
         p = an.RatioParams(2, 1.5, 2, 0.5)
         for z in (0.1, 1.0, 10.0):
-            assert an.ratio_ccdf(z, p) == pytest.approx(1 - an.cdf_ratio_gamma(z, p), abs=1e-14)
+            assert an.ratio_tails(z, p)[1] == pytest.approx(1 - an.cdf_ratio_gamma(z, p),
+                                                            abs=1e-14)
 
     def test_small_rsi_scale_against_quadrature(self):
         # c = z/theta1 + 1/theta2 reaches 1e4: e^(-c/2) underflows on its
@@ -103,7 +104,7 @@ class TestRatioCdf:
                 for z in (0.5, 3.0):
                     oracle = an.cdf_ratio_gamma_quad(z, p)
                     assert abs(an.cdf_ratio_gamma(z, p) - oracle) <= 1e-12, (th2, m1, z)
-                    assert abs(an.ratio_ccdf(z, p) - (1.0 - oracle)) <= 1e-12, (th2, m1, z)
+                    assert abs(an.ratio_tails(z, p)[1] - (1.0 - oracle)) <= 1e-12, (th2, m1, z)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -627,7 +628,7 @@ class TestRouteByBound:
         monkeypatch.setattr(an, "_positive", lambda rules, exps: positive.append(exps[1])
                             or real(rules, exps))
         an._conditional_cdfs(x, cfg, proto, relays)
-        s = an.ratio_ccdf(x, an.first_hop_ratio_params(cfg))
+        s = an.ratio_tails(x, an.first_hop_ratio_params(cfg))[1]
         assert positive == [n for n in range(relays + 1) if not paper.bound_holds(s, n)]
 
     def test_feasibility_takes_no_block(self, fig2b_cfg, fig3_cfg, monkeypatch):
@@ -655,6 +656,36 @@ class TestRouteByBound:
     def test_feasibility_matches_paper_closed_form(self):
         points = random.Random(25).sample(route_audit.feasibility_points(), 60)
         assert self.check_against_closed_form(points, route_audit.feasibility_entries) > 10
+
+
+class TestBlockCut:
+    """A closed entry F(x | L) sums its blocks only up to the first k with
+    (L s)^k / k! < ulp(1) / (2 _KAPPA_MAX): never more than 20 blocks,
+    whatever L is, and exact to rounding."""
+
+    def test_at_most_twenty_blocks_where_the_bound_holds(self):
+        for s in (1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.9):
+            admitted = [n for n in range(1, 4000) if paper.bound_holds(s, n)]
+            assert max((an._cut(n, s) for n in admitted), default=0) <= 20, s
+        assert an._cut(0, 0.5) == an._cut(7, 0.0) == 1
+        assert an._cut(3, 0.5) == 4
+
+    @pytest.mark.parametrize("proto", sorted(QUAD, key=str))
+    def test_large_relay_count(self, fig2a_cfg, monkeypatch, proto):
+        # fig2a at 8 bpcu with K = 1000: every entry is closed, and each
+        # asks for a handful of blocks instead of K + 1
+        cfg = dataclasses.replace(fig2a_cfg, k=1000)
+        real = an._ln_blocks
+
+        def capped(count, *args):
+            assert count <= 21
+            return real(count, *args)
+        monkeypatch.setattr(an, "_ln_blocks", capped)
+        got = an.outage(cfg, proto, 8.0)
+        x = an.outage_threshold(proto, 8.0)
+        assert abs(got - QUAD[proto](x, cfg, cfg.k)) <= 1e-10
+        positive = an._positive(an._direct_link_nodes(x, cfg, proto), (0, cfg.k))
+        assert got == pytest.approx(positive, rel=sf.REL_TOL, abs=0.0)
 
 
 class TestDirectLinkOracleLooseEnd:

@@ -180,15 +180,28 @@ class TestBinomialSum:
     @pytest.mark.parametrize("first", [0, 3])
     @pytest.mark.parametrize("top", [0, 1, 4, 10])
     def test_against_exact_sum(self, top, first, ratio, alternating):
-        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES, top, first, math.log(ratio))
+        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES[first:], top, math.log(ratio))
         total, cond = self.exact(top, first, ratio)
         # kappa bounds the relative error of S, and so of kappa = sum|t| / S
         tol = 1e-14 * float(cond)
         assert math.exp(ln_s) == pytest.approx(float(total), rel=tol)
         assert kappa == pytest.approx(float(cond), rel=tol)
 
+    @pytest.mark.parametrize("length", [1, 3, 4, 7])
+    def test_short_sequence_gives_the_cut_sum(self, length):
+        # terms past the end of the sequence count as 0
+        top, ratio = 10, Fraction(1, 4)
+        ln_s, kappa = sf.ln_binomial_sum(self.LN_VALUES[:length], top, math.log(ratio))
+        terms = [math.comb(top, j) * ratio ** j * self.VALUES[j] for j in range(length)]
+        total = sum(-t if j % 2 else t for j, t in enumerate(terms))
+        cond = sum(terms) / total
+        tol = 1e-14 * float(cond)
+        assert math.exp(ln_s) == pytest.approx(float(total), rel=tol)
+        assert kappa == pytest.approx(float(cond), rel=tol)
+        assert sf.ln_binomial_sum([], top) == (None, math.inf)
+
     def test_top_zero_is_the_entry(self):
-        assert sf.ln_binomial_sum([0.5, -1.25], 0, first=1, ln_ratio=3.0) == (-1.25, 1.0)
+        assert sf.ln_binomial_sum([0.5, -1.25][1:], 0, ln_ratio=3.0) == (-1.25, 1.0)
 
     def test_non_positive_sum(self):
         assert sf.ln_binomial_sum([0.0, math.log(2.0)], 1) == (None, math.inf)
