@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -286,8 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built at the first main call and kept for the
+    process: parse_args fills a fresh namespace each time, so no call
+    sees another's arguments.  A one-shot fdrs process builds it once
+    either way; only callers of main in a long-lived process gain."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # checked here because analytic-only runs never read them
         if args.workers < 1:

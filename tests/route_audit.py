@@ -15,6 +15,15 @@ integral.  For each grid this prints
 - the worst relative gap between production and the closed form over
   the entries where kappa <= _KAPPA_MAX, with the entry it was seen at.
 
+The feasibility grid's relay counts are all rungs, whose cap integrals
+R_K[n] = integral P^n Q^(K-n) f_I_SP are integrated.  For every K' that
+derives its row from one of them by Pascal's rule (K' = 7, 13..15,
+25..31, 49..63), it also prints the worst relative gap between the
+derived row and the row integrated directly, over the entries above
+analytic._UNDERFLOW (below it REL_TOL is beyond a float, and the rules
+claim nothing), and the rows whose direct integration raised
+ArithmeticError.
+
 pytest does not collect it.  Run it from the root of a checkout:
 
     python3 tests/route_audit.py [--quick]
@@ -97,6 +106,49 @@ def feasibility_entries(point: tuple):
         yield n, value, ref, kappa, False
 
 
+def derived_rows(point: tuple):
+    """(K', n, derived R_K'[n], direct R_K'[n] or the ArithmeticError its
+    row raised) for each K' whose rung is the point's K."""
+    name, m_rp, m_sp, ith_db, power_db, k = point
+    cfg = dataclasses.replace(scenario(name, power_db, rp=m_rp, sp=m_sp), k=k,
+                              i_th=db_to_linear(ith_db))
+    key = an._feasibility_args(cfg)[1:]
+    nodes = an._cap_nodes(*key)
+    with an.shared_blocks():
+        for relays in range(k - 1, 0, -1):
+            if an._rung(relays) != k:
+                break
+            try:
+                derived = an._cap_integrals(relays, key)
+                direct = an._cap_row(nodes, relays)
+            except ArithmeticError as exc:
+                derived, direct = [None], [exc]
+            for n, (got, ref) in enumerate(zip(derived, direct)):
+                yield relays, n, got, ref
+
+
+def derived_audit(points: list[tuple]) -> None:
+    """Print the derived entries, those below the underflow limit, the
+    rows that raised, and the worst relative gap between derived and
+    directly integrated entries above that limit."""
+    t0 = time.perf_counter()
+    count = tiny = raised = 0
+    worst, where = 0.0, None
+    for point in points:
+        for relays, n, got, ref in derived_rows(point):
+            if isinstance(ref, ArithmeticError):
+                raised += 1
+                continue
+            count += 1
+            if ref < an._UNDERFLOW:
+                tiny += 1
+            elif abs(got - ref) / ref > worst:
+                worst, where = abs(got - ref) / ref, point[:-1] + (relays, n)
+    print(f"derived feasibility rows: {count} entries, {tiny} below {an._UNDERFLOW:.3g}, "
+          f"{raised} rows raised, worst relative gap {worst:.3g} at {where} "
+          f"({time.perf_counter() - t0:.1f} s)")
+
+
 def audit(name: str, points: list[tuple], entries) -> None:
     """Print entries, closed, moved, raised and the worst relative gap."""
     t0 = time.perf_counter()
@@ -124,6 +176,7 @@ def main() -> int:
     step = 4 if parser.parse_args().quick else 1
     audit("direct link", direct_link_points()[::step], direct_link_entries)
     audit("feasibility", feasibility_points()[::step], feasibility_entries)
+    derived_audit(feasibility_points()[::step])
     return 0
 
 

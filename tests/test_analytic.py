@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdrs import analysis
 from fdrs import analytic as an
 from fdrs import montecarlo
 from fdrs import specfun as sf
 from fdrs.channel import (
+    FD_PROTOCOLS,
     ConfigError,
     LinkSpec,
     NetworkConfig,
@@ -825,6 +827,92 @@ class TestFeasibility:
             an.FeasibilityDist(p=(0.5, 0.4), p_tilde0=0.1)
         with pytest.raises(ValueError):
             an.FeasibilityDist(p=(0.5, 0.5), p_tilde0=0.6)
+
+
+class TestFeasibilityRungs:
+    """Row K of the cap integrals, R_K[n] = integral P^n Q^(K-n) f_I_SP, is
+    the row of its rung (1, 2, 3, 4, 6, 8, 12, ...) summed pairwise by
+    Pascal's rule; only rung rows are integrated, and where a rung's rules
+    stall, row K is integrated itself."""
+
+    @staticmethod
+    def with_rp(cfg, m_rp, **changes):
+        return dataclasses.replace(cfg, rp=LinkSpec(m_rp, cfg.rp.avg_power), **changes)
+
+    @staticmethod
+    def direct(cfg, monkeypatch):
+        """feasibility_dist with every K its own rung: row K integrated."""
+        with monkeypatch.context() as m:
+            m.setattr(an, "_rung", lambda k: k)
+            return an.feasibility_dist(cfg)
+
+    @staticmethod
+    def counting_entries(monkeypatch):
+        """The exponents of every cap entry the cap rules evaluate."""
+        entries, real = [], an._cap_nodes
+
+        def cap_nodes(*args):
+            nodes = real(*args)
+            value = nodes.value
+            nodes.value = lambda exps: entries.append(exps) or value(exps)
+            return nodes
+        monkeypatch.setattr(an, "_cap_nodes", cap_nodes)
+        return entries
+
+    # fig2b at -5 dB with m_rp = 3 and I_th = 3 dB: rung 64's rules stall
+    # at the cap edge, while rows 49..58 converge when integrated themselves
+    @pytest.fixture
+    def stalling(self, fig2b_cfg):
+        return self.with_rp(fig2b_cfg, 3, p_s=dB(-5.0), p_r=dB(-5.0), i_th=dB(3.0))
+
+    def test_rungs(self):
+        rungs = sorted({an._rung(k) for k in range(1, 1001)})
+        assert rungs == sorted({2 ** j for j in range(11)} | {3 * 2 ** j for j in range(9)})
+        # a rung needs no finer first Gauss level than K, and costs < 1.5 K
+        for k in range(1, 1001):
+            assert (an._rung(k) - 1).bit_length() == (k - 1).bit_length(), k
+            assert k <= an._rung(k) < 1.5 * k, k
+
+    @pytest.mark.parametrize("m_rp", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["fig2b_cfg", "fig3_cfg"])
+    def test_derived_rows_match_direct_rows(self, request, monkeypatch, name, m_rp):
+        cfg = self.with_rp(request.getfixturevalue(name), m_rp)
+        for k in range(1, 41):   # no scope: it would keep the first distribution
+            point = dataclasses.replace(cfg, k=k)
+            got, want = an.feasibility_dist(point), self.direct(point, monkeypatch)
+            for a, b in zip((got.p_tilde0, *got.p), (want.p_tilde0, *want.p)):
+                assert abs(a - b) <= sf.REL_TOL * b, (k, a, b)
+            if an._rung(k) == k:
+                assert got == want, k
+            # the rows keep sum_n C(K, n) R_K[n] = P(m_sp, cap / th_sp); the
+            # rounding of exp(ln C(K, n) + ln R_K[n]) leaves up to 1.7 K ulp
+            # at K = 40, in directly integrated rows too
+            assert abs(math.fsum(got.p) - 1.0) <= 2 * k * math.ulp(1.0), k
+
+    def test_relay_sweep_integrates_rung_rows_only(self, fig3_cfg, monkeypatch):
+        # the analytic-relay-sweep benchmark scenario, K = 1..16
+        cfg = dataclasses.replace(fig3_cfg, rd=dataclasses.replace(fig3_cfg.rd, m=4.0))
+        cfg = self.with_rp(cfg, 2)
+        spec = analysis.SweepSpec("relay_count", 1, 16, 16, FD_PROTOCOLS)
+        entries = self.counting_entries(monkeypatch)
+        analysis.run_sweep(spec, cfg)
+        assert len(entries) == len(set(entries)) == 60
+        assert sorted({sum(e[1::2]) for e in entries}) == [1, 2, 3, 4, 6, 8, 12, 16]
+
+    def test_stalled_rung_falls_back_to_the_direct_row(self, stalling, monkeypatch):
+        for k in (49, 58):
+            point = dataclasses.replace(stalling, k=k)
+            assert an.feasibility_dist(point) == self.direct(point, monkeypatch), k
+        for k in range(59, 65):
+            with pytest.raises(ArithmeticError):
+                an.feasibility_dist(dataclasses.replace(stalling, k=k))
+
+    def test_sweep_tries_a_stalled_rung_once(self, stalling, monkeypatch):
+        rows, real = [], an._cap_row
+        monkeypatch.setattr(an, "_cap_row", lambda nodes, k: rows.append(k) or real(nodes, k))
+        spec = analysis.SweepSpec("relay_count", 49, 58, 10, (Protocol.NDL,))
+        analysis.run_sweep(spec, stalling)
+        assert rows == [64, *range(49, 59)]
 
 
 class TestCognitiveMixture:

@@ -553,6 +553,24 @@ def test_output_file_holds_the_stdout_bytes(argv, simulates, capsys, tmp_path, m
     assert path.read_bytes() == out.encode()
 
 
+def test_parser_built_once_and_namespaces_fresh(monkeypatch, tmp_path):
+    # main builds its parser at its first call and keeps it; each call
+    # still parses into a fresh namespace, so defaults stay defaults
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["outage", "--config", str(CONFIG_DIR / "fig2b.cfg"), "--protocol", "sdf",
+                 "--rate", "3", "--cognitive", "--output", str(first)]) == 0
+    assert main(["outage", "--config", str(CONFIG_DIR / "fig2a.cfg"), "--protocol", "ndl",
+                 "--rate", "2", "--output", str(second)]) == 0
+    assert len(built) == 1
+    assert json.loads(first.read_text())["cognitive"] is True
+    record = json.loads(second.read_text())
+    assert (record["protocol"], record["rate_bpcu"], record["cognitive"]) == ("ndl", 2.0, False)
+    assert record["manifest"]["seed"] is None
+
+
 # an address-space limit set in the child alone, then one sweep whose
 # relay counts do not fit in it
 OUT_OF_MEMORY_RUN = """import resource, sys
