@@ -369,6 +369,19 @@ class TestStream:
             assert mc.outage_counts(cells, 2 * mc.CHUNK_TRIALS + 5, seed=17,
                                     workers=workers) == [34154, 42887, 28747, 26765]
 
+    def test_golden_feasibility_counts(self, fig2b_cfg):
+        # the homogeneous draw and per-relay overrides, over a partial chunk
+        overrides = dataclasses.replace(fig2b_cfg, relay_overrides={
+            "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
+        trials = 2 * mc.CHUNK_TRIALS + 5
+        golden = [(fig2b_cfg, [29915, 26784, 42110, 32268], 12247),
+                  (overrides, [26306, 27963, 48853, 27955], 8638)]
+        for cfg, counts, tilde0 in golden:
+            for workers in (1, 2):
+                f = mc.estimate_feasibility(cfg, trials, seed=17, workers=workers)
+                assert f.p == tuple(c / trials for c in counts), workers
+                assert f.p_tilde0 == tilde0 / trials, workers
+
     def test_seeds_do_not_alias_modulo_2_64(self, fig2b_cfg):
         cells = [(fig2b_cfg, Protocol.SDF, 3.0)]
         for seed in (0, 5, 2 ** 64 - 1):
