@@ -41,12 +41,26 @@ relays out gives.  The evaluation runs over column blocks of
 BLOCK_TRIALS trials so that its (k, n) temporaries stay in cache.  A
 trial's SINR depends on its own column only, and hit counts are exact
 integer sums over blocks, so no count depends on the block size.
+
+Every thread that runs chunks of a call evaluates all of its blocks in
+one `_Scratch`, sized once for the call's largest relay count.  The
+(k, n) work arrays of a block are views of it: P_R g_rd, each duplex
+class's first hop and cap mask, and one per-relay array that holds the
+RSI, the relays' interference, the cap bound and each relayed path's
+min in turn.  So no block allocates them, and a one-worker run does not
+free them block after block at the top of the main heap, for the
+allocator to trim and the next block to fault back in.  The scratch
+lives as long as the call; only (n,) arrays, such as a protocol's max
+over relays, are allocated per block.  Feasibility chunks run the same
+block loop in the same kind of scratch.
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -150,7 +164,34 @@ def _chunk_sizes(trials: int):
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple:
+class _Scratch:
+    """Work arrays for blocks of up to `k` relays and `n` trials.
+
+    `take` returns a (k, n) view of the named array, made at its first
+    use; every later block of any smaller shape writes into the same
+    memory.  One thread owns a scratch: the views of a block are only
+    valid until the next block takes them.
+    """
+
+    def __init__(self, k: int, n: int):
+        self._size = k * n
+        self._arrays = {}
+
+    def take(self, name, k: int, n: int, dtype=np.float64) -> np.ndarray:
+        flat = self._arrays.get(name)
+        if flat is None:
+            flat = self._arrays[name] = np.empty(self._size, dtype)
+        return flat[:k * n].reshape(k, n)
+
+
+def _blocks(gains: dict, n: int):
+    """The gains of each column block of BLOCK_TRIALS trials, in order."""
+    for start in range(0, n, BLOCK_TRIALS):
+        yield {name: g[..., start:start + BLOCK_TRIALS] for name, g in gains.items()}
+
+
+def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes,
+                       scratch: _Scratch) -> tuple:
     """Relay feasibility of each duplex class under the cap, and the
     direct-transmission mask.
 
@@ -159,31 +200,37 @@ def _feasibility_masks(gains: dict, cfg: NetworkConfig, duplex_classes) -> tuple
     P_S g_sp + P_R g_rp[k] <= I_th.  Half-duplex nodes transmit in
     separate slots, so each component is capped on its own.  Direct
     transmission only involves the source.  The relay masks (shape
-    (k, n)) are keyed by Protocol.half_duplex.
+    (k, n), views of `scratch`) are keyed by Protocol.half_duplex.
     """
+    k, n = gains["rp"].shape
     i_sp = cfg.p_s * gains["sp"]
-    i_rp = cfg.p_r * gains["rp"]
+    i_rp = np.multiply(cfg.p_r, gains["rp"], out=scratch.take("per_relay", k, n))
     dt_allowed = i_sp <= cfg.i_th
     feasible = {}
     if True in duplex_classes:
-        feasible[True] = dt_allowed[None, :] & (i_rp <= cfg.i_th)
+        mask = np.less_equal(i_rp, cfg.i_th, out=scratch.take(("mask", True), k, n, bool))
+        feasible[True] = np.bitwise_and(mask, dt_allowed, out=mask)
     if False in duplex_classes:
         i_rp += i_sp
-        feasible[False] = i_rp <= cfg.i_th
+        feasible[False] = np.less_equal(i_rp, cfg.i_th,
+                                        out=scratch.take(("mask", False), k, n, bool))
     return feasible, dt_allowed
 
 
 _NAN_BITS = 0x7FF8000000000000   # a float64 NaN's bits
 
 
-def _zero_unless(values, allowed, out=None):
+def _zero_unless(values, allowed, out=None, bound=None):
     """values >= 0 where `allowed` holds, else 0, without a branch: fmin
     passes each value bit for bit against the NaN bound where the rule
-    holds, and takes the 0.0 bound where it fails."""
-    return np.fmin(values, (allowed * _NAN_BITS).view(np.float64), out=out)
+    holds, and takes the 0.0 bound where it fails.  The bound's bits go
+    to the int64 array `bound` if given."""
+    return np.fmin(values, np.multiply(allowed, _NAN_BITS, out=bound).view(np.float64),
+                   out=out)
 
 
-def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
+def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
+                 scratch: _Scratch | None = None) -> dict:
     """End-to-end SINR of each trial in a gain batch, for every protocol
     at one scenario point.
 
@@ -196,27 +243,35 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
     The cap applies iff cfg is cognitive; under it the direct branch is
     allowed iff the source alone meets it, and else reads 0.  With no
     usable relay and no allowed direct branch the SINR is 0.
+
+    The (k, n) work arrays are views of `scratch`, a new one if None;
+    the SINRs returned are arrays of their own.
     """
+    k, n = gains["rd"].shape
+    if scratch is None:
+        scratch = _Scratch(k, n)
     duplex_classes = dict.fromkeys(p.half_duplex for p in protocols)
     direct = cfg.p_s * gains.get("sd", 0.0)
-    relay_rd = cfg.p_r * gains["rd"]
+    relay_rd = np.multiply(cfg.p_r, gains["rd"], out=scratch.take("relay_rd", k, n))
+    # the RSI, then the relays' interference, each cap bound and each
+    # relayed path's min, in turn
+    per_relay = scratch.take("per_relay", k, n)
     first = {}
     for half_duplex in duplex_classes:
-        hop = cfg.p_s * gains["sr"]
+        hop = np.multiply(cfg.p_s, gains["sr"], out=scratch.take(("hop", half_duplex), k, n))
         if not half_duplex:
-            rsi = cfg.p_r ** cfg.rsi_lambda * gains["rr"]
+            rsi = np.multiply(cfg.p_r ** cfg.rsi_lambda, gains["rr"], out=per_relay)
             rsi += 1.0
             hop /= rsi
         first[half_duplex] = hop
     direct_branch = direct
     if cfg.is_cognitive:
-        feasible, dt_allowed = _feasibility_masks(gains, cfg, duplex_classes)
+        feasible, dt_allowed = _feasibility_masks(gains, cfg, duplex_classes, scratch)
         for half_duplex, hop in first.items():
-            _zero_unless(hop, feasible[half_duplex], out=hop)
+            _zero_unless(hop, feasible[half_duplex], out=hop, bound=per_relay.view(np.int64))
         direct_branch = _zero_unless(direct, dt_allowed)
     relayed = {}
     sinrs = {}
-    per_relay = np.empty_like(relay_rd)   # every relayed path's min, in turn
     for protocol in protocols:
         path = _RELAY_PATH.get(protocol, protocol)
         if path not in relayed:
@@ -234,15 +289,14 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols) -> dict:
     return sinrs
 
 
-def _count_chunk(groups, n_cells, seed, chunk_index, n):
+def _count_chunk(groups, n_cells, seed, chunk_index, n, scratch):
     hits = np.zeros(n_cells, dtype=np.int64)
     for _, points in groups:
         # every point of a group draws these gains
         gains = draw_gains(points[0][0], _chunk_rng(seed, chunk_index), n)
-        for start in range(0, n, BLOCK_TRIALS):
-            block = {name: g[..., start:start + BLOCK_TRIALS] for name, g in gains.items()}
+        for block in _blocks(gains, n):
             for point_cfg, thresholds in points:
-                sinrs = _point_sinrs(block, point_cfg, thresholds)
+                sinrs = _point_sinrs(block, point_cfg, thresholds, scratch)
                 for protocol, sinr in sinrs.items():
                     for gamma_th, cells in thresholds[protocol].items():
                         hit = np.count_nonzero(sinr < gamma_th)
@@ -251,13 +305,26 @@ def _count_chunk(groups, n_cells, seed, chunk_index, n):
     return hits
 
 
-def _run_chunks(fn, sizes, workers):
+def _run_chunks(fn, sizes, workers, k_max):
+    """fn(chunk index, trials, scratch) of every chunk, in chunk order.
+
+    Each thread that runs chunks makes one scratch at its first chunk,
+    for blocks of up to k_max relays, and passes it to all of them; the
+    scratches go when the call returns.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    local = threading.local()
+
+    def run(i, n):
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch(k_max, min(max(sizes), BLOCK_TRIALS))
+        return fn(i, n, local.scratch)
+
     if workers == 1:
-        return [fn(i, n) for i, n in enumerate(sizes)]
+        return [run(i, n) for i, n in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(run, range(len(sizes)), sizes))
 
 
 # fields a cell may change without changing the gains drawn for it
@@ -298,8 +365,9 @@ def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: in
         _entry(points, point_cfg, dict).setdefault(protocol, {}).setdefault(gamma_th, []).append(i)
     if not groups:
         return []
-    counts = _run_chunks(lambda i, n: _count_chunk(groups, len(cells), seed, i, n),
-                         _chunk_sizes(trials), workers)
+    k_max = max(points[0][0].k for _, points in groups)
+    counts = _run_chunks(partial(_count_chunk, groups, len(cells), seed),
+                         _chunk_sizes(trials), workers, k_max)
     return np.sum(counts, axis=0).tolist()
 
 
@@ -326,15 +394,18 @@ def estimate_outage(cfg: NetworkConfig, protocol: Protocol, rate: float,
     return OutageEstimate.from_hits(hits, trials, seed)
 
 
-def _feasibility_chunk(cfg, seed, chunk_index, n):
+def _feasibility_chunk(cfg, seed, chunk_index, n, scratch):
     rng = _chunk_rng(seed, chunk_index)   # feasibility reads only the cap links
     gains = {"sp": _gamma(rng, cfg.sp.m, cfg.sp.theta, n),
              "rp": _draw_class(cfg, "rp", rng, n)}
-    # the full-duplex cap rule, the one the closed form counts under
-    feasible, dt_allowed = _feasibility_masks(gains, cfg, (False,))
-    feasible_count = np.count_nonzero(feasible[False], axis=0)
-    counts = np.bincount(feasible_count, minlength=cfg.k + 1)
-    tilde0 = int(np.count_nonzero((feasible_count == 0) & dt_allowed))
+    counts = np.zeros(cfg.k + 1, dtype=np.int64)
+    tilde0 = 0
+    for block in _blocks(gains, n):
+        # the full-duplex cap rule, the one the closed form counts under
+        feasible, dt_allowed = _feasibility_masks(block, cfg, (False,), scratch)
+        feasible_count = np.count_nonzero(feasible[False], axis=0)
+        counts += np.bincount(feasible_count, minlength=cfg.k + 1)
+        tilde0 += int(np.count_nonzero((feasible_count == 0) & dt_allowed))
     return counts, tilde0
 
 
@@ -343,8 +414,8 @@ def estimate_feasibility(cfg: NetworkConfig, trials: int, seed: int,
     """Empirical distribution of the number of cap-compliant relays."""
     _check_run(trials, seed)
     require_cognitive(cfg)
-    results = _run_chunks(lambda i, n: _feasibility_chunk(cfg, seed, i, n),
-                          _chunk_sizes(trials), workers)
+    results = _run_chunks(partial(_feasibility_chunk, cfg, seed), _chunk_sizes(trials),
+                          workers, cfg.k)
     counts = np.sum([c for c, _ in results], axis=0)
     tilde0 = sum(t for _, t in results)
     return FeasibilityDist(p=tuple(counts / trials), p_tilde0=tilde0 / trials)

@@ -4,29 +4,36 @@ For the `mc-validate` and `mixed-rate-sweep` workloads of perfbench it
 takes the cells the CLI hands to `montecarlo.outage_counts` (one CLI
 call in this process, with a wrapper that records them), then times
 that batched call on full chunks of CHUNK_TRIALS trials with one
-worker.  Per chunk it prints the ms and Mtrials/s of
+worker.  Per chunk it prints the ms, Mtrials/s and minor page faults of
 
 - draw:  `_chunk_rng` and `draw_gains`,
 - sinr:  `_point_sinrs`, every point and protocol of the chunk,
 - count: the rest of `_count_chunk` (block slicing and the threshold
-  comparisons).
+  comparisons) and of the call around it.
 
 Each stage is timed by a wrapper set on the module global that
-`_count_chunk` calls, so the code timed is the code the CLI runs.  Last
-it prints the wall time of one `outage_counts` call with the validate
-cells at the workload's trial count, with 1 and with 2 workers in
-alternating order.  pytest does not collect it.  Run it from the root
-of a checkout:
+`_count_chunk` calls, so the code timed is the code the CLI runs.  The
+faults are those of the thread that runs the call
+(`getrusage(RUSAGE_THREAD)`).  The split runs on the main thread, as a
+one-worker CLI run does, and on a pool thread, which glibc serves from
+an arena of its own.  glibc trims either heap whenever enough memory
+at its top is free, so memory freed there and taken again faults in
+anew.  No perfbench metric counts those faults.  Last it prints the wall time of
+one `outage_counts` call with the validate cells at the workload's
+trial count, with 1 and with 2 workers in alternating order.  pytest
+does not collect it.  Run it from the root of a checkout:
 
     python3 tests/mc_stage_timing.py --chunks 8 --repeats 5
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,43 +66,59 @@ def workload_call(name: str, work: Path, seed: int) -> tuple[list, int]:
     return calls[0]
 
 
+def thread_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+
 def stage_times(cells: list, chunks: int, seed: int) -> dict:
-    """Seconds spent in each stage over `chunks` full chunks, one worker."""
-    spent = dict.fromkeys(("draw", "sinr"), 0.0)
+    """(seconds, minor faults) of each stage over `chunks` full chunks,
+    one worker, on the calling thread."""
+    spent = {stage: [0.0, 0] for stage in ("draw", "sinr")}
     saved = {name: getattr(mc, name) for name in ("_chunk_rng", "draw_gains", "_point_sinrs")}
 
     def timed(stage, fn):
         def wrapper(*args):
+            f0 = thread_faults()
             t0 = time.perf_counter()
             try:
                 return fn(*args)
             finally:
-                spent[stage] += time.perf_counter() - t0
+                spent[stage][0] += time.perf_counter() - t0
+                spent[stage][1] += thread_faults() - f0
         return wrapper
 
     mc._chunk_rng = timed("draw", saved["_chunk_rng"])
     mc.draw_gains = timed("draw", saved["draw_gains"])
     mc._point_sinrs = timed("sinr", saved["_point_sinrs"])
     try:
+        f0 = thread_faults()
         t0 = time.perf_counter()
         mc.outage_counts(cells, chunks * mc.CHUNK_TRIALS, seed, workers=1)
-        total = time.perf_counter() - t0
+        total = time.perf_counter() - t0, thread_faults() - f0
     finally:
         for name, fn in saved.items():
             setattr(mc, name, fn)
-    return {**spent, "count": total - spent["draw"] - spent["sinr"]}
+    count = tuple(t - d - s for t, d, s in zip(total, spent["draw"], spent["sinr"]))
+    return {**{stage: tuple(v) for stage, v in spent.items()}, "count": count}
 
 
 def report_stages(name: str, cells: list, chunks: int, repeats: int, seed: int) -> None:
-    runs = [stage_times(cells, chunks, seed) for _ in range(repeats)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        on_pool = [pool.submit(stage_times, cells, chunks, seed).result()
+                   for _ in range(repeats)]
+    on_main = [stage_times(cells, chunks, seed) for _ in range(repeats)]
     print(f"{name}: {len(cells)} cells, per {mc.CHUNK_TRIALS}-trial chunk "
           f"(median of {repeats} runs of {chunks} chunks)")
-    total = 0.0
-    for stage in STAGES:
-        ms = statistics.median(r[stage] for r in runs) / chunks * 1e3
-        total += ms
-        print(f"  {stage:6s} {ms:8.3f} ms  {mc.CHUNK_TRIALS / ms / 1e3:8.2f} Mtrials/s")
-    print(f"  {'total':6s} {total:8.3f} ms  {mc.CHUNK_TRIALS / total / 1e3:8.2f} Mtrials/s")
+    for thread, runs in (("main thread", on_main), ("pool thread", on_pool)):
+        print(f"  {thread}")
+        total = 0.0
+        for stage in STAGES:
+            ms = statistics.median(r[stage][0] for r in runs) / chunks * 1e3
+            faults = statistics.median(r[stage][1] for r in runs) / chunks
+            total += ms
+            print(f"    {stage:6s} {ms:8.3f} ms  {mc.CHUNK_TRIALS / ms / 1e3:8.2f} Mtrials/s"
+                  f"  {faults:8.1f} faults")
+        print(f"    {'total':6s} {total:8.3f} ms  {mc.CHUNK_TRIALS / total / 1e3:8.2f} Mtrials/s")
 
 
 def report_workers(cells: list, trials: int, repeats: int, seed: int) -> None:

@@ -358,6 +358,58 @@ class TestCapSemantics:
                 assert 0.4 < np.mean(load <= i_th) < 0.6
 
 
+class TestScratch:
+    """Blocks evaluated in one reused scratch give the SINRs and counts of
+    blocks evaluated each in a fresh one, whatever relay count, duplex
+    class, cap and block width the scratch served before."""
+
+    def test_reuse_matches_fresh_scratch(self, fig2b_cfg):
+        # each K's two blocks: a full one, then a 7-trial one, as _blocks
+        # slices a chunk of BLOCK_TRIALS + 7 trials
+        blocks = {k: list(mc._blocks(draw_gains(dataclasses.replace(fig2b_cfg, k=k),
+                                                np.random.default_rng(k),
+                                                mc.BLOCK_TRIALS + 7),
+                                     mc.BLOCK_TRIALS + 7))
+                  for k in (16, 1, 3)}
+        scratch = mc._Scratch(16, mc.BLOCK_TRIALS)
+        kept = []
+        for width in (0, 1):
+            for k, gains in blocks.items():
+                capped = dataclasses.replace(fig2b_cfg, k=k)
+                for cfg in (capped, dataclasses.replace(capped, sp=None, rp=None, i_th=None)):
+                    fresh = mc._point_sinrs(gains[width], cfg, list(Protocol))
+                    reused = mc._point_sinrs(gains[width], cfg, list(Protocol), scratch)
+                    kept.append(((width, k, cfg.is_cognitive), fresh, reused))
+        # checked last: no later block may overwrite a SINR returned before
+        for case, fresh, reused in kept:
+            assert fresh.keys() == reused.keys() == set(Protocol), case
+            for proto, sinr in fresh.items():
+                assert sinr.tobytes() == reused[proto].tobytes(), (case, proto)
+
+    def test_interleaved_relay_counts_share_one_scratch(self, fig2a_cfg, fig2b_cfg,
+                                                        monkeypatch):
+        points = [dataclasses.replace(fig2b_cfg, k=16), dataclasses.replace(fig2a_cfg, k=1),
+                  dataclasses.replace(fig2b_cfg, k=3)]
+        cells = [(point, proto, 3.0) for proto in (Protocol.SDF, Protocol.HD_MRC, Protocol.IDL_DT)
+                 for point in points]
+        trials = mc.CHUNK_TRIALS + mc.BLOCK_TRIALS + 7
+        expected = [h for cell in cells for h in mc.outage_counts([cell], trials, seed=5)]
+        made = []
+
+        class Recorded(mc._Scratch):
+            def __init__(self, k, n):
+                made.append((k, n))
+                super().__init__(k, n)
+
+        monkeypatch.setattr(mc, "_Scratch", Recorded)
+        for workers in (1, 2):
+            made.clear()
+            assert mc.outage_counts(cells, trials, seed=5, workers=workers) == expected, workers
+            # one scratch per thread, sized once for the largest K
+            assert 1 <= len(made) <= workers, workers
+            assert set(made) == {(16, mc.BLOCK_TRIALS)}, workers
+
+
 class TestStream:
     """The counts a seed gives are pinned: a change to the bit generator,
     the seeding or the sampler changes every Monte Carlo output and must
