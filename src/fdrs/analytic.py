@@ -29,7 +29,9 @@ scaled by the largest in log space and added with math.fsum, so the
 expressions stay usable from deep-tail diversity sweeps (probabilities
 ~1e-18) up to thresholds of 1e6.  An outer sum stops where its terms
 fall below half an ulp (_cut): at most 20 blocks, whatever L is.  F_Z
-and s come from one Whittaker sum per threshold (ratio_tails).
+and s come from one Whittaker sum per threshold where m_sr and m_rr are
+integers, and otherwise from one positive Gauss-rule integral each over
+the self-interference (ratio_tails).
 
 F(x | L) is that closed form where the a-priori bound
 ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp(1) +
@@ -71,12 +73,7 @@ __all__ = ["RatioParams", "FeasibilityDist", "first_hop_ratio_params", "cdf_rati
 
 @dataclass(frozen=True)
 class RatioParams:
-    """Parameters of Z = X1/(X2 + 1) with Xi ~ Gamma(mi, thetai).
-
-    The closed-form CDF additionally needs m2 to be a positive integer;
-    non-integer m2 is representable here so the quadrature route can
-    serve it.
-    """
+    """Parameters of Z = X1/(X2 + 1) with Xi ~ Gamma(mi, thetai), mi real."""
 
     m1: float
     theta1: float
@@ -121,7 +118,7 @@ def first_hop_ratio_params(cfg: NetworkConfig) -> RatioParams:
 # ratio CDF (first hop)
 
 def _ratio_whittaker_sum(z: float, p: RatioParams) -> float:
-    """sum_k B c^-d theta2^-k W_{a,b}(c) of the ratio CDF, in [0, 1-ish].
+    """sum_k B c^-d theta2^-k W_{a,b}(c) of the ratio CDF, integer m1 and m2.
 
     Equals F_Z(z) - P(m1, z/theta1) >= 0.  Writing W_{a,b}(c) =
     e^(-c/2) c^(b+1/2) U(b-a+1/2, 1+2b, c) and folding e^(-c/2) into B
@@ -144,21 +141,23 @@ def _ratio_whittaker_sum(z: float, p: RatioParams) -> float:
 
 
 def ratio_tails(z: float, p: RatioParams) -> tuple[float, float]:
-    """(F_Z(z), P(Z > z)) of Z = X1/(X2+1) at z >= 0; real m1 >= 1/2, integer m2 >= 1.
+    """(F_Z(z), P(Z > z)) of Z = X1/(X2+1) at z >= 0; real m1 >= 1/2, m2 > 0.
 
-    F_Z(z) = P(m1, z/theta1) + W, W = sum_{k<m2} B c^-d theta2^-k W_{a,b}(c)
-    with a = (m1-k-1)/2, b = -(m1+k)/2, c = z/theta1 + 1/theta2,
-    d = (m1+k+1)/2 and B = e^{-(z/theta1 - 1/theta2)/2} (z/theta1)^m1
-    / Gamma(m1); P(Z > z) = Q(m1, z/theta1) - W, from the upper tail so
-    that it keeps its relative accuracy close to 1.
+    Integer m1 and m2: F_Z(z) = P(m1, z/theta1) + W, W = sum_{k<m2} B
+    c^-d theta2^-k W_{a,b}(c) with a = (m1-k-1)/2, b = -(m1+k)/2, c =
+    z/theta1 + 1/theta2, d = (m1+k+1)/2 and B = e^{-(z/theta1 -
+    1/theta2)/2} (z/theta1)^m1 / Gamma(m1); P(Z > z) = Q(m1, z/theta1) -
+    W, from the upper tail so that it keeps its relative accuracy close
+    to 1.  Other shapes: each tail is a positive integral over X2
+    (_ratio_nodes), within sf.REL_TOL or ArithmeticError.
     """
-    if abs(p.m2 - round(p.m2)) > 1e-9:
-        raise ValueError(f"closed-form ratio CDF requires integer m2, got {p.m2}; "
-                         "use cdf_ratio_gamma_quad for non-integer shapes")
     if not z >= 0:
         raise ValueError("z must be >= 0")
     if z == 0:
         return 0.0, 1.0
+    if abs(p.m1 - round(p.m1)) > 1e-9 or abs(p.m2 - round(p.m2)) > 1e-9:
+        nodes = _ratio_nodes(z, p)
+        return min(nodes.value((0, 1)), 1.0), min(nodes.value((1, 1)), 1.0)
     lower, upper = sf._reg_gamma(p.m1, z / p.theta1)
     w = _ratio_whittaker_sum(z, p)
     return min(max(lower + w, 0.0), 1.0), min(max(upper - w, 0.0), 1.0)
@@ -167,13 +166,6 @@ def ratio_tails(z: float, p: RatioParams) -> tuple[float, float]:
 def cdf_ratio_gamma(z: float, p: RatioParams) -> float:
     """CDF of Z = X1/(X2+1) at z >= 0: ratio_tails' first value."""
     return ratio_tails(z, p)[0]
-
-
-def _gamma_pdf(t: float, m: float, theta: float) -> float:
-    if t <= 0:
-        return 0.0
-    return math.exp((m - 1.0) * math.log(t) - t / theta
-                    - sf.ln_gamma(m) - m * math.log(theta))
 
 
 # The oracles take scipy's quad and incomplete Gammas, imported when an
@@ -200,23 +192,45 @@ def _quad(integrand, lo: float, hi: float, points=None) -> float:
     return val
 
 
-def cdf_ratio_gamma_quad(z: float, p: RatioParams) -> float:
-    """Quadrature oracle for the ratio CDF; supports non-integer m2.
+def _ln(value: float, power: float = 1.0) -> float:
+    """ln value^power, with 0^0 = 1."""
+    return power * math.log(value) if value > 0.0 else -math.inf if power else 0.0
 
-    F_Z(z) = integral over x of P(m1, z(x+1)/theta1) dF_X2(x), taken in
-    u = x/theta2 so that the density keeps its place at any RSI scale.
-    """
+
+def _gamma_quad(ln_g, m: float, hi: float) -> float:
+    """integral_0^hi g(t) f(t) dt for 0 <= g <= 1 and f the Gamma(m, 1)
+    density, by quad in v = sqrt(t) <= 64, which takes out f's singularity
+    at m < 1 (past v = 64, f < e^-1600 for m <= 1000).  Divided by its
+    peak on the grid v = 2^j, in units of 4 times the peak's place, with
+    breakpoints at the peak's doublings, the integrand keeps quad's
+    absolute tolerance relative to the value; 0 where it is 0 on the grid."""
+    def ln_integrand(v):   # the density of v is 2 v^(2m - 1) e^(-v^2) / Gamma(m)
+        return (ln_g(v * v) + (2.0 * m - 1.0) * math.log(v) - v * v + math.log(2.0)
+                - math.lgamma(m)) if v > 0.0 else -math.inf
+
+    v_hi = min(math.sqrt(hi), 64.0)
+    peak = max([2.0 ** j for j in range(-20, 6) if 2.0 ** j < v_hi] + [v_hi], key=ln_integrand)
+    top, end = ln_integrand(peak), 4.0 * peak
+    if top == -math.inf:
+        return 0.0
+
+    def scaled(u):   # in units of end, against the peak
+        return math.exp(ln_integrand(end * u) - top)
+    points = [2.0 ** k * peak / end for k in range(-2, 30) if 2.0 ** k * peak < v_hi]
+    return math.exp(top) * end * _quad(scaled, 0.0, v_hi / end, points)
+
+
+def cdf_ratio_gamma_quad(z: float, p: RatioParams) -> float:
+    """Quadrature oracle for the ratio CDF at any shapes: F_Z(z) = integral
+    over x of P(m1, z(x+1)/theta1) dF_X2(x), in u = x/theta2 so that the
+    density keeps its place at any RSI scale."""
     if z < 0:
         raise ValueError("z must be >= 0")
     if z == 0:
         return 0.0
     lower, _ = _scipy_gamma_cdfs()
-
-    def integrand(u):
-        return (lower(p.m1, z * (p.theta2 * u + 1.0) / p.theta1)
-                * _gamma_pdf(u, p.m2, 1.0))
-
-    return min(max(_quad(integrand, 0.0, math.inf), 0.0), 1.0)
+    return min(_gamma_quad(lambda u: _ln(lower(p.m1, z * (p.theta2 * u + 1.0) / p.theta1)),
+                           p.m2, math.inf), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +519,26 @@ def _positive(rules: tuple, exps: tuple) -> float:
     return rules[-1].value(exps)
 
 
+def _pq(m: float, ys: list[float]) -> tuple[list[float], list[float]]:
+    """P(m, y) and Q(m, y) at each y, from one evaluation each: the node
+    functions of a _Nodes."""
+    pqs = [sf._reg_gamma(m, y) for y in ys]
+    return [p for p, _ in pqs], [q for _, q in pqs]
+
+
+def _ratio_nodes(z: float, p: RatioParams) -> _Nodes:
+    """The nodes of P(m1, y) and Q(m1, y) at y = z (x2 + 1)/theta1 over
+    X2 ~ Gamma(m2, theta2).  Panels in t = x2/theta2 grow fourfold from
+    the least of 1, 1/theta2 and the scale on which y changes by 1, past
+    the density's mass and past where y has grown by 2 m1 + 64, so that
+    Q(m1, y) has lost over 25 digits; a Laguerre tail takes the rest."""
+    scale = p.theta1 / (z * p.theta2)
+    top = max((2.0 * p.m1 + 64.0) * scale, 4.0 * p.m2 + 8.0)
+    return _Nodes(lambda x2s: _pq(p.m1, [z * (x2 + 1.0) / p.theta1 for x2 in x2s]),
+                  p.m2, p.theta2,
+                  [0.0, *_panel_ends(math.inf, min(1.0, scale, 1.0 / p.theta2), top), math.inf])
+
+
 def _direct_link_nodes(x: float, cfg: NetworkConfig, protocol: Protocol) -> tuple[_Nodes, ...]:
     """The rules, to be tried in turn, for F(x | L) = integral g^L f_sd
     with g = F_Z + s P(m_rd, y/theta_rd), F_Z never 1 - s.
@@ -636,24 +670,17 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
 # quadrature oracles for the end-to-end CDFs
 
 def _direct_link_quad(x, cfg, relays, hop2_arg, hi):
-    """integral_0^hi (1 - P(Z > x) Q(m_rd, hop2_arg(beta)/theta_rd))^relays
-    over the direct-link SNR density, taken in t = beta/(P_S theta_sd);
-    0 at x = 0."""
+    """integral_0^hi (F_Z(x) + P(Z > x) P(m_rd, hop2_arg(beta)/theta_rd))^relays,
+    a power of a positive sum, over the direct-link SNR density, taken in
+    t = beta/(P_S theta_sd) by _gamma_quad; 0 at x = 0."""
     if x == 0:
         return 0.0
-    fzbar = 1.0 - cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg))
-    _, upper = _scipy_gamma_cdfs()
+    fz = cdf_ratio_gamma_quad(x, first_hop_ratio_params(cfg))
+    lower, _ = _scipy_gamma_cdfs()
     m_rd, th_rd = cfg.rd.m, cfg.p_r * cfg.rd.theta
-    m_sd = cfg.sd.m
     th_sd = cfg.p_s * cfg.sd.theta
-
-    def integrand(t):
-        return ((1.0 - fzbar * upper(m_rd, hop2_arg(th_sd * t) / th_rd)) ** relays
-                * _gamma_pdf(t, m_sd, 1.0))
-
-    t_hi = hi / th_sd
-    points = [50.0 * m_sd] if 50.0 * m_sd < t_hi < math.inf else None
-    return min(max(_quad(integrand, 0.0, t_hi, points), 0.0), 1.0)
+    return min(_gamma_quad(lambda t: _ln(fz + (1.0 - fz) * lower(
+        m_rd, hop2_arg(th_sd * t) / th_rd), relays), cfg.sd.m, hi / th_sd), 1.0)
 
 
 def cdf_ndl_quad(x, cfg: NetworkConfig, relays: int) -> float:
@@ -778,32 +805,28 @@ def _rung_row(nodes: _Nodes, rung: int) -> list[float] | None:
 
 def _cap_nodes(m_sp: float, th_sp: float, m_rp: float, th_rp: float, cap: float) -> _Nodes:
     """The nodes of P(m_rp, y) and Q(m_rp, y) at y = (cap - b)/th_rp over
-    the source interference b, from one evaluation each; panels are
-    graded from 0 and from the cap in the relays' scale."""
-    def bases(betas):   # P and Q at each node
-        pqs = [sf._reg_gamma(m_rp, max(cap - b, 0.0) / th_rp) for b in betas]
-        return [p for p, _ in pqs], [q for _, q in pqs]
+    the source interference b; panels are graded from 0 and from the cap
+    in the relays' scale."""
     scale = th_rp / th_sp
     hi = cap / th_sp
-    return _Nodes(bases, m_sp, th_sp, [0.0, *_panel_ends(hi, min(1.0, scale), edge=scale), hi])
+    return _Nodes(lambda betas: _pq(m_rp, [max(cap - b, 0.0) / th_rp for b in betas]),
+                  m_sp, th_sp, [0.0, *_panel_ends(hi, min(1.0, scale), edge=scale), hi])
 
 
 def feasibility_dist_quad(cfg: NetworkConfig) -> FeasibilityDist:
     """Quadrature oracle for feasibility_dist; no integrality limits.
-    Integrates over t = beta/(P_S theta_sp), beta the source's interference;
-    a relay's chance to violate the cap is Q, never 1 - P."""
+    Integrates over t = beta/(P_S theta_sp), beta the source's interference,
+    by _gamma_quad; a relay's chance to violate the cap is Q, never 1 - P."""
     k_total, m_sp, th_sp, m_rp, th_rp, cap = _feasibility_args(cfg)
     lower, upper = _scipy_gamma_cdfs()
     t_cap = cap / th_sp
-    points = [50.0 * m_sp] if 50.0 * m_sp < t_cap else None
 
     def p_exactly(feasible):
-        def integrand(t):
+        def ln_g(t):
             y = (cap - th_sp * t) / th_rp
-            return (math.comb(k_total, feasible) * lower(m_rp, y) ** feasible
-                    * upper(m_rp, y) ** (k_total - feasible)
-                    * _gamma_pdf(t, m_sp, 1.0))
-        return _quad(integrand, 0.0, t_cap, points)
+            return (sf.ln_comb(k_total, feasible) + _ln(lower(m_rp, y), feasible)
+                    + _ln(upper(m_rp, y), k_total - feasible))
+        return _gamma_quad(ln_g, m_sp, t_cap)
 
     probs = [p_exactly(i) for i in range(k_total + 1)]
     p_tilde0 = probs[0]

@@ -173,16 +173,15 @@ SYMMETRIC_ONLY = ("per-relay overrides are simulation-only; analytic mode assume
                   "a symmetric cluster")
 
 # link classes whose shape the closed forms need to be an integer
-_INTEGER_SHAPES = {Protocol.NDL: ("rr",), Protocol.IDL: ("rr", "rd"),
-                   Protocol.IDL_DT: ("rr", "rd"), Protocol.SDF: ("rr", "rd")}
+_INTEGER_SHAPES = {Protocol.IDL: ("rd",), Protocol.IDL_DT: ("rd",), Protocol.SDF: ("rd",)}
 
 
 def config_violations(cfg: NetworkConfig, protocol: Protocol, method: str) -> list[str]:
     """All reasons (cfg, protocol, method) cannot be evaluated; empty if none.
 
     The closed forms put integrality conditions on some Nakagami shapes
-    (m_rr always; m_rd for the direct-link protocols; m_rp for the
-    feasibility probabilities); m_sd may be any shape.  The simulator
+    (m_rd for the direct-link protocols; m_rp for the feasibility
+    probabilities); m_sr, m_rr and m_sd may be any shape.  The simulator
     has no such limits but still needs the links a protocol references
     to exist in the scenario.
     """

@@ -33,14 +33,13 @@ happens only far outside that domain (a beyond about 10^6 near x = a).
 ln_reg_lower_gammas lists ln P(a + r, x) for a run of orders from one
 such evaluation and the recurrence DLMF 8.8.5.
 
-The confluent hypergeometric family (Kummer M, Tricomi U, Whittaker W)
-is evaluated through series and finite polynomial forms rather than a
-general-purpose implementation; the supported region is documented per
-function.  ln_binomial_sum is the one binomial-sum kernel: every closed
-form that expands a power binomially sums through it and gets the sum's
-condition number with it; it keeps no state, and a sequence shorter
-than the sum cuts it.  gauss_rule gives the Legendre and generalized
-Laguerre rules that the positive integrals behind those sums take.
+Kummer M is a positive series; Tricomi U and Whittaker W are taken only
+where they are polynomials, and raise NonConvergenceError elsewhere.
+ln_binomial_sum is the one binomial-sum kernel: every closed form that
+expands a power binomially sums through it and gets the sum's condition
+number with it; it keeps no state, and a sequence shorter than the sum
+cuts it.  gauss_rule gives the Legendre and generalized Laguerre rules
+that the positive integrals behind those sums take.
 """
 from __future__ import annotations
 
@@ -359,7 +358,7 @@ def _u_poly(n: int, b: float, z: float) -> float:
     Uses the descending-power expansion
         U(-n, b, z) = sum_{r=0..n} C(n, r) (1 - b - n)_r z^(n-r),
     whose terms are all positive whenever 1 - b - n > 0, which covers
-    every parameter pattern of the ratio CDF, U(1-m1, 1-m1-k, c).
+    the ratio CDF's U(1-m1, 1-m1-k, c) at integer m1.
     """
     total = 0.0
     term = z ** n  # r = 0
@@ -372,72 +371,14 @@ def _u_poly(n: int, b: float, z: float) -> float:
     return total
 
 
-def _u_gamma_sum(n: int, b: float, z: float) -> float:
-    """U(n, b, z) for positive integer n with b > n, via incomplete Gammas.
-
-    Expanding t^(n-1) = ((1+t) - 1)^(n-1) in DLMF 13.4.4 gives the
-    exact finite form
-        U(n,b,z) = e^z / (n-1)! * sum_{j=0..n-1} C(n-1, j) (-1)^(n-1-j)
-                   z^-(b-n+j) Gamma(b-n+j, z),
-    with every Gamma order b-n+j positive, summed by ln_binomial_sum in
-    i = n-1-j.  The j = n-1 term dominates for small z, and terms decay
-    once z exceeds b; the cancellation in between is not bounded here.
-    """
-    ln_z = math.log(z)
-    ln_upper = []
-    for s in (b - 1.0 - i for i in range(n)):
-        q = reg_upper_gamma(s, z)
-        ln_upper.append(math.lgamma(s) - s * ln_z + math.log(q) if q > 0 else -math.inf)
-    ln_s, _ = ln_binomial_sum(ln_upper, n - 1)
-    if ln_s is None:
-        raise NonConvergenceError(f"U({n}, {b}, {z}) Gamma sum cancelled to <= 0")
-    return math.exp(z + ln_s - math.lgamma(n))
-
-
-def _u_asymptotic(a: float, b: float, z: float) -> float:
-    """Poincare expansion U(a,b,z) ~ z^-a 2F0(a, a-b+1; ; -1/z).
-
-    Divergent series summed to its smallest term; the remainder is of
-    the order of the first omitted term.  Accurate for z well beyond
-    |a (a-b+1)|, which this module only relies on for z >= 50.
-    """
-    total = 1.0
-    term = 1.0
-    smallest = math.inf
-    for s in range(MAX_TERMS):
-        nxt = term * (a + s) * (a - b + 1.0 + s) / ((s + 1) * (-z))
-        if abs(nxt) >= smallest:
-            break
-        term = nxt
-        smallest = abs(term)
-        total += term
-        if smallest <= REL_TOL * abs(total):
-            break
-    if smallest > 1e-9 * abs(total):
-        raise NonConvergenceError(
-            f"asymptotic U({a}, {b}, {z}) truncation error too large")
-    return z ** (-a) * total
-
-
 def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric function U(a, b, z) for z > 0.
+    """Tricomi confluent hypergeometric function U(a, b, z) for z > 0,
+    where it is a polynomial; any other (a, b) raises NonConvergenceError.
 
-    Evaluation paths, in order:
-
-    1. a a non-positive integer -n: exact generalized-Laguerre
-       polynomial (degree n).
+    1. a a non-positive integer -n: the generalized-Laguerre polynomial
+       of degree n, exact; the ratio CDF's U(1-m1, 1-m1-k, c) at integer m1.
     2. a - b + 1 a non-positive integer: the reflection
        U(a,b,z) = z^(1-b) U(a-b+1, 2-b, z) reduces to path 1, exact.
-    3. a a positive integer with b > a: exact finite sum of upper
-       incomplete Gamma functions.
-    4. a - b + 1 a positive integer with a < 1: the reflection of
-       path 3, again exact.  This covers the ratio-distribution
-       parameter family for non-integer Gamma shapes at every z.
-    5. z >= 50: optimally truncated asymptotic series.
-
-    Validated region: the parameter combinations of the ratio CDF
-    (U(1-m1, 1-m1-k, c)) land on paths 1-5.  Anything else raises
-    NonConvergenceError.
     """
     if not z > 0:
         raise ValueError(f"tricomi_u requires z > 0, got z={z}")
@@ -445,29 +386,15 @@ def tricomi_u(a: float, b: float, z: float) -> float:
         return _u_poly(int(round(-a)), b, z)
     if _is_int(a - b + 1.0) and a - b + 1.0 < 0.5:
         return z ** (1.0 - b) * _u_poly(int(round(b - a - 1.0)), 2.0 - b, z)
-    if z >= 45.0:
-        # the finite Gamma sums below cancel like z^(n-1) at large z,
-        # where the asymptotic series is already at full precision
-        try:
-            return _u_asymptotic(a, b, z)
-        except NonConvergenceError:
-            pass
-    if _is_int(a) and a > 0.5 and b - a > 1e-9 and z <= 700.0:
-        return _u_gamma_sum(int(round(a)), b, z)
-    if _is_int(a - b + 1.0) and a - b + 1.0 > 0.5 and a < 1.0 - 1e-9 and z <= 700.0:
-        return z ** (1.0 - b) * _u_gamma_sum(int(round(a - b + 1.0)), 2.0 - b, z)
-    raise NonConvergenceError(
-        f"U({a}, {b}, {z}) outside the validated parameter region")
+    raise NonConvergenceError(f"U({a}, {b}, {z}) is not a polynomial")
 
 
 def whittaker_w(a: float, b: float, z: float) -> float:
-    """Whittaker function W_{a,b}(z) for z > 0.
-
-    Computed through Tricomi U:
-        W_{a,b}(z) = e^(-z/2) z^(b + 1/2) U(b - a + 1/2, 1 + 2b, z).
-    Symmetric in b <-> -b.  For the ratio-distribution parameter
-    patterns the first U argument is a non-positive integer, so the
-    value is a finite polynomial and exact up to rounding.
+    """Whittaker function W_{a,b}(z) for z > 0 through Tricomi U,
+        W_{a,b}(z) = e^(-z/2) z^(b + 1/2) U(b - a + 1/2, 1 + 2b, z),
+    where U is a polynomial: b - a + 1/2 a non-positive integer, or
+    a + b - 1/2 a non-negative one; elsewhere NonConvergenceError.  For the ratio-distribution
+    parameters at integer m1 the first U argument is 1 - m1.
     """
     if not z > 0:
         raise ValueError(f"whittaker_w requires z > 0, got z={z}")

@@ -5,7 +5,9 @@ CLI calls of perfbench in this process, applies perfbench/checks.py's
 rules to their rows without changing them, and prints, per workload
 and pooled, the mean and sd of z over every Monte Carlo cell, the
 share of cells beyond 3 and beyond the mixed sweep's Bonferroni limit,
-and every seed that fails a rule.  pytest does not collect it.  Run it
+and every seed that fails a rule; then, per cell ((rate, protocol) of
+the mixed sweep, protocol of validate), the mean z, its standard error
+and the count beyond that limit.  pytest does not collect it.  Run it
 from the root of a checkout:
 
     python3 tests/stream_audit.py --mixed-seeds 0-199 --validate-seeds 0-59
@@ -33,17 +35,18 @@ def seed_range(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def cell_zs(name: str, rows: list[dict]) -> tuple[list[float], int]:
-    """z of every Monte Carlo cell with a nonzero standard error, and the
-    number of cells the workload's check compares."""
+def cell_zs(name: str, rows: list[dict]) -> tuple[list[tuple[tuple, float]], int]:
+    """(cell, z) of every Monte Carlo cell with a nonzero standard error,
+    and the number of cells the workload's check compares."""
     if name == "mc-validate":
-        return [float(r["z"]) for r in rows if float(r["stderr"]) > 0], len(rows)
+        return ([((r["protocol"],), float(r["z"])) for r in rows if float(r["stderr"]) > 0],
+                len(rows))
     by_key = {(r["axis"], r["protocol"], r["method"]): r for r in rows}
-    pairs = [(mc, by_key[axis, proto, "analytic"])
+    pairs = [((axis, proto), mc, by_key[axis, proto, "analytic"])
              for (axis, proto, method), mc in by_key.items()
              if method == "mc" and (axis, proto, "analytic") in by_key]
-    return [(float(mc["outage"]) - float(an["outage"])) / float(mc["stderr"])
-            for mc, an in pairs if float(mc["stderr"]) > 0], len(pairs)
+    return [(cell, (float(mc["outage"]) - float(an["outage"])) / float(mc["stderr"]))
+            for cell, mc, an in pairs if float(mc["stderr"]) > 0], len(pairs)
 
 
 def bonferroni_limit(cells: int) -> float:
@@ -52,8 +55,8 @@ def bonferroni_limit(cells: int) -> float:
     return NormalDist().inv_cdf(1.0 - family_alpha / (2.0 * cells))
 
 
-def audit(name: str, seeds: range, work: Path) -> tuple[list[float], int]:
-    """z of every cell over `seeds`, and the cells one run compares."""
+def audit(name: str, seeds: range, work: Path) -> tuple[list[tuple[tuple, float]], int]:
+    """(cell, z) of every cell over `seeds`, and the cells one run compares."""
     workload = WORKLOADS[name]
     scenario = workload.scenario(ROOT, work)
     zs, failing = [], []
@@ -70,12 +73,25 @@ def audit(name: str, seeds: range, work: Path) -> tuple[list[float], int]:
     return zs, cells
 
 
-def report(label: str, zs: list[float], limit: float) -> None:
+def report(label: str, cells: list[tuple[tuple, float]], limit: float) -> None:
+    zs = [z for _, z in cells]
     mean, sd = statistics.fmean(zs), statistics.stdev(zs)
     beyond3 = sum(abs(z) > checks.VALIDATE_Z for z in zs) / len(zs)
     beyond_limit = sum(abs(z) > limit for z in zs) / len(zs)
     print(f"{label}: {len(zs)} cells, z mean {mean:+.4f} (se {sd / math.sqrt(len(zs)):.4f}),"
           f" sd {sd:.4f}, |z| > 3: {beyond3:.4%}, |z| > {limit:.2f}: {beyond_limit:.4%}")
+
+
+def report_cells(label: str, cells: list[tuple[tuple, float]], limit: float) -> None:
+    """Mean z (with its standard error) and the count beyond `limit`, per cell."""
+    by_cell = {}
+    for cell, z in cells:
+        by_cell.setdefault(cell, []).append(z)
+    for cell, zs in by_cell.items():
+        se = statistics.stdev(zs) / math.sqrt(len(zs)) if len(zs) > 1 else math.nan
+        beyond = sum(abs(z) > limit for z in zs)
+        print(f"{label} {' '.join(cell)}: {len(zs)} seeds, z mean {statistics.fmean(zs):+.4f}"
+              f" (se {se:.4f}), |z| > {limit:.2f}: {beyond}")
 
 
 def main() -> int:
@@ -92,6 +108,8 @@ def main() -> int:
     report("mixed-rate-sweep", mixed, limit)
     report("mc-validate", validate, limit)
     report("pooled", mixed + validate, limit)
+    report_cells("mixed-rate-sweep", mixed, limit)
+    report_cells("mc-validate", validate, limit)
     return 0
 
 

@@ -83,12 +83,11 @@ class TestRatioCdf:
         assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
 
     def test_non_integer_m2_routes_to_quadrature(self):
+        # a real m2 takes the positive Gauss route, and agrees with the oracle
         p = an.RatioParams(1.0, 1.0, 1.7, 1.0)
-        with pytest.raises(ValueError, match="quad"):
-            an.cdf_ratio_gamma(1.0, p)
-        # the oracle itself supports it
         v = an.cdf_ratio_gamma_quad(1.0, p)
         assert 0.0 < v < 1.0
+        assert an.cdf_ratio_gamma(1.0, p) == pytest.approx(v, rel=1e-10, abs=0.0)
 
     def test_ccdf_complements_cdf(self):
         p = an.RatioParams(2, 1.5, 2, 0.5)
@@ -115,6 +114,75 @@ class TestRatioCdf:
             an.RatioParams(1, 1, -1, 1)
         with pytest.raises(ValueError):
             an.RatioParams(1, 0, 1, 1)
+
+
+class TestRatioTailsGaussRoute:
+    """A first hop with a real m_sr or m_rr takes both tails as positive
+    Gauss-rule integrals over the RSI gain; each must match the reference
+    within REL_TOL or raise ArithmeticError, and where both exceed 1e-3
+    they must add up to 1 within 4 ulp.  The first six points are where
+    the Tricomi route that real shapes took before returned wrong values
+    without raising (6.9e-9 off at 1.1e-8, 2.9e-6 off at 1.9e-10, 1.1e-3
+    off at 2.6e-13, 7.1e-8 off at U(-1.5, -6.5, 44), orders of magnitude
+    off at 8.9e-96), or where panels without the 1/theta2 scale stalled
+    (z = 0.01); the rest spread over the grid.  The references are F_Z
+    and P(Z > z) from this mpmath snippet, printed to 40 digits.  The
+    breakpoints matter: with whole octaves in place of half ones, the
+    references of the two points near 1e-280 were 3e-10 and 2e-11 off.
+
+        from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf
+        mp.dps = 50
+
+        def reference(z, m1, th1, m2, th2):
+            z, m1, th1, m2, th2 = map(mpf, (z, m1, th1, m2, th2))
+            # breakpoints at half octaves of the scale on which y moves by 1,
+            # of 1/th2 and of 1
+            pts = {b * mpf(2) ** (mpf(j) / 2) for b in (th1 / (z * th2), 1 / th2, mpf(1))
+                   for j in range(-120, 120)}
+            pts = [0] + sorted(t for t in pts if mpf(10) ** -30 < t < 1e4 * (m2 + 1)) + [inf]
+            pdf = lambda u: u ** (m2 - 1) * exp(-u) / gamma(m2)
+            y = lambda u: z * (th2 * u + 1) / th1
+            return (quad(lambda u: gammainc(m1, 0, y(u), regularized=True) * pdf(u), pts),
+                    quad(lambda u: gammainc(m1, y(u), inf, regularized=True) * pdf(u), pts))
+    """
+
+    # (m1, theta1, m2, theta2, z): (F_Z(z), P(Z > z))
+    REFERENCE = {
+        (0.5, 31.6, 2, 1000.0, 60.0): (9.999999889615741877122064918822175526583e-1, 1.103842581228779350811778244734167114394e-8),
+        (4.7, 31.6, 6, 1000.0, 3.0): (9.999999998104365161360877513364559552609e-1, 1.895634838639122486635440447391205665442e-10),
+        (0.5, 31.6, 6, 1000.0, 3.0): (9.999999999997379508829168935109538319803e-1, 2.620491170831064890461680197268551362056e-13),
+        (2.5, 1.0, 6, 1000.0, 44.0): (1.0, 2.940494097958332050513177519743832245236e-45),
+        (0.5, 31.6, 2, 1000.0, 0.01): (6.766924488510934725376651924141105635038e-1, 3.233075511489065274623348075858894364962e-1),
+        (1.5, 0.1, 6, 1000.0, 15.0): (1.0, 8.905376697496398390588850415507031638671e-96),
+        (0.5, 0.1, 0.5, 0.001, 0.01): (3.453598348149502465480689974908670959996e-1, 6.546401651850497534519310025091329039356e-1),
+        (2.5, 31.6, 0.5, 1000.0, 0.01): (1.059793751450363081593556061739098482039e-2, 9.894020624854963691840644393826090151775e-1),
+        (4.7, 31.6, 3.3, 1000.0, 3.0): (9.999901365838408752588946422159244553593e-1, 9.863416159124741105357784075544640744872e-6),
+        (2.5, 0.1, 3.3, 0.001, 3.0): (9.999999999889237466100608304437907668155e-1, 1.107625338993916955620923318447072128149e-11),
+        (4.7, 31.6, 2, 2.0, 0.01): (7.905378048560767317542340391003859910348e-15, 9.999999999999920946219514392326824576596e-1),
+        (0.5, 31.6, 6, 0.001, 1000.0): (9.999999999999985251160238866719819704499e-1, 1.474883976113328018029550121100858429093e-15),
+        (2, 31.6, 1.5, 2.0, 3.0): (6.508670320616756371152249905020052931322e-2, 9.349132967938324362884775009497994706868e-1),
+        (1, 1.0, 0.5, 0.001, 60.0): (9.999999999999999999999999914949248925489e-1, 8.505075107386354840096028033852445789685e-27),
+        (2.5, 0.1, 6, 2.0, 60.0): (1.0, 9.935674995826174793620366712793129439728e-276),
+        (0.5, 0.1, 3.3, 1000.0, 60.0): (1.0, 5.202475266034470494187851052345938187264e-282),
+        (4.7, 31.6, 0.5, 2.0, 60.0): (3.245735835446176491775899360569994958034e-1, 6.754264164553823508224100639430005041632e-1),
+        (0.5, 0.1, 2, 2.0, 3.0): (9.9999999999999999752650402850557448112e-1, 2.473495971494425518880038492821568641302e-18),
+    }
+
+    @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: "-".join(map(str, c)))
+    def test_tails_match_reference_or_raise(self, case, monkeypatch):
+        def whittaker(*args):
+            raise AssertionError("a real shape reached the Whittaker sum")
+        monkeypatch.setattr(sf, "tricomi_u", whittaker)
+        m1, th1, m2, th2, z = case
+        try:
+            fz, s = an.ratio_tails(z, an.RatioParams(m1, th1, m2, th2))
+        except ArithmeticError:
+            return
+        ref_fz, ref_s = self.REFERENCE[case]
+        assert fz == pytest.approx(ref_fz, rel=sf.REL_TOL, abs=0.0)
+        assert s == pytest.approx(ref_s, rel=sf.REL_TOL, abs=0.0)
+        if min(ref_fz, ref_s) > 1e-3:
+            assert abs(fz + s - 1.0) <= 4 * math.ulp(1.0)
 
 
 class TestTailIntegralIdentity:
@@ -325,9 +393,10 @@ class TestNdlCdf:
         assert (an.cdf_conditional(3.0, fig2a_cfg, Protocol.NDL, 3)
                 == an.cdf_conditional(3.0, stripped, Protocol.NDL, 3))
 
-    def test_integrality_enforced(self, fig2a_cfg):
-        bad = dataclasses.replace(fig2a_cfg, rr=LinkSpec(1.5, 2.0))
-        with pytest.raises(ConfigError, match="m_rr"):
+    def test_integrality_enforced(self, fig2b_cfg):
+        # the cap's feasibility probabilities still need an integer m_rp
+        bad = dataclasses.replace(fig2b_cfg, rp=LinkSpec(1.5, fig2b_cfg.rp.avg_power))
+        with pytest.raises(ConfigError, match="m_rp"):
             an.cdf_conditional(1.0, bad, Protocol.NDL, 3)
 
 
@@ -691,15 +760,14 @@ class TestBlockCut:
 
 
 class TestDirectLinkOracleLooseEnd:
-    """The ROADMAP loose end "the direct-link oracles return wrong values
-    without raising", pinned: where g^L carries the mass far into the
-    direct-link density's tail (idl, L = 16 and 64), or where that density
-    is singular at 0 (sdf with m_sd = 1/2), `cdf_idl_quad` and
-    `cdf_sdf_quad` return values off by up to four orders of magnitude and
-    raise nothing.  Each oracle test is an xfail(strict=True): it starts
-    to pass, and so fails, once the oracle is right or raises, and the
-    marker goes then.  The references are F(0.5 | L) to 40 digits, from
-    this mpmath snippet (50 and 70 digits agree to 42):
+    """Where g^L carries the mass far into the direct-link density's tail
+    (idl, L = 16 and 64), or where that density is singular at 0 (sdf
+    with m_sd = 1/2), `cdf_idl_quad` and `cdf_sdf_quad` once returned
+    values off by up to four orders of magnitude and raised nothing.  They
+    now scale the integrand by its peak, break the range around it and
+    take v = sqrt(t) for m_sd < 1; each must match the reference or
+    raise.  The references are F(0.5 | L) to 40 digits, from this mpmath
+    snippet (50 and 70 digits agree to 42):
 
         from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf, linspace
         mp.dps = 50
@@ -741,9 +809,6 @@ class TestDirectLinkOracleLooseEnd:
         got = an.cdf_conditional(0.5, self.scenario(fig2a_cfg, m_sd), proto, relays)
         assert got == pytest.approx(self.REFERENCE[case], rel=1e-10, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP loose end: the direct-link oracles return "
-                              "wrong values without raising")
     @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: f"{c[0].value}-m_sd{c[1]}-L{c[2]}")
     def test_oracle_matches_reference_or_raises(self, fig2a_cfg, case):
         proto, m_sd, relays = case

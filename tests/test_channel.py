@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from fdrs.channel import (
+    FD_PROTOCOLS,
     ConfigError,
     LinkSpec,
     NetworkConfig,
@@ -89,10 +90,10 @@ class TestNetworkConfig:
 
 
 class TestValidation:
-    def test_ndl_analytic_requires_integer_rsi_shape(self):
-        cfg = make_cfg(rr=LinkSpec(1.5, 2.0))
-        errs = config_violations(cfg, Protocol.NDL, "analytic")
-        assert len(errs) == 1 and "integer m_rr" in errs[0]
+    def test_analytic_takes_real_first_hop_shapes(self):
+        cfg = make_cfg(sr=LinkSpec(2.5, 1.0), rr=LinkSpec(1.5, 2.0))
+        for proto in FD_PROTOCOLS:
+            assert config_violations(cfg, proto, "analytic") == []
 
     def test_mc_has_no_integrality_limits(self):
         cfg = make_cfg(sr=LinkSpec(0.7, 1.0), rd=LinkSpec(1.3, 1.0),
@@ -131,11 +132,12 @@ class TestValidation:
         assert any("m_rp" in e for e in config_violations(cfg, Protocol.NDL, "analytic"))
 
     def test_validate_config_raises_with_all_errors(self):
-        cfg = make_cfg(rr=LinkSpec(1.5, 2.0), rd=LinkSpec(2.7, 1.0), sd=None)
+        cfg = make_cfg(rd=LinkSpec(2.7, 1.0), sd=None,
+                       sp=LinkSpec(1, 1.0), rp=LinkSpec(1.5, 1.26), i_th=2.0)
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg, Protocol.IDL, "analytic")
         joined = " ".join(exc.value.errors)
-        assert "m_rr" in joined and "m_rd" in joined and "sd" in joined
+        assert "m_rp" in joined and "m_rd" in joined and "sd" in joined
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

@@ -158,10 +158,10 @@ class TestOutageCommand:
 
     def test_analytic_violation_exit_code(self, tmp_path, capsys):
         p = tmp_path / "frac.cfg"
-        p.write_text(NDL_RAYLEIGH.replace("m_rr = 1", "m_rr = 1.5"))
-        rc = main(["outage", "--config", str(p), "--protocol", "ndl", "--rate", "2"])
+        p.write_text((CONFIG_DIR / "fig2a.cfg").read_text().replace("m_rd = 2", "m_rd = 1.5"))
+        rc = main(["outage", "--config", str(p), "--protocol", "idl", "--rate", "2"])
         assert rc == 1
-        assert "integer m_rr" in capsys.readouterr().err
+        assert "integer m_rd" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", ["0", "0.5"])
     def test_simulation_only_protocol_exit_code(self, rate, capsys):
@@ -177,6 +177,20 @@ class TestOutageCommand:
                    "--method", "analytic"])
         assert rc == 0
         assert 0.0 < json.loads(capsys.readouterr().out)["outage_analytic"] < 1.0
+
+    def test_real_first_hop_shapes(self, tmp_path, capsys):
+        # real m_sr and m_rr take the positive Gauss route for the first hop;
+        # every full-duplex protocol agrees with 10^6 trials
+        p = tmp_path / "real.cfg"
+        p.write_text((CONFIG_DIR / "fig2a.cfg").read_text()
+                     .replace("m_sr = 2", "m_sr = 2.5").replace("m_rr = 2", "m_rr = 1.5"))
+        for proto in ("ndl", "idl", "idl_dt", "sdf"):
+            rc = main(["outage", "--config", str(p), "--protocol", proto, "--rate", "2",
+                       "--method", "both", "--trials", "1000000"])
+            assert rc == 0
+            record = json.loads(capsys.readouterr().out)
+            assert abs(record["outage_mc"] - record["outage_analytic"]) <= \
+                3 * record["stderr_mc"], proto
 
     def test_one_closed_form_per_outage(self, capsys, monkeypatch):
         calls = []
@@ -352,18 +366,18 @@ class TestSweepCommand:
         assert rc == 2
 
     def test_partial_protocol_failure_exit_code(self, tmp_path, capsys):
-        # fig4 lacks nothing, so force a failure via fractional m_rr
+        # fig2a lacks nothing, so force a failure via fractional m_rd
         p = tmp_path / "frac.cfg"
-        p.write_text(NDL_RAYLEIGH.replace("m_rr = 1", "m_rr = 1.5"))
+        p.write_text((CONFIG_DIR / "fig2a.cfg").read_text().replace("m_rd = 2", "m_rd = 1.5"))
         out = tmp_path / "s.csv"
         rc = main(["sweep", "--config", str(p), "--axis", "rate_bpcu",
                    "--from", "1", "--to", "2", "--steps", "2",
-                   "--protocols", "ndl", "--method", "both", "--trials", "1000",
+                   "--protocols", "idl", "--method", "both", "--trials", "1000",
                    "--output", str(out)])
         assert rc == 2  # analytic half failed, mc half still produced rows
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert len(data) - 1 == 2
-        assert "integer m_rr" in capsys.readouterr().err
+        assert "integer m_rd" in capsys.readouterr().err
 
 
 class TestPlCommand:
@@ -461,14 +475,14 @@ class TestValidateCommand:
         assert out.count("PASS") == 4 and "FAIL" not in out
 
     def test_no_closed_form_exits_one(self, tmp_path, capsys):
-        # non-integer m_rr leaves no full-duplex closed form to validate
-        path = tmp_path / "fig2a_mrr.cfg"
-        path.write_text((CONFIG_DIR / "fig2a.cfg").read_text().replace("m_rr = 2", "m_rr = 1.5"))
+        # non-integer m_rp leaves no full-duplex closed form to validate
+        path = tmp_path / "fig2b_mrp.cfg"
+        path.write_text((CONFIG_DIR / "fig2b.cfg").read_text().replace("m_rp = 1", "m_rp = 1.5"))
         rc = main(["validate", "--config", str(path), "--rate", "2", "--trials", "1000"])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         for proto in ("ndl", "idl", "idl_dt", "sdf"):
-            assert f"{proto} analytic requires integer m_rr (got 1.5)" in captured.err
+            assert f"{proto} analytic requires integer m_rp (got 1.5)" in captured.err
 
     def test_zero_workers_exit_code(self, capsys):
         # analytic-only runs never simulate, but reject the flag all the same

@@ -337,26 +337,20 @@ class TestTricomiU:
         assert sf.tricomi_u(-1.0, b, z) == pytest.approx(z - b, rel=1e-14)
         assert sf.tricomi_u(-1.0, b, z) == pytest.approx(mp_float(mp.hyperu, -1, b, z), rel=1e-13)
 
-    @pytest.mark.parametrize("a,b", [(-3, -5.2), (1, 3), (3, 4.2), (4, 9.9)])
+    @pytest.mark.parametrize("a,b", [(-3, -5.2), (1, 3)])
     def test_exact_paths_against_mpmath(self, a, b):
-        # polynomial and incomplete-Gamma paths: full precision
+        # the polynomial and its reflection: full precision
         for z in (0.3, 2.2, 8.0, 60.0, 300.0):
             ref = mp_float(mp.hyperu, a, b, z)
             assert sf.tricomi_u(a, b, z) == pytest.approx(ref, rel=5e-10), (a, b, z)
 
-    @pytest.mark.parametrize("a,b", [(0.8, -1.2)])
-    def test_generic_parameters_against_mpmath(self, a, b):
-        # non-integer a whose reflection a - b + 1 is a positive integer:
-        # the reflected incomplete-Gamma path
-        for z in (0.3, 2.2, 8.0, 60.0):
-            ref = mp_float(mp.hyperu, a, b, z)
-            assert sf.tricomi_u(a, b, z) == pytest.approx(ref, rel=3e-5), (a, b, z)
-
-    @pytest.mark.parametrize("a,b", [(2.5, 0.7), (1.5, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("a,b", [(2.5, 0.7), (1.5, 2.0), (1.0, 1.0), (3, 4.2), (4, 9.9),
+                                     (0.8, -1.2)])
     def test_outside_validated_region_raises(self, a, b):
-        # no exact path and z below the asymptotic range
-        with pytest.raises(sf.NonConvergenceError):
-            sf.tricomi_u(a, b, 1.0)
+        # U is no polynomial here, at small z and large alike
+        for z in (1.0, 60.0):
+            with pytest.raises(sf.NonConvergenceError):
+                sf.tricomi_u(a, b, z)
 
     def test_moment_polynomial_identity(self):
         # U(-D, 1-m-D, y) = sum_r C(D,r) (m)_r y^(D-r): the form taken by
@@ -378,9 +372,10 @@ class TestTricomiU:
 
 class TestWhittakerW:
     def test_symmetry_in_second_index(self):
+        # at integer m1, W_{a,b} and W_{a,-b} take the polynomial and its reflection
         rng = np.random.default_rng(3)
         for _ in range(60):
-            m1 = rng.uniform(0.5, 4.0)
+            m1 = int(rng.integers(1, 5))
             k = rng.integers(0, 4)
             a = (m1 - k - 1) / 2
             b = -(m1 + k) / 2
@@ -389,7 +384,7 @@ class TestWhittakerW:
             w2 = sf.whittaker_w(a, -b, z)
             assert abs(w1 - w2) <= 1e-10 * max(1.0, abs(w1))
 
-    @pytest.mark.parametrize("alpha,x", [(2.0, 1.0), (2.5, 1.3), (4.0, 0.7), (3.3, 22.0)])
+    @pytest.mark.parametrize("alpha,x", [(2.0, 1.0), (4.0, 0.7)])
     def test_incomplete_gamma_identity(self, alpha, x):
         # Gamma(alpha, x) = x^((alpha-1)/2) e^(-x/2) W_{(alpha-1)/2, alpha/2}(x)
         lhs = sf.reg_upper_gamma(alpha, x) * math.exp(sf.ln_gamma(alpha))
@@ -403,7 +398,7 @@ class TestWhittakerW:
 
     def test_ratio_parameter_family_against_mpmath(self):
         checked = 0
-        for m1 in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 2.7):
+        for m1 in (1.0, 2.0, 3.0, 4.0):
             for k in range(4):
                 a = (m1 - k - 1) / 2
                 b = -(m1 + k) / 2
@@ -414,7 +409,7 @@ class TestWhittakerW:
                     checked += 1
                     assert sf.whittaker_w(a, b, z) == pytest.approx(
                         ref, rel=5e-9, abs=1e-280), (m1, k, z)
-        assert checked >= 120
+        assert checked >= 70
 
     def test_domain(self):
         with pytest.raises(ValueError):
