@@ -61,8 +61,8 @@ import sys
 from dataclasses import dataclass
 
 from fdrs import specfun as sf
-from fdrs.channel import (SYMMETRIC_ONLY, ConfigError, NetworkConfig, Protocol,
-                          require_cognitive, validate_config)
+from fdrs.channel import (ConfigError, NetworkConfig, Protocol, require_cognitive,
+                          validate_config)
 
 __all__ = ["RatioParams", "FeasibilityDist", "first_hop_ratio_params", "cdf_ratio_gamma",
            "cdf_ratio_gamma_quad", "cdf_conditional", "cdf_ndl_quad", "cdf_idl_quad",
@@ -711,9 +711,8 @@ def cdf_sdf_quad(x, cfg: NetworkConfig, relays: int) -> float:
 
 def _feasibility_args(cfg: NetworkConfig) -> tuple:
     """(k, m_sp, p_s theta_sp, m_rp, p_r theta_rp, i_th), all that the
-    feasibility distribution reads; both routes assume symmetric relays."""
-    if require_cognitive(cfg).relay_overrides:
-        raise ConfigError([SYMMETRIC_ONLY])
+    feasibility distribution reads, from a scenario with the cap."""
+    require_cognitive(cfg)
     return cfg.k, cfg.sp.m, cfg.p_s * cfg.sp.theta, cfg.rp.m, cfg.p_r * cfg.rp.theta, cfg.i_th
 
 

@@ -104,9 +104,9 @@ class NetworkConfig:
     sp/rp (source/relay to primary receiver) with interference threshold
     i_th.  sd absent means a no-direct-link scenario; sp/rp/i_th are
     all-present or all-absent.  rsi_lambda in [0, 1] scales the RSI
-    power as p_r ** rsi_lambda.  relay_overrides optionally replaces a
-    relay-indexed link class (sr, rd, rr, rp) by per-relay specs; it is
-    accepted by the simulator only.
+    power as p_r ** rsi_lambda.  The K relays are i.i.d., as the closed
+    forms assume: one spec of each relay-indexed class (sr, rd, rr, rp)
+    serves all of them.
     """
 
     k: int
@@ -120,7 +120,6 @@ class NetworkConfig:
     sp: LinkSpec | None = None
     rp: LinkSpec | None = None
     i_th: float | None = None
-    relay_overrides: dict[str, tuple[LinkSpec, ...]] | None = None
 
     def __post_init__(self):
         errors = []
@@ -138,21 +137,13 @@ class NetworkConfig:
             errors.append("cognitive fields sp, rp, ith must be all present or all absent")
         if self.i_th is not None and not self.i_th > 0:
             errors.append(f"ith must be > 0, got {self.i_th}")
-        if self.relay_overrides:
-            for name, specs in self.relay_overrides.items():
-                if name not in ("sr", "rd", "rr", "rp"):
-                    errors.append(f"relay_overrides key {name!r} is not a relay-indexed link class")
-                elif len(specs) != self.k:
-                    errors.append(
-                        f"relay_overrides[{name!r}] has {len(specs)} entries, expected k={self.k}")
-        if not errors:   # each link's mean SNR, power times average gain, overrides included
+        if not errors:   # each link's mean SNR, power times average gain
             powers = {"sr": ("p_s", self.p_s), "rd": ("p_r", self.p_r),
                       "rr": ("p_r^lambda", self.p_r ** self.rsi_lambda),
                       "sd": ("p_s", self.p_s), "sp": ("p_s", self.p_s), "rp": ("p_r", self.p_r)}
             for name, (power, value) in powers.items():
-                specs = [getattr(self, name), *(self.relay_overrides or {}).get(name, ())]
-                snr = max((value * spec.avg_power for spec in specs if spec is not None),
-                          default=0.0)
+                spec = getattr(self, name)
+                snr = value * spec.avg_power if spec is not None else 0.0
                 if not snr <= MAX_MEAN_SNR:
                     errors.append(f"link {name}: mean SNR {power}*pi_{name} = {snr:.4g} "
                                   f"exceeds {MAX_MEAN_SNR:g} (3000 dB)")
@@ -168,9 +159,6 @@ class NetworkConfig:
         """Gamma scale of the first-hop self-interference term, p_r^lambda * theta_rr."""
         return self.p_r ** self.rsi_lambda * self.rr.theta
 
-
-SYMMETRIC_ONLY = ("per-relay overrides are simulation-only; analytic mode assumes "
-                  "a symmetric cluster")
 
 # link classes whose shape the closed forms need to be an integer
 _INTEGER_SHAPES = {Protocol.IDL: ("rd",), Protocol.IDL_DT: ("rd",), Protocol.SDF: ("rd",)}
@@ -193,8 +181,6 @@ def config_violations(cfg: NetworkConfig, protocol: Protocol, method: str) -> li
     if method == "analytic":
         if protocol.simulation_only:
             errors.append(f"{protocol.value} is a simulation-only baseline; no closed form")
-        if cfg.relay_overrides:
-            errors.append(SYMMETRIC_ONLY)
         for name in _INTEGER_SHAPES.get(protocol, ()) + (("rp",) if cfg.is_cognitive else ()):
             link: LinkSpec = getattr(cfg, name)
             if link is not None and not link.integer_m:

@@ -120,12 +120,9 @@ def _gamma(rng: np.random.Generator, m: float, theta: float, shape) -> np.ndarra
 
 def _draw_class(cfg: NetworkConfig, name: str, rng: np.random.Generator,
                 n: int) -> np.ndarray:
-    """(k, n) gains for a relay-indexed link class, honoring overrides."""
-    overrides = (cfg.relay_overrides or {}).get(name)
-    base: LinkSpec = getattr(cfg, name)
-    if overrides is None:
-        return _gamma(rng, base.m, base.theta, (cfg.k, n))
-    return np.stack([_gamma(rng, s.m, s.theta, n) for s in overrides])
+    """(k, n) gains of a relay-indexed link class, one spec for all K relays."""
+    link: LinkSpec = getattr(cfg, name)
+    return _gamma(rng, link.m, link.theta, (cfg.k, n))
 
 
 def draw_gains(cfg: NetworkConfig, rng: np.random.Generator, n: int) -> dict:
@@ -291,11 +288,11 @@ def _point_sinrs(gains: dict, cfg: NetworkConfig, protocols,
 
 def _count_chunk(groups, n_cells, seed, chunk_index, n, scratch):
     hits = np.zeros(n_cells, dtype=np.int64)
-    for _, points in groups:
+    for points in groups.values():
         # every point of a group draws these gains
-        gains = draw_gains(points[0][0], _chunk_rng(seed, chunk_index), n)
+        gains = draw_gains(next(iter(points)), _chunk_rng(seed, chunk_index), n)
         for block in _blocks(gains, n):
-            for point_cfg, thresholds in points:
+            for point_cfg, thresholds in points.items():
                 sinrs = _point_sinrs(block, point_cfg, thresholds, scratch)
                 for protocol, sinr in sinrs.items():
                     for gamma_th, cells in thresholds[protocol].items():
@@ -331,17 +328,8 @@ def _run_chunks(fn, sizes, workers, k_max):
 _POINT_FIELDS = ("p_s", "p_r", "i_th")
 
 
-def _draw_fields(cfg: NetworkConfig) -> list:
-    return [getattr(cfg, f.name) for f in fields(cfg) if f.name not in _POINT_FIELDS]
-
-
-def _entry(pairs: list, key, new):
-    # a list, not a dict: a config with relay_overrides cannot be hashed
-    for k, value in pairs:
-        if k == key:
-            return value
-    pairs.append((key, new()))
-    return pairs[-1][1]
+def _draw_fields(cfg: NetworkConfig) -> tuple:
+    return tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name not in _POINT_FIELDS)
 
 
 def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: int,
@@ -358,14 +346,15 @@ def outage_counts(cells: list[tuple[NetworkConfig, Protocol, float]], trials: in
     in cell order, each equal to that of a one-cell call with the same seed.
     """
     _check_run(trials, seed)
-    groups: list[tuple[list, list[tuple[NetworkConfig, dict]]]] = []
+    # draw fields -> point config -> protocol -> threshold -> cell indices
+    groups: dict[tuple, dict[NetworkConfig, dict]] = {}
     for i, (point_cfg, protocol, gamma_th) in enumerate(cells):
         validate_config(point_cfg, protocol, "mc")
-        points = _entry(groups, _draw_fields(point_cfg), list)
-        _entry(points, point_cfg, dict).setdefault(protocol, {}).setdefault(gamma_th, []).append(i)
+        points = groups.setdefault(_draw_fields(point_cfg), {})
+        points.setdefault(point_cfg, {}).setdefault(protocol, {}).setdefault(gamma_th, []).append(i)
     if not groups:
         return []
-    k_max = max(points[0][0].k for _, points in groups)
+    k_max = max(next(iter(points)).k for points in groups.values())
     counts = _run_chunks(partial(_count_chunk, groups, len(cells), seed),
                          _chunk_sizes(trials), workers, k_max)
     return np.sum(counts, axis=0).tolist()

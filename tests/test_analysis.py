@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fdrs import analysis, analytic, montecarlo
+from fdrs import specfun as sf
 from fdrs.channel import ConfigError, Protocol, db_to_linear
 
 FD = (Protocol.NDL, Protocol.IDL, Protocol.IDL_DT, Protocol.SDF)
@@ -147,6 +148,26 @@ class TestRunSweep:
         res0 = analysis.run_sweep(spec, lam0)
         ndl = [r.outage for r in res0.rows if r.protocol is Protocol.NDL]
         assert all(a >= b for a, b in zip(ndl, ndl[1:]))
+
+    @pytest.mark.parametrize("rate", [0.5, 2.0, 4.0])
+    def test_cognitive_outage_falls_with_relay_count_to_the_source_cap(
+            self, rate, fig2b_cfg, fig3_cfg):
+        # selection among more relays, each usable independently given the
+        # source's interference, cannot raise the outage; no relay count
+        # takes it below Q(m_sp, I_th / (p_s theta_sp)), the chance that
+        # the source alone breaks the cap
+        slack = 4 * sf.REL_TOL
+        spec = analysis.SweepSpec(axis="relay_count", start=1, stop=128, steps=128,
+                                  protocols=FD, rate=rate)
+        for cfg in (fig2b_cfg, fig3_cfg):
+            floor = sf.reg_upper_gamma(cfg.sp.m, cfg.i_th / (cfg.p_s * cfg.sp.theta))
+            res = analysis.run_sweep(spec, cfg)
+            assert not res.errors and len(res.rows) == 128 * len(FD)
+            for proto in FD:
+                outages = [r.outage for r in res.rows if r.protocol is proto]
+                for k, (prev, p) in enumerate(zip(outages, outages[1:]), start=2):
+                    assert p <= prev * (1 + slack), (proto, k)
+                assert min(outages) >= floor * (1 - slack), proto
 
     def test_rate_axis_throughput_ordering(self, fig2a_cfg):
         spec = analysis.SweepSpec(axis="rate_bpcu", start=2.0, stop=2.0001, steps=2,

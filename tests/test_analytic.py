@@ -20,7 +20,6 @@ from fdrs.channel import (
     LinkSpec,
     NetworkConfig,
     Protocol,
-    config_violations,
     db_to_linear,
 )
 
@@ -872,20 +871,6 @@ class TestFeasibility:
     def test_non_cognitive_rejected(self, fig2a_cfg):
         with pytest.raises(ConfigError):
             an.feasibility_dist(fig2a_cfg)
-
-    def test_relay_overrides_rejected(self, fig2b_cfg):
-        # per-relay rp links change the distribution; the symmetric
-        # closed form must not answer for them, inside a scope or not
-        cfg = dataclasses.replace(fig2b_cfg, relay_overrides={
-            "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
-        [expected] = [e for e in config_violations(cfg, Protocol.NDL, "analytic")
-                      if "overrides" in e]
-        with an.shared_blocks():
-            an.feasibility_dist(fig2b_cfg)
-            for feasibility in (an.feasibility_dist, an.feasibility_dist_quad):
-                with pytest.raises(ConfigError) as exc:
-                    feasibility(cfg)
-                assert exc.value.errors == [expected]
 
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,14 @@ def one_trial(g_sr, g_rd, g_rr, g_sd=0.0) -> dict:
             "rr": np.asarray(g_rr, float)[:, None], "sd": np.array([g_sd])}
 
 
+def real_shapes(fig2b_cfg):
+    """fig2b with real m_sr, m_sp and m_rp, and m_rd = 6: draws through both
+    branches of numpy's Gamma sampler, a shape below 1 and one above 5."""
+    b = fig2b_cfg
+    return dataclasses.replace(b, sr=LinkSpec(0.7, b.sr.avg_power), rd=LinkSpec(6, b.rd.avg_power),
+                               sp=LinkSpec(0.7, b.sp.avg_power), rp=LinkSpec(0.7, b.rp.avg_power))
+
+
 def trial_sinr(gains, cfg, protocol) -> float:
     return float(mc._point_sinrs(gains, cfg, [protocol])[protocol][0])
 
@@ -140,14 +148,11 @@ class TestOutageCounts:
 
     @staticmethod
     def scenario(name, fig2a_cfg, fig2b_cfg):
-        if name == "overrides":
-            # asymmetric first hops and primary links, non-integer shape
-            return dataclasses.replace(fig2b_cfg, relay_overrides={
-                "sr": (LinkSpec(1, 10.0), LinkSpec(2, 31.6), LinkSpec(0.7, 50.0)),
-                "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
+        if name == "real_shapes":
+            return real_shapes(fig2b_cfg)
         return {"fig2a": fig2a_cfg, "fig2b": fig2b_cfg}[name]
 
-    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "overrides"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "real_shapes"])
     def test_grid_matches_per_cell_calls(self, name, fig2a_cfg, fig2b_cfg):
         base = self.scenario(name, fig2a_cfg, fig2b_cfg)
         moved = dict(p_s=3.0, p_r=2.0, i_th=0.5) if base.is_cognitive else dict(p_s=3.0, p_r=2.0)
@@ -264,18 +269,13 @@ class TestCountsAgainstReference:
 
     @staticmethod
     def scenario(name, k, fig2a_cfg, fig2b_cfg):
-        if name == "overrides":
-            sr = (LinkSpec(1, 10.0), LinkSpec(2, 31.6), LinkSpec(0.7, 50.0))
-            rp = (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))
-            return dataclasses.replace(fig2b_cfg, k=k, relay_overrides={
-                "sr": tuple(sr[i % 3] for i in range(k)),
-                "rp": tuple(rp[i % 3] for i in range(k))})
         base = {"fig2a": fig2a_cfg, "fig2b": fig2b_cfg,
-                "no_sd": dataclasses.replace(fig2b_cfg, sd=None)}[name]
+                "no_sd": dataclasses.replace(fig2b_cfg, sd=None),
+                "real_shapes": real_shapes(fig2b_cfg)}[name]
         return dataclasses.replace(base, k=k)
 
     @pytest.mark.parametrize("k", [1, 16])
-    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "no_sd", "overrides"])
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "no_sd", "real_shapes"])
     def test_counts_match_reference(self, name, k, fig2a_cfg, fig2b_cfg):
         cfg = self.scenario(name, k, fig2a_cfg, fig2b_cfg)
         cognitive = cfg.is_cognitive
@@ -416,18 +416,21 @@ class TestStream:
     fail here first."""
 
     def test_golden_counts(self, fig2b_cfg):
-        cells = [(fig2b_cfg, proto, an.outage_threshold(proto, 2.0)) for proto in FD]
-        for workers in (1, 2):
-            assert mc.outage_counts(cells, 2 * mc.CHUNK_TRIALS + 5, seed=17,
-                                    workers=workers) == [34154, 42887, 28747, 26765]
+        # the products of uniforms of fig2b's integer shapes, and numpy's
+        # Gamma sampler, which only the real shapes reach
+        golden = [(fig2b_cfg, [34154, 42887, 28747, 26765]),
+                  (real_shapes(fig2b_cfg), [40864, 45013, 31854, 31656])]
+        for cfg, counts in golden:
+            cells = [(cfg, proto, an.outage_threshold(proto, 2.0)) for proto in FD]
+            for workers in (1, 2):
+                assert mc.outage_counts(cells, 2 * mc.CHUNK_TRIALS + 5, seed=17,
+                                        workers=workers) == counts, workers
 
     def test_golden_feasibility_counts(self, fig2b_cfg):
-        # the homogeneous draw and per-relay overrides, over a partial chunk
-        overrides = dataclasses.replace(fig2b_cfg, relay_overrides={
-            "rp": (LinkSpec(1, 0.5), LinkSpec(1, 1.26), LinkSpec(2, 2.0))})
+        # the integer-shape and the real-shape cap links, over a partial chunk
         trials = 2 * mc.CHUNK_TRIALS + 5
         golden = [(fig2b_cfg, [29915, 26784, 42110, 32268], 12247),
-                  (overrides, [26306, 27963, 48853, 27955], 8638)]
+                  (real_shapes(fig2b_cfg), [27784, 23251, 43586, 36456], 8071)]
         for cfg, counts, tilde0 in golden:
             for workers in (1, 2):
                 f = mc.estimate_feasibility(cfg, trials, seed=17, workers=workers)
