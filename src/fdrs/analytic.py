@@ -29,9 +29,9 @@ scaled by the largest in log space and added with math.fsum, so the
 expressions stay usable from deep-tail diversity sweeps (probabilities
 ~1e-18) up to thresholds of 1e6.  An outer sum stops where its terms
 fall below half an ulp (_cut): at most 20 blocks, whatever L is.  F_Z
-and s come from one Whittaker sum per threshold where m_sr and m_rr are
-integers, and otherwise from one positive Gauss-rule integral each over
-the self-interference (ratio_tails).
+and s come from positive Poisson and negative-binomial sums at integer
+m_sr (any m_rr), and otherwise from one positive Gauss-rule integral
+each over the self-interference (ratio_tails).
 
 F(x | L) is that closed form where the a-priori bound
 ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp(1) +
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 import operator
 import sys
@@ -117,50 +118,49 @@ def first_hop_ratio_params(cfg: NetworkConfig) -> RatioParams:
 # ---------------------------------------------------------------------------
 # ratio CDF (first hop)
 
-def _ratio_whittaker_sum(z: float, p: RatioParams) -> float:
-    """sum_k B c^-d theta2^-k W_{a,b}(c) of the ratio CDF, integer m1 and m2.
-
-    Equals F_Z(z) - P(m1, z/theta1) >= 0.  Writing W_{a,b}(c) =
-    e^(-c/2) c^(b+1/2) U(b-a+1/2, 1+2b, c) and folding e^(-c/2) into B
-    leaves the term e^(-z/theta1) (z/theta1)^m1 c^-(m1+k) theta2^-k
-    U(1-m1, 1-m1-k, c) / Gamma(m1), evaluated as exp(log prefactor) * U:
-    no factor underflows on its own when c = z/theta1 + 1/theta2 is
-    large (small RSI), and none overflows against the others.
-    """
-    m1, th1, th2 = p.m1, p.theta1, p.theta2
-    m2 = int(round(p.m2))
-    zt = z / th1
-    c = zt + 1.0 / th2
-    ln_b = -zt + m1 * math.log(zt) - sf.ln_gamma(m1)
-    terms = []
-    for k in range(m2):
-        u = sf.tricomi_u(1.0 - m1, 1.0 - m1 - k, c)
-        ln_pref = ln_b - (m1 + k) * math.log(c) - k * math.log(th2)
-        terms.append(math.copysign(math.exp(ln_pref + math.log(abs(u))), u))
-    return math.fsum(terms)
+def _ratio_counts(z: float, p: RatioParams) -> tuple[float, float]:
+    """(F_Z(z), P(Z > z)) at integer m1, any m2: s is P(N1 + N2 < m1) for
+    N1 ~ Poisson(c), c = z/theta1, and N2 ~ NegBin(m2, rho), rho = c theta2
+    / (1 + c theta2), the Poisson count of mean c X2.  So s is the positive
+    sum over a + i < m1 of P(N1 = a) (in logs) P(N2 = i) (by recurrence from
+    (1 + c theta2)^-m2).  Where s > 1/2, F_Z = P(m1, c) + sum_{a<m1} P(N1 =
+    a) P(N2 >= m1 - a) and s = 1 - F_Z.  P(N2 >= m1) stops where a bound on
+    its rest falls below half an ulp; NonConvergenceError past sf.MAX_TERMS."""
+    m1, m2, c = int(round(p.m1)), p.m2, z / p.theta1
+    odds = c * p.theta2
+    rho = odds / (1.0 + odds)
+    pois = [math.exp(a * math.log(c) - c - math.lgamma(a + 1.0)) for a in range(m1)]
+    nb = list(itertools.accumulate(range(1, m1), lambda q, i: q * rho * (m2 + i - 1.0) / i,
+                                   initial=math.exp(-m2 * math.log1p(odds))))
+    s = math.fsum(pa * math.fsum(nb[:m1 - a]) for a, pa in enumerate(pois))
+    if s <= 0.5:
+        return 1.0 - s, s
+    term, tail = nb[-1], 0.0
+    for i in range(m1, m1 + sf.MAX_TERMS):
+        term *= rho * (m2 + i - 1.0) / i
+        tail += term
+        ratio = max(rho, rho * (m2 + i) / (i + 1.0))   # bounds every later term ratio
+        if ratio < 1.0 and term * ratio <= (1.0 - ratio) * 0.5 * _ULP * tail:
+            break
+    else:
+        raise sf.NonConvergenceError(f"P(N2 >= {m1}) did not converge in {sf.MAX_TERMS} terms")
+    tails = itertools.accumulate(nb[:0:-1], initial=tail)   # P(N2 >= m1 - a), a = 0..m1-1
+    fz = sf._reg_gamma(m1, c)[0] + math.fsum(map(operator.mul, pois, tails))
+    return fz, 1.0 - fz
 
 
 def ratio_tails(z: float, p: RatioParams) -> tuple[float, float]:
     """(F_Z(z), P(Z > z)) of Z = X1/(X2+1) at z >= 0; real m1 >= 1/2, m2 > 0.
-
-    Integer m1 and m2: F_Z(z) = P(m1, z/theta1) + W, W = sum_{k<m2} B
-    c^-d theta2^-k W_{a,b}(c) with a = (m1-k-1)/2, b = -(m1+k)/2, c =
-    z/theta1 + 1/theta2, d = (m1+k+1)/2 and B = e^{-(z/theta1 -
-    1/theta2)/2} (z/theta1)^m1 / Gamma(m1); P(Z > z) = Q(m1, z/theta1) -
-    W, from the upper tail so that it keeps its relative accuracy close
-    to 1.  Other shapes: each tail is a positive integral over X2
-    (_ratio_nodes), within sf.REL_TOL or ArithmeticError.
-    """
+    Integer m1: positive sums (_ratio_counts); real m1: positive integrals
+    over X2 (_ratio_nodes).  Within sf.REL_TOL, or ArithmeticError."""
     if not z >= 0:
         raise ValueError("z must be >= 0")
-    if z == 0:
-        return 0.0, 1.0
-    if abs(p.m1 - round(p.m1)) > 1e-9 or abs(p.m2 - round(p.m2)) > 1e-9:
-        nodes = _ratio_nodes(z, p)
-        return min(nodes.value((0, 1)), 1.0), min(nodes.value((1, 1)), 1.0)
-    lower, upper = sf._reg_gamma(p.m1, z / p.theta1)
-    w = _ratio_whittaker_sum(z, p)
-    return min(max(lower + w, 0.0), 1.0), min(max(upper - w, 0.0), 1.0)
+    if z == 0 or z / p.theta1 == math.inf:   # z/theta1 past any float: Z <= z for certain
+        return (0.0, 1.0) if z == 0 else (1.0, 0.0)
+    if abs(p.m1 - round(p.m1)) <= 1e-9:
+        return _ratio_counts(z, p)
+    nodes = _ratio_nodes(z, p)
+    return min(nodes.value((0, 1)), 1.0), min(nodes.value((1, 1)), 1.0)
 
 
 def cdf_ratio_gamma(z: float, p: RatioParams) -> float:
@@ -182,12 +182,11 @@ def _scipy_gamma_cdfs():
 
 
 def _quad(integrand, lo: float, hi: float, points=None) -> float:
-    """scipy's quad at QUAD_TOL; raises ArithmeticError when quad's own
-    error estimate exceeds 10 QUAD_TOL max(1, |value|)."""
+    """quad at QUAD_TOL; ArithmeticError where its error estimate exceeds 10 QUAD_TOL |value|."""
     from scipy import integrate
     val, err = integrate.quad(integrand, lo, hi, epsabs=QUAD_TOL * 1e-2,
                               epsrel=QUAD_TOL * 1e-1, limit=300, points=points)
-    if err > 10 * QUAD_TOL * max(1.0, abs(val)):
+    if err > 10 * QUAD_TOL * abs(val):
         raise ArithmeticError(f"quadrature error estimate {err} too large for {val}")
     return val
 
@@ -728,10 +727,10 @@ def feasibility_dist(cfg: NetworkConfig) -> FeasibilityDist:
     or the call raises ArithmeticError.  The integrals of a relay count
     K are derived from those of a rung by Pascal's rule (_feasibility),
     which adds less than 1.2e-13 relative at K = 1000.  Requires
-    symmetric relays and integer m_rp: at other shapes the rules stall
-    at the cap, where P(m_rp, y) ~ y^m_rp.  A shared_blocks() scope
-    computes it once per tuple of _feasibility_args, and its rules and
-    rung rows once per cap; outside a scope every call computes them.
+    integer m_rp: at other shapes the rules stall at the cap, where
+    P(m_rp, y) ~ y^m_rp.  A shared_blocks() scope computes it once per
+    tuple of _feasibility_args, and its rules and rung rows once per
+    cap; outside a scope every call computes them.
     """
     args = _feasibility_args(cfg)
     if not cfg.rp.integer_m:

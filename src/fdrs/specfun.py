@@ -33,8 +33,9 @@ happens only far outside that domain (a beyond about 10^6 near x = a).
 ln_reg_lower_gammas lists ln P(a + r, x) for a run of orders from one
 such evaluation and the recurrence DLMF 8.8.5.
 
-Kummer M is a positive series; Tricomi U and Whittaker W are taken only
-where they are polynomials, and raise NonConvergenceError elsewhere.
+Kummer M is a positive series.  Tricomi U and Whittaker W, taken only
+where they are polynomials (NonConvergenceError elsewhere), serve no
+closed form or oracle: they stay because perfbench/tracer.py wraps them.
 ln_binomial_sum is the one binomial-sum kernel: every closed form that
 expands a power binomially sums through it and gets the sum's condition
 number with it; it keeps no state, and a sequence shorter than the sum
@@ -357,8 +358,7 @@ def _u_poly(n: int, b: float, z: float) -> float:
 
     Uses the descending-power expansion
         U(-n, b, z) = sum_{r=0..n} C(n, r) (1 - b - n)_r z^(n-r),
-    whose terms are all positive whenever 1 - b - n > 0, which covers
-    the ratio CDF's U(1-m1, 1-m1-k, c) at integer m1.
+    whose terms are all positive whenever 1 - b - n > 0.
     """
     total = 0.0
     term = z ** n  # r = 0
@@ -374,9 +374,10 @@ def _u_poly(n: int, b: float, z: float) -> float:
 def tricomi_u(a: float, b: float, z: float) -> float:
     """Tricomi confluent hypergeometric function U(a, b, z) for z > 0,
     where it is a polynomial; any other (a, b) raises NonConvergenceError.
+    Only whittaker_w calls it; perfbench/tracer.py wraps both by name.
 
     1. a a non-positive integer -n: the generalized-Laguerre polynomial
-       of degree n, exact; the ratio CDF's U(1-m1, 1-m1-k, c) at integer m1.
+       of degree n, exact.
     2. a - b + 1 a non-positive integer: the reflection
        U(a,b,z) = z^(1-b) U(a-b+1, 2-b, z) reduces to path 1, exact.
     """
@@ -393,8 +394,8 @@ def whittaker_w(a: float, b: float, z: float) -> float:
     """Whittaker function W_{a,b}(z) for z > 0 through Tricomi U,
         W_{a,b}(z) = e^(-z/2) z^(b + 1/2) U(b - a + 1/2, 1 + 2b, z),
     where U is a polynomial: b - a + 1/2 a non-positive integer, or
-    a + b - 1/2 a non-negative one; elsewhere NonConvergenceError.  For the ratio-distribution
-    parameters at integer m1 the first U argument is 1 - m1.
+    a + b - 1/2 a non-negative one; elsewhere NonConvergenceError.  No
+    closed form or oracle calls it; perfbench/tracer.py wraps it by name.
     """
     if not z > 0:
         raise ValueError(f"whittaker_w requires z > 0, got z={z}")

@@ -81,8 +81,8 @@ class TestRatioCdf:
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
 
-    def test_non_integer_m2_routes_to_quadrature(self):
-        # a real m2 takes the positive Gauss route, and agrees with the oracle
+    def test_non_integer_m2_matches_quadrature(self):
+        # a real m2 at integer m1 takes the positive sums, and agrees with the oracle
         p = an.RatioParams(1.0, 1.0, 1.7, 1.0)
         v = an.cdf_ratio_gamma_quad(1.0, p)
         assert 0.0 < v < 1.0
@@ -95,9 +95,10 @@ class TestRatioCdf:
                                                             abs=1e-14)
 
     def test_small_rsi_scale_against_quadrature(self):
-        # c = z/theta1 + 1/theta2 reaches 1e4: e^(-c/2) underflows on its
-        # own, yet every Whittaker term still carries an O(theta2)
-        # correction; theta2 = 1e-3 sits just below that underflow
+        # theta2 down to 1e-4: the RSI moves each tail by O(theta2) only,
+        # through the negative-binomial odds c theta2 of the sums at integer
+        # m1 and through the Gauss nodes at m1 = 1.5; that correction must
+        # survive in both tails
         for th2 in (1e-3, 6e-4, 1e-4):
             for m1, m2 in ((1.0, 1), (2.0, 2), (1.5, 3)):
                 p = an.RatioParams(m1, 1.0, m2, th2)
@@ -116,18 +117,20 @@ class TestRatioCdf:
 
 
 class TestRatioTailsGaussRoute:
-    """A first hop with a real m_sr or m_rr takes both tails as positive
-    Gauss-rule integrals over the RSI gain; each must match the reference
-    within REL_TOL or raise ArithmeticError, and where both exceed 1e-3
-    they must add up to 1 within 4 ulp.  The first six points are where
-    the Tricomi route that real shapes took before returned wrong values
-    without raising (6.9e-9 off at 1.1e-8, 2.9e-6 off at 1.9e-10, 1.1e-3
-    off at 2.6e-13, 7.1e-8 off at U(-1.5, -6.5, 44), orders of magnitude
-    off at 8.9e-96), or where panels without the 1/theta2 scale stalled
-    (z = 0.01); the rest spread over the grid.  The references are F_Z
-    and P(Z > z) from this mpmath snippet, printed to 40 digits.  The
-    breakpoints matter: with whole octaves in place of half ones, the
-    references of the two points near 1e-280 were 3e-10 and 2e-11 off.
+    """A first hop with a real m_sr takes both tails as positive Gauss-rule
+    integrals over the RSI gain; each must match the reference within
+    REL_TOL or raise ArithmeticError, and where both exceed 1e-3 they must
+    add up to 1 within 4 ulp.  The first six points are where the Tricomi
+    route that real shapes once took returned wrong values without raising
+    (6.9e-9 off at 1.1e-8, 2.9e-6 off at 1.9e-10, 1.1e-3 off at 2.6e-13,
+    7.1e-8 off at U(-1.5, -6.5, 44), orders of magnitude off at 8.9e-96),
+    or where panels without the 1/theta2 scale stalled (z = 0.01); the
+    rest spread over the grid.  The point (2, 31.6, 1.5, 2.0, 3.0) has an
+    integer m_sr, so it checks the positive sums of TestRatioTailsCountSum.
+    The references are F_Z and P(Z > z) from this mpmath snippet, printed
+    to 40 digits.  The breakpoints matter: with whole octaves in place of
+    half ones, the references of the two points near 1e-280 were 3e-10 and
+    2e-11 off.
 
         from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf
         mp.dps = 50
@@ -169,9 +172,9 @@ class TestRatioTailsGaussRoute:
 
     @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: "-".join(map(str, c)))
     def test_tails_match_reference_or_raise(self, case, monkeypatch):
-        def whittaker(*args):
-            raise AssertionError("a real shape reached the Whittaker sum")
-        monkeypatch.setattr(sf, "tricomi_u", whittaker)
+        def tricomi(*args):
+            raise AssertionError("a first hop reached tricomi_u")
+        monkeypatch.setattr(sf, "tricomi_u", tricomi)
         m1, th1, m2, th2, z = case
         try:
             fz, s = an.ratio_tails(z, an.RatioParams(m1, th1, m2, th2))
@@ -182,6 +185,134 @@ class TestRatioTailsGaussRoute:
         assert s == pytest.approx(ref_s, rel=sf.REL_TOL, abs=0.0)
         if min(ref_fz, ref_s) > 1e-3:
             assert abs(fz + s - 1.0) <= 4 * math.ulp(1.0)
+
+
+class TestRatioTailsCountSum:
+    """At integer m_sr, with any real m_rr, both first-hop tails come from
+    positive Poisson and negative-binomial sums (_ratio_counts).  Each must
+    match the reference within REL_TOL, and where both exceed 1e-3 they
+    must add up to 1 within 4 ulp.  The first two points are where the
+    Whittaker subtraction that integer shapes took before lost its digits
+    (s 2.4e-2 off at 1.9e-37 and 3.1e-7 off at 3.4e-16); the rest pair
+    each m_sr in {1, 2, 3, 6} with m_rr in {0.5, 1, 2, 3.3, 6} and scales
+    from 1e-3 to 1e7, at thresholds where s or F_Z lies between 0.4 and
+    1e-290.  The references are F_Z and P(Z > z) from this mpmath snippet,
+    printed to 40 digits: the quadrature of TestRatioTailsGaussRoute, with
+    each integrand divided by its largest value on the breakpoints, as
+    quad stops on an absolute error estimate (unscaled, the reference for
+    s = 1.44e-120 was 7e-13 off).  A 50-digit evaluation of the sums
+    themselves, with P(N2 >= k) from mpmath's incomplete Beta, agrees
+    with every reference within 1e-36.
+
+        from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf
+        mp.dps = 50
+
+        def reference(z, m1, th1, m2, th2):
+            z, m1, th1, m2, th2 = map(mpf, (z, m1, th1, m2, th2))
+            pts = {b * mpf(2) ** (mpf(j) / 2) for b in (th1 / (z * th2), 1 / th2, mpf(1))
+                   for j in range(-120, 120)}
+            pts = [0] + sorted(t for t in pts if mpf(10) ** -30 < t < 1e4 * (m2 + 1)) + [inf]
+            pdf = lambda u: u ** (m2 - 1) * exp(-u) / gamma(m2)
+            y = lambda u: z * (th2 * u + 1) / th1
+            out = []
+            for tail in (lambda u: gammainc(m1, 0, y(u), regularized=True),
+                         lambda u: gammainc(m1, y(u), inf, regularized=True)):
+                peak = max(tail(t) * pdf(t) for t in pts[1:-1])
+                out.append(peak * quad(lambda u: tail(u) * pdf(u) / peak, pts))
+            return out
+    """
+
+    # (m1, theta1, m2, theta2, z): (F_Z(z), P(Z > z))
+    REFERENCE = {
+        (2, 1.0, 6, 2.0, 60.0): (9.999999999999999999999999999999999998132e-1, 1.867979585909555438712983503951878311407e-37),
+        (1, 1.0, 6, 2.0, 15.0): (9.999999999999996553227585972955661786382e-1, 3.44677241402704433821361804247310653544e-16),
+        (1, 1000.0, 0.5, 0.5, 756.0): (6.000103416349422685623184361894681899609e-1, 3.999896583650577314376815638105318099743e-1),
+        (2, 10000000.0, 1, 0.5, 36200000.0): (9.498265337046893471555032561349031420634e-1, 5.017346629531065284449674386509685793655e-2),
+        (3, 1.0, 2, 1000.0, 4.91): (9.999999899795145996270559375387626536688e-1, 1.002048540037294406246123734633118962485e-8),
+        (6, 10000000.0, 3.3, 10000000.0, 410000000.0): (9.999999999999999999999999999999999999999e-1, 9.604858524067398447495490488662519873469e-41),
+        (1, 1000.0, 6, 0.5, 247000.0): (1.0, 1.439616651422850925671962320262300843643e-120),
+        (2, 10000000.0, 0.5, 10000000.0, 4560000000.0): (1.0, 6.203330629837306490412474543781680929396e-201),
+        (3, 1000.0, 1, 2.0, 673000.0): (1.0, 8.872062305031529265501887419899267617031e-291),
+        (6, 10000000.0, 2, 10000000.0, 2.18): (2.996345100928721663080012626945937417191e-1, 7.003654899071278336919987373054062582809e-1),
+        (1, 31.6, 3.3, 1000.0, 9.57e-08): (9.996950719670033952988578059581253903003e-6, 9.999900030492803299660470114219404187461e-1),
+        (2, 1.0, 6, 0.001, 1.41e-15): (1.006020350099999098311732674985827536818e-30, 9.999999999999999999999999999989939796499e-1),
+        (3, 1.0, 0.5, 1000.0, 1.47e-53): (9.938554282851702744395329065241105045736e-151, 9.999999999999999999999999999999999999979e-1),
+        (6, 1.0, 1, 10000000.0, 4.64e-56): (9.979480336202324913807980324741211542945e-291, 1.0),
+        (1, 31.6, 2, 0.001, 28.9): (6.000378014818539691314393897896558399093e-1, 3.999621985181460308685606102103441600907e-1),
+        (2, 10000000.0, 3.3, 10000000.0, 2.59): (9.502027747819563422750319444226056506624e-1, 4.97972252180436577249680555773943493376e-2),
+        (3, 10000000.0, 6, 1000.0, 361000.0): (9.999999900243117250528074073670176430746e-1, 9.975688274947192592632982356925386802477e-9),
+        (6, 1.0, 0.5, 2.0, 108.0): (9.999999999999999999999999999999999999956e-1, 1.112656675405396004913032948940880020478e-40),
+        (1, 1000.0, 1, 0.5, 271000.0): (1.0, 1.482732315233182071948347637133859529149e-120),
+        (2, 0.001, 2, 0.001, 0.466): (1.0, 9.045054569367863733745389555065305999851e-201),
+        (3, 1.0, 3.3, 2.0, 656.0): (1.0, 1.415793278975875827881037286154735826075e-290),
+        (6, 0.1, 6, 0.001, 0.449): (2.99967162795230465645497019291481998693e-1, 7.00032837204769534354502980708518001307e-1),
+        (1, 10000000.0, 0.5, 2.0, 50.0): (9.999925000583328437543124609552207555533e-6, 9.999900000749994166715624568753904477466e-1),
+        (2, 0.001, 1, 2.0, 3.92e-19): (9.988159999999984405186190871277388935485e-31, 9.99999999999999999999999999999001184e-1),
+        (3, 0.1, 2, 10000000.0, 6.3e-59): (1.000188075014102495273644567511327221363e-150, 1.0),
+        (6, 1.0, 3.3, 2.0, 1.18e-49): (9.853449585992583984428246290129895567714e-291, 1.0),
+        (1, 0.001, 6, 2.0, 7.52e-05): (5.998269689996167581893622035862569458524e-1, 4.001730310003832418106377964137430541476e-1),
+        (2, 1000.0, 0.5, 2.0, 3560.0): (9.501153772628810254545805535443997529884e-1, 4.988462273711897454541944645560024698734e-2),
+        (3, 1000.0, 1, 1000.0, 13700.0): (9.99999989821401319842026040795613189956e-1, 1.017859868015797395920438681004400752339e-8),
+        (6, 31.6, 2, 0.5, 3250.0): (9.999999999999999999999999999999999999999e-1, 8.693248908901065484650894115240952031439e-41),
+        (1, 10000000.0, 3.3, 0.001, 2760000000.0): (1.0, 6.10120713164384617574109576412372043038e-121),
+        (2, 0.001, 6, 2.0, 0.426): (1.0, 1.099859887763858857204302058571410055406e-200),
+        (3, 10000000.0, 0.5, 10000000.0, 6690000000.0): (1.0, 7.871319946016451780916579107997849429414e-291),
+        (6, 0.001, 1, 0.001, 0.00451): (2.99550426474064254710105480570377851514e-1, 7.00449573525935745289894519429622148486e-1),
+        (1, 0.1, 2, 0.001, 9.98e-07): (9.999910000467063654793344750336072567131e-6, 9.999900000899995329363452066552496639274e-1),
+        (2, 0.001, 3.3, 2.0, 1.68e-19): (1.001387519999998523625060792016452034645e-30, 9.9999999999999999999999999999899861248e-1),
+        (3, 0.001, 6, 0.001, 1.81e-53): (1.006204246293162494196150054424369782706e-150, 1.0),
+        (6, 31.6, 0.5, 2.0, 8.58e-48): (1.001263022000489844878611396815809957409e-290, 9.999999999999999999999999999999999999542e-1),
+        (1, 1.0, 1, 0.5, 0.639): (5.999848577482321607719646384426530726962e-1, 4.000151422517678392280353615573469273038e-1),
+        (2, 0.1, 2, 1000.0, 0.000637): (9.499670820071948766542945182636242073167e-1, 5.003291799280512334570548173637579268327e-2),
+        (3, 31.6, 3.3, 10000000.0, 0.00175): (9.999999900033767392390889738354229578796e-1, 9.996623260760911026164577042120363262748e-9),
+        (6, 31.6, 6, 2.0, 2500.0): (9.999999999999999999999999999999999999999e-1, 1.067876330389633944369047326316188238596e-40),
+        (1, 1000.0, 0.5, 10000000.0, 265000.0): (1.0, 1.586132115197585320234455925293307823516e-120),
+        (2, 31.6, 1, 2.0, 14500.0): (1.0, 2.628385160623139932290275425890823473868e-200),
+    }
+
+    @pytest.mark.parametrize("case", REFERENCE, ids=lambda c: "-".join(map(str, c)))
+    def test_tails_match_reference(self, case):
+        m1, th1, m2, th2, z = case
+        fz, s = an.ratio_tails(z, an.RatioParams(m1, th1, m2, th2))
+        ref_fz, ref_s = self.REFERENCE[case]
+        assert fz == pytest.approx(ref_fz, rel=sf.REL_TOL, abs=0.0)
+        assert s == pytest.approx(ref_s, rel=sf.REL_TOL, abs=0.0)
+        if min(ref_fz, ref_s) > 1e-3:
+            assert abs(fz + s - 1.0) <= 4 * math.ulp(1.0)
+
+    def test_threshold_past_the_float_range(self):
+        # z/theta1 overflows a float: Z <= z for certain
+        assert an.ratio_tails(1e308, an.RatioParams(2, 1e-3, 2, 1.0)) == (1.0, 0.0)
+        assert an.ratio_tails(1e308, an.RatioParams(2.5, 1e-3, 2, 1.0)) == (1.0, 0.0)
+
+    def test_slow_negative_binomial_tail_raises(self):
+        # m2 = 0.01 and rho = 1 - 1e-9: s = 0.81 > 1/2, and the terms of
+        # P(N2 >= 1) shrink by a factor rho each, far too slowly for MAX_TERMS
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            an.ratio_tails(1e-3, an.RatioParams(1, 1.0, 0.01, 1e12))
+
+    def test_only_a_real_m_sr_takes_gauss_rules(self, fig2a_cfg, fig2b_cfg, monkeypatch):
+        # no first hop at integer m_sr reaches the Gauss rules or a Tricomi
+        # or Whittaker kernel, through ratio_tails or any analytic entry point
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        for module, name in ((sf, "tricomi_u"), (sf, "whittaker_w"), (an, "_ratio_nodes")):
+            monkeypatch.setattr(module, name, reached)
+        shapes = itertools.product((1, 2, 3, 6), (0.5, 1, 1.5, 2, 3.3, 6))
+        for (m1, m2), z in itertools.product(shapes, (0.01, 3.0, 60.0)):
+            fz, s = an.ratio_tails(z, an.RatioParams(m1, 31.6, m2, 2.0))
+            assert 0.0 <= s <= 1.0 and abs(fz + s - 1.0) <= 4 * math.ulp(1.0)
+        real_rr = dataclasses.replace(fig2a_cfg, rr=LinkSpec(1.5, fig2a_cfg.rr.avg_power))
+        for cfg in (fig2a_cfg, real_rr):
+            for proto in FD_PROTOCOLS:
+                assert 0.0 <= an.outage(cfg, proto, 2.0) <= 1.0
+        for proto in FD_PROTOCOLS:
+            assert 0.0 <= an.outage(fig2b_cfg, proto, 2.0, cognitive=True) <= 1.0
+        with pytest.raises(Reached):
+            an.ratio_tails(3.0, an.RatioParams(2.5, 31.6, 2, 2.0))
 
 
 class TestTailIntegralIdentity:
@@ -449,7 +580,7 @@ class TestDirectLinkCdfs:
 
     def test_sublinear_rsi_against_quadrature(self, fig2a_cfg):
         # lambda = 0 with a -30 dB RSI link: RSI scale 5e-4, where the
-        # first-hop ratio CDF needs its Whittaker terms at c ~ 2000
+        # first hop's tails differ from the RSI-free ones by O(5e-4)
         cfg = dataclasses.replace(fig2a_cfg, rsi_lambda=0.0,
                                   rr=LinkSpec(fig2a_cfg.rr.m, dB(-30.0)))
         assert cfg.rsi_scale == pytest.approx(5e-4)
@@ -474,6 +605,16 @@ class TestDirectLinkCdfs:
         # it estimates -1.05 +- 0.2 where the value is pi/2 - Si(1) = 0.6247
         with pytest.raises(ArithmeticError, match="error estimate"):
             an._quad(lambda t: math.sin(1.0 / t) / t, 0.0, 1.0)
+
+    def test_quad_acceptance_is_relative(self, monkeypatch):
+        # an estimate of 1e-12 on a value of 1e-6 leaves it 1e-6 relative at
+        # best, short of QUAD_TOL: a small value must raise like a large one
+        from scipy import integrate
+        monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1e-6, 1e-12))
+        with pytest.raises(ArithmeticError, match="error estimate"):
+            an._quad(math.exp, 0.0, 1.0)
+        monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1e-6, 1e-17))
+        assert an._quad(math.exp, 0.0, 1.0) == 1e-6
 
     @pytest.mark.parametrize("power_db", [40.0, 50.0, 60.0, 70.0])
     def test_oracles_at_high_power(self, fig4_cfg, power_db):
