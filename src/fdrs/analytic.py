@@ -8,21 +8,20 @@ ratio Z = X1 / (X2 + 1) of the desired-signal gain over the residual
 self-interference, both Gamma distributed.  The second hop is Gamma,
 conditioned on the direct-link SNR where one exists.
 
-Every direct-link CDF is one alternating binomial sum over positive
-blocks, F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k with s = P(Z > x) and
-I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db, and so is the paper's
-feasibility distribution.  For integer m, Q(m, y) = e^(-y) sum_{j<m}
-y^j/j!, a positive polynomial in b at the shifted argument x (b + 1)
-(idl, idl_dt) and in x - b at the convolved argument x - b (sdf, the
-paper's feasibility sums).  Block k sums the polynomial's k-th
-power, one convolution from the (k-1)-th, against one inner table:
-incomplete-Gamma moments when shifted; when convolved, positive Kummer
-series, replaced only beyond |w| = 30 (w the decay rate times x) by an
-alternating binomial sum whose condition number, times each term's
-error, stays within specfun.REL_TOL.  Blocks do not depend on L, nor
-those of the conditional CDFs on the cap, so in a shared_blocks() scope
-(one per analysis driver call) a relay-count or cap sweep evaluates each
-block, F(x | L) list and feasibility distribution once.
+Every direct-link CDF integrates g^L over the direct-link SNR b, with
+g = F_Z + s P(m, y(b)/theta) and s = P(Z > x); the paper expands it
+into the alternating sum F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k over
+positive blocks I_k = integral Q(m, y(b)/theta)^k f_Gamma(b) db.  Only
+idl and idl_dt sum it here, at the shifted argument y = x (b + 1): for
+integer m, Q(m, y) = e^(-y) sum_{j<m} y^j/j!, a positive polynomial in
+b, and block k sums the polynomial's k-th power, one convolution from
+the (k-1)-th, against one table of incomplete-Gamma moments.  sdf's
+convolved argument x - b, and the paper's feasibility sums, are never
+expanded; the reference in tests/paper_closed_form.py keeps them.
+Blocks do not depend on L, nor those of the conditional CDFs on the
+cap, so in a shared_blocks() scope (one per fdrs.analysis call) a
+relay-count or cap sweep evaluates each block, F(x | L) list and
+feasibility distribution once.
 
 Every binomial sum, inner or outer, is specfun.ln_binomial_sum: terms
 scaled by the largest in log space and added with math.fsum, so the
@@ -33,14 +32,15 @@ and s come from positive Poisson and negative-binomial sums at integer
 m_sr (any m_rr), and otherwise from one positive Gauss-rule integral
 each over the self-interference (ratio_tails).
 
-F(x | L) is that closed form where the a-priori bound
+An idl or idl_dt F(x | L) is that closed form where the a-priori bound
 ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp(1) +
-sf.GAMMA_REL_TOL) kappa within sf.REL_TOL.  Every other F(x | L), and
-every p[n], is the positive integral the binomial expansion came from,
-integral g^L f_sd with g = F_Z + s P(m, y/theta) (or C(K, n) P^n
-Q^(K-n) under the cap), by Gauss rules in the density's own variable:
-panels of Legendre nodes and a Laguerre tail, each doubled until the
-rules agree within sf.REL_TOL; where they never do, ArithmeticError.
+sf.GAMMA_REL_TOL) kappa within sf.REL_TOL.  Every other F(x | L), sdf's
+at every L among them, and every p[n], is the positive integral the
+binomial expansion came from, integral g^L f_sd with g = F_Z + s P(m,
+y/theta) (or C(K, n) P^n Q^(K-n) under the cap), by Gauss rules in the
+density's own variable: panels of Legendre nodes and a Laguerre tail,
+each doubled until the rules agree within sf.REL_TOL; where they never
+do, ArithmeticError.
 The node vectors depend on neither L nor K; a shared_blocks() scope
 keeps them, so a sweep pays a multiply-add per node and entry.  Under
 the cap only rung rows (K = 1, 2, 3, 4, 6, 8, 12, ...) are integrated;
@@ -125,11 +125,14 @@ def _ratio_counts(z: float, p: RatioParams) -> tuple[float, float]:
     sum over a + i < m1 of P(N1 = a) (in logs) P(N2 = i) (by recurrence from
     (1 + c theta2)^-m2).  Where s > 1/2, F_Z = P(m1, c) + sum_{a<m1} P(N1 =
     a) P(N2 >= m1 - a) and s = 1 - F_Z.  P(N2 >= m1) stops where a bound on
-    its rest falls below half an ulp; NonConvergenceError past sf.MAX_TERMS."""
+    its rest falls below half an ulp; NonConvergenceError past sf.MAX_TERMS.
+    Where c underflows, c theta2 is formed from z, and P(N1 = a) at c = 0
+    is its limit, 1 at a = 0 and 0 elsewhere."""
     m1, m2, c = int(round(p.m1)), p.m2, z / p.theta1
-    odds = c * p.theta2
+    odds = c * p.theta2 if c >= sys.float_info.min else z * p.theta2 / p.theta1
     rho = odds / (1.0 + odds)
-    pois = [math.exp(a * math.log(c) - c - math.lgamma(a + 1.0)) for a in range(m1)]
+    pois = [math.exp(a * math.log(c) - c - math.lgamma(a + 1.0)) if c else float(a == 0)
+            for a in range(m1)]
     nb = list(itertools.accumulate(range(1, m1), lambda q, i: q * rho * (m2 + i - 1.0) / i,
                                    initial=math.exp(-m2 * math.log1p(odds))))
     s = math.fsum(pa * math.fsum(nb[:m1 - a]) for a, pa in enumerate(pois))
@@ -263,58 +266,6 @@ def _ln_poly_times(ln_a: list[float], ln_b: list[float]) -> list[float]:
             for d in range(len(ln_a) + len(ln_b) - 1)]
 
 
-_KUMMER_BRANCH_CAP = 30.0
-_ULP = math.ulp(1.0)
-
-
-def _ln_conv_integrals(count: int, shape: float, rate: float, upper: float) -> list[float]:
-    """ln J_d = ln integral_0^upper (upper-t)^d t^(shape-1) e^(-rate t) dt
-    for d = 0..count-1, rate of either sign and w = rate upper.
-
-    J_d = upper^(d+shape) B(shape, d+1) M(shape, d+shape+1, -w), or by
-    Kummer's transformation e^(-w) M(d+1, d+shape+1, w) in place of M:
-    each degree takes the form whose series has positive terms, exact
-    at w = 0.  Beyond |w| = _KUMMER_BRANCH_CAP, where that series needs
-    about |w| terms, alternating sums over one moment table per block
-    come first: for w > 0 (upper-t)^d expanded,
-    sum_r (-1)^r C(d, r) upper^(d-r) G_r; for w < 0 and integer shape n,
-    (upper-u)^(n-1) expanded after u = upper - t,
-    e^(-w) sum_j (-1)^j C(n-1, j) upper^(n-1-j) H_(d+j); G and H are the
-    _ln_moments of (shape, rate) and (1, -rate), and
-    sf.ln_binomial_sum gives each sum with its condition number kappa.
-    A degree takes the Kummer form unless its sum is positive and
-    (ulp(1) + e) kappa <= sf.REL_TOL, where e is each term's relative
-    error: sf.GAMMA_REL_TOL from the moments plus the rounding of the
-    logarithms summed into the term.
-    """
-    w = rate * upper
-    ln_u = math.log(upper)
-    n = int(round(shape))
-    out = [None] * count
-    if w > _KUMMER_BRANCH_CAP or (w < -_KUMMER_BRANCH_CAP and abs(shape - n) < 1e-9):
-        if w > 0:
-            a, rho, size, top_max = shape, rate, count, count - 1
-        else:
-            a, rho, size, top_max = 1.0, -rate, count + n - 1, n - 1
-        moments = _ln_moments(size, a, rho, upper)
-        # each term's relative error: the moments' stated accuracy plus the
-        # rounding of the logs summed into it, bounded at the largest order
-        big = size - 1 + a
-        err = sf.GAMMA_REL_TOL + _ULP * (abs(math.lgamma(big)) + big * abs(math.log(rho))
-                                         + 2.0 * math.lgamma(top_max + 1.0) + top_max * abs(ln_u))
-        for d in range(count):
-            top, ln_seq, ln_pref = ((d, moments, d * ln_u) if w > 0
-                                    else (n - 1, moments[d:], (n - 1) * ln_u - w))
-            ln_j, kappa = sf.ln_binomial_sum(ln_seq, top, -ln_u)
-            if ln_j is not None and (_ULP + err) * kappa <= sf.REL_TOL:
-                out[d] = ln_pref + ln_j
-    for d in range(count):
-        if out[d] is None:
-            out[d] = (-max(w, 0.0) + (d + shape) * ln_u + sf.ln_beta(shape, d + 1.0)
-                      + sf.ln_kummer_m(d + 1.0 if w > 0 else shape, d + shape + 1.0, abs(w)))
-    return out
-
-
 _SHARED_BLOCKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_SHARED_BLOCKS", default=None)
 
@@ -347,36 +298,28 @@ def _kept(key: tuple, make):
 
 
 def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
-               theta0: float, convolved: bool, upper: float) -> list[float]:
-    """ln I_k for k = 0..count, I_k = integral_0^upper Q(m, y(b)/theta)^k f(b) db.
+               theta0: float, upper: float) -> list[float]:
+    """ln I_k for k = 0..count, I_k = integral_0^upper Q(m, x (b + 1)/theta)^k
+    f(b) db: the blocks of idl (upper = inf) and idl_dt (upper = x).
 
-    f is the Gamma(shape, theta0) density, m an integer, and y(b) =
-    x (b + 1) (shifted, upper <= inf) or x - b (convolved, upper = x).
-    As Q(m, y) = e^(-y) P(y), P(y) = sum_{j<m} y^j/j!, P(y(b)/theta)^k is
-    a positive polynomial whose coefficients E_k are E_(k-1) convolved
-    with the base p (_ln_poly_times), and I_k is e^(-k x/theta) /
-    (Gamma(shape) theta0^shape) times sum_i E_{k,i} T_i.  Shifted: powers
-    of b, p_i = (w^i/i!) sum_{l<m-i} w^l/l! with w = x/theta, and T the
-    _ln_moments at rate 1/theta0 + k w.  Convolved: powers of x - b,
-    p_j = theta^-j/j!, and T the _ln_conv_integrals at rate
-    1/theta0 - k/theta.  In a shared_blocks() scope a call extends the
-    blocks, and the chain E_k, which idl and idl_dt share, kept there.
+    f is the Gamma(shape, theta0) density and m an integer.  As Q(m, y) =
+    e^(-y) P(y), P(y) = sum_{j<m} y^j/j!, P(x (b + 1)/theta)^k is a
+    positive polynomial in b whose coefficients E_k are E_(k-1) convolved
+    with the base p_i = (w^i/i!) sum_{l<m-i} w^l/l!, w = x/theta
+    (_ln_poly_times), and I_k is e^(-k w) / (Gamma(shape) theta0^shape)
+    times sum_i E_{k,i} T_i, T the _ln_moments at rate 1/theta0 + k w.
+    In a shared_blocks() scope a call extends the blocks, and the chain
+    E_k, which idl and idl_dt share, kept there.
     """
-    blocks = _kept((m, theta, x, shape, theta0, convolved, upper), list)
-    chain = _kept(("chain", m, theta, x, convolved), lambda: [[0.0]])
+    blocks = _kept((m, theta, x, shape, theta0, upper), list)
+    chain = _kept(("chain", m, theta, x), lambda: [[0.0]])
     ln_norm = -sf.ln_gamma(shape) - shape * math.log(theta0)
-    if convolved:
-        ln_p = [-j * math.log(theta) - math.lgamma(j + 1.0) for j in range(m)]
-        inner = _ln_conv_integrals
-    else:
-        ln_pow = [j * math.log(x / theta) - math.lgamma(j + 1.0) for j in range(m)]   # w^j/j!
-        ln_p = [ln_pow[i] + _ln_fsum(ln_pow[:m - i]) for i in range(m)]
-        inner = _ln_moments
+    ln_pow = [j * math.log(x / theta) - math.lgamma(j + 1.0) for j in range(m)]   # w^j/j!
+    ln_p = [ln_pow[i] + _ln_fsum(ln_pow[:m - i]) for i in range(m)]
     for k in range(len(blocks), count + 1):
         if k == len(chain):
             chain.append(_ln_poly_times(chain[-1], ln_p))
-        rate = 1.0 / theta0 + (-k / theta if convolved else x * k / theta)
-        table = inner(len(chain[k]), shape, rate, upper)
+        table = _ln_moments(len(chain[k]), shape, 1.0 / theta0 + x * k / theta, upper)
         lns = [e + t for e, t in zip(chain[k], table)]
         blocks.append(-k * x / theta + ln_norm + _ln_fsum(lns))
     return blocks[:count + 1]
@@ -388,6 +331,7 @@ def _ln_blocks(count: int, m: int, theta: float, x: float, shape: float,
 
 _PANEL_NODES = tuple(8 << j for j in range(5))   # Gauss nodes a panel takes at each level
 _UNDERFLOW = sys.float_info.min / sf.REL_TOL   # below it REL_TOL is beyond a float
+_ULP = math.ulp(1.0)
 # an alternating sum keeps REL_TOL while (ulp + its blocks' error) kappa does
 _KAPPA_MAX = sf.REL_TOL / (_ULP + sf.GAMMA_REL_TOL)
 
@@ -594,14 +538,17 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     """F(x | L) for L = 0..relays from one evaluation shared by every L.
 
     NDL keeps its product form per_path^L.  The direct-link protocols
-    integrate g^L = (1 - s Q)^L over the direct-link SNR, s = P(Z > x).
-    Entry L is the alternating sum F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k
+    integrate g^L = (1 - s Q)^L over the direct-link SNR, s = P(Z > x);
+    F(x | 0) is that SNR's mass below x (idl_dt, sdf) or 1 (idl), from
+    one incomplete Gamma.  An idl or idl_dt entry L >= 1 is the
+    alternating sum F(x | L) = sum_{k<=L} C(L, k) (-s)^k I_k
     (sf.ln_binomial_sum over the blocks of _ln_blocks) while the bound
     ((1 + s) / (1 - s))^L on its condition number kappa keeps (ulp +
-    sf.GAMMA_REL_TOL) kappa within sf.REL_TOL; past that L, the positive
-    integral of g^L by the rules of _direct_link_nodes, or
-    ArithmeticError.  In a shared_blocks() scope a call extends the list
-    (with per_path or s, and the rules) an earlier call built.
+    sf.GAMMA_REL_TOL) kappa within sf.REL_TOL; past that L, and at every
+    L >= 1 for sdf, it is the positive integral of g^L by the rules of
+    _direct_link_nodes, or ArithmeticError.  In a shared_blocks() scope a
+    call extends the list (with per_path or s, and the rules) an earlier
+    call built.
 
     The sum stops before the first k with (L s)^k / k! < ulp(1) / (2
     _KAPPA_MAX) (_cut), at k <= 20 as the bound keeps L s <= 1.15.  The
@@ -628,16 +575,20 @@ def _conditional_cdfs(x: float, cfg: NetworkConfig, protocol: Protocol,
     if ndl:
         cdfs.extend(s ** n for n in range(len(cdfs), relays + 1))
         return cdfs[:relays + 1]
-    convolved, upper = _DIRECT_LINK_INNER[protocol]
+    upper = _DIRECT_LINK_INNER[protocol][1]
+    if not cdfs:
+        cdfs.append(sf._reg_gamma(link[0], upper * x / link[1])[0])
 
-    # closed where kappa <= ((1 + s) / F_Z)^L allows it, as g >= F_Z = 1 - s;
-    # c > 0 blocks for a closed entry, c = 0 for a positive one
-    ln_growth = math.log1p(s) - math.log1p(-s) if s < 1.0 else math.inf
-    new = [(n, _cut(n, s) if n == 0 or n * ln_growth <= math.log(_KAPPA_MAX) else 0)
+    # idl and idl_dt are closed where kappa <= ((1 + s) / F_Z)^L allows it,
+    # as g >= F_Z = 1 - s, and sdf never: c > 0 blocks for a closed entry,
+    # c = 0 for a positive one
+    ln_growth = (math.log1p(s) - math.log1p(-s) if s < 1.0 and protocol is not Protocol.SDF
+                 else math.inf)
+    new = [(n, _cut(n, s) if n * ln_growth <= math.log(_KAPPA_MAX) else 0)
            for n in range(len(cdfs), relays + 1)]
     top = max((c for _, c in new), default=0) - 1
     if top >= 0:
-        ln_i = _ln_blocks(top, int(round(cfg.rd.m)), th_rd, x, *link, convolved, upper * x)
+        ln_i = _ln_blocks(top, int(round(cfg.rd.m)), th_rd, x, *link, upper * x)
         ln_s = math.log(s) if s > 0.0 else 0.0   # s = 0: block 0 only
     if state[2] is None and not all(c for _, c in new):   # the positive route's rules
         state[2] = _direct_link_nodes(x, cfg, protocol)
@@ -655,11 +606,11 @@ def cdf_conditional(x: float, cfg: NetworkConfig, protocol: Protocol,
     hop, and the direct-link SNR is integrated out over (0, inf).  idl_dt:
     as idl, but direct transmission is a fallback decoding branch, so the
     integration stops at x.  sdf: selective cooperation; the second hop is
-    MRC-combined with the direct signal, so the inner integral carries the
-    kernel (x - beta)^deg at a decay of either sign (_ln_conv_integrals).
-    A direct-link value is the closed form where the bound on its condition
-    number allows, else the positive Gauss-rule integral (_conditional_cdfs);
-    either is within specfun.REL_TOL, or the call raises ArithmeticError.
+    MRC-combined with the direct signal, so the second hop's argument is
+    x - beta.  An idl or idl_dt value is the closed form where the bound on
+    its condition number allows, else the positive Gauss-rule integral; an
+    sdf value is always that integral (_conditional_cdfs).  Either is
+    within specfun.REL_TOL, or the call raises ArithmeticError.
     """
     validate_config(cfg, protocol, "analytic")
     return _conditional_cdfs(x, cfg, protocol, relays)[relays]

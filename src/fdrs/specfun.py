@@ -33,9 +33,11 @@ happens only far outside that domain (a beyond about 10^6 near x = a).
 ln_reg_lower_gammas lists ln P(a + r, x) for a run of orders from one
 such evaluation and the recurrence DLMF 8.8.5.
 
-Kummer M is a positive series.  Tricomi U and Whittaker W, taken only
-where they are polynomials (NonConvergenceError elsewhere), serve no
-closed form or oracle: they stay because perfbench/tracer.py wraps them.
+ln_kummer_m (a positive series) and ln_beta, like Tricomi U and
+Whittaker W (taken only where they are polynomials, NonConvergenceError
+elsewhere), serve no closed form or oracle: they stay because
+perfbench/tracer.py wraps all four by name, and the paper's convolved
+integrals in tests/paper_closed_form.py call the first two.
 ln_binomial_sum is the one binomial-sum kernel: every closed form that
 expands a power binomially sums through it and gets the sum's condition
 number with it; it keeps no state, and a sequence shorter than the sum
@@ -320,7 +322,8 @@ def gauss_rule(n: int, alpha: float | None = None) -> tuple[tuple[float, ...], t
 
 
 def ln_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b).  No closed
+    form calls it; perfbench/tracer.py wraps it by name."""
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 
 
@@ -328,8 +331,8 @@ def ln_kummer_m(a: float, b: float, z: float) -> float:
     """ln M(a; b; z) for a > 0, b > 0, z >= 0.
 
     All series terms are positive, so the sum can be tracked with a
-    running log offset and never overflows.  Used by the outage CDFs
-    where M is paired with decaying exponential prefactors.
+    running log offset and never overflows.  No closed form calls it;
+    perfbench/tracer.py wraps it by name.
     """
     if not (a > 0 and b > 0):
         raise ValueError("ln_kummer_m requires a > 0 and b > 0")

@@ -1,13 +1,14 @@
 """Route audit: the production F(x | L) and p[n] against the paper's
 alternating closed forms, over a direct-link and a feasibility grid.
 
-The production route takes a direct-link entry's closed form only where
-the a-priori bound ((1 + s) / (1 - s))^L on its condition number holds,
-and every other F(x | L) and every p[n] from the positive Gauss-rule
-integral.  For each grid this prints
+The production route takes an idl or idl_dt entry's closed form only
+where the a-priori bound ((1 + s) / (1 - s))^L on its condition number
+holds, and every other F(x | L), every sdf one among them, and every
+p[n] from the positive Gauss-rule integral.  For each grid this prints
 
 - entries: the values asked for;
-- closed: the entries the bound leaves to the closed form;
+- closed: the entries production takes from the closed form, by that
+  rule, so never an sdf entry or a p[n];
 - moved: the entries whose own closed-form sum would keep REL_TOL
   (kappa <= analytic._KAPPA_MAX) but that the production route takes
   from the positive integral;
@@ -70,7 +71,7 @@ def direct_link_points() -> list[tuple]:
 
 def direct_link_entries(point: tuple):
     """(L, production F(x | L) or the ArithmeticError it raised, closed-form
-    value, its kappa, whether the bound keeps the entry closed) for
+    value, its kappa, whether production takes the closed form) for
     L = 1..24."""
     name, m_rd, power_db, x, proto = point
     cfg, proto = scenario(name, power_db, rd=m_rd), Protocol(proto)
@@ -81,7 +82,7 @@ def direct_link_entries(point: tuple):
                 got = an._conditional_cdfs(x, cfg, proto, relays)[relays]
             except ArithmeticError as exc:
                 got = exc
-            yield (relays, got, *refs[relays], paper.bound_holds(s, relays))
+            yield (relays, got, *refs[relays], paper.closed_in_production(s, relays, proto))
 
 
 def feasibility_points() -> list[tuple]:

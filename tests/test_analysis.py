@@ -467,10 +467,9 @@ class TestSharedBlocks:
                                    rp=dataclasses.replace(fig3_cfg.rp, m=2.0))
 
     @staticmethod
-    def counting(monkeypatch, names=("_ln_moments", "_ln_conv_integrals")):
+    def counting(monkeypatch, names=("_ln_moments",)):
         """Count the calls _ln_blocks itself makes to `names`; by default
-        its block evaluations, one inner table each (not the moment
-        tables that _ln_conv_integrals takes)."""
+        its block evaluations, one moment table each."""
         calls = [0]
         for name in names:
             def inner(*args, _real=getattr(analytic, name)):
@@ -496,9 +495,10 @@ class TestSharedBlocks:
                     for v in spec.axis_values() for proto in FD]
         assert [r.outage for r in analysis.run_sweep(spec, cfg).rows] == expected
 
-    # the blocks of the direct-link entries that the bound on kappa leaves to
-    # the closed form (no feasibility entry takes a block)
-    @pytest.mark.parametrize("name,blocks", [("relay", 6), ("ith", 3)])
+    # the blocks of the idl and idl_dt entries that the bound on kappa leaves
+    # to the closed form (no sdf or feasibility entry takes a block): blocks
+    # 0 and 1 of each at K = 1 in the relay sweep, none in the cap sweep
+    @pytest.mark.parametrize("name,blocks", [("relay", 4), ("ith", 0)])
     def test_each_block_evaluated_once_per_sweep(self, sweeps, monkeypatch, name, blocks):
         spec, cfg = sweeps[name]
         calls = self.counting(monkeypatch)
@@ -508,13 +508,13 @@ class TestSharedBlocks:
             assert calls[0] == blocks
 
     def test_one_power_step_per_chain_and_count(self, sweeps, monkeypatch):
-        # the relay sweep grows each chain only as far as an entry whose
+        # the relay sweep grows the chain only as far as an entry whose
         # kappa bound allows the closed form reaches: idl and idl_dt share
-        # E_1, and sdf has its own E_1
+        # E_1, and sdf builds none
         spec, cfg = sweeps["relay"]
         calls = self.counting(monkeypatch, ("_ln_poly_times",))
         analysis.run_sweep(spec, cfg)
-        assert calls[0] == 1 + 1
+        assert calls[0] == 1
 
     def test_relay_sweep_skips_blocks_no_entry_uses(self, sweeps, monkeypatch):
         # every entry past the ones kappa leaves to the closed form takes
@@ -527,31 +527,33 @@ class TestSharedBlocks:
     def test_no_sharing_outside_a_sweep(self, fig3_cfg, monkeypatch):
         cfg = dataclasses.replace(self.relay_sweep_cfg(fig3_cfg), k=16)
         calls = self.counting(monkeypatch)
-        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
-        # K = 16: kappa leaves the closed form only sdf's F(x | 1), from
+        analytic.outage(cfg, Protocol.IDL, 2.0, cognitive=True)
+        # K = 16: kappa leaves the closed form only idl's F(x | 1), from
         # blocks 0 and 1; every feasibility entry takes the positive route
         assert calls[0] == 2
         analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
                            self.relay_sweep_cfg(fig3_cfg))
         calls[0] = 0
-        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
-        analytic.outage(cfg, Protocol.SDF, 2.0, cognitive=True)
+        analytic.outage(cfg, Protocol.IDL, 2.0, cognitive=True)
+        analytic.outage(cfg, Protocol.IDL, 2.0, cognitive=True)
         assert calls[0] == 4
 
     def test_scope_nests_and_ends(self, fig2b_cfg, monkeypatch):
+        # at 6 bpcu kappa leaves idl's entries to the closed form
         calls = self.counting(monkeypatch)
         with analytic.shared_blocks():
-            analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+            analytic.outage(fig2b_cfg, Protocol.IDL, 6.0)
             first = calls[0]
+            assert first
             with analytic.shared_blocks():   # an inner scope starts empty
-                analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+                analytic.outage(fig2b_cfg, Protocol.IDL, 6.0)
             assert calls[0] == 2 * first
-            analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)   # the outer scope holds
+            analytic.outage(fig2b_cfg, Protocol.IDL, 6.0)   # the outer scope holds
             assert calls[0] == 2 * first
         with pytest.raises(ZeroDivisionError):
             with analytic.shared_blocks():
                 raise ZeroDivisionError
-        analytic.outage(fig2b_cfg, Protocol.IDL, 2.0)
+        analytic.outage(fig2b_cfg, Protocol.IDL, 6.0)
         assert calls[0] == 3 * first
 
     @staticmethod
@@ -579,7 +581,8 @@ class TestSharedBlocks:
     def test_relay_sweep_evaluates_each_list_once(self, fig3_cfg, monkeypatch):
         # K = 1..16 at one threshold: one first-hop evaluation that every
         # protocol and the direct-link protocols' rules share, and one outer
-        # sum per direct-link protocol and L = 0, 1, where kappa allows it
+        # sum for idl's and idl_dt's F(x | 1), where kappa allows it; F(x | 0)
+        # takes none, and sdf is positive at every L
         calls = {"ratio_tails": 0, "outer": 0}
         tails = analytic.ratio_tails
 
@@ -597,4 +600,4 @@ class TestSharedBlocks:
         monkeypatch.setattr(analytic.sf, "ln_binomial_sum", outer)
         analysis.run_sweep(analysis.SweepSpec("relay_count", 1, 16, 16, FD),
                            self.relay_sweep_cfg(fig3_cfg))
-        assert calls == {"ratio_tails": 1, "outer": 3 * 2}
+        assert calls == {"ratio_tails": 1, "outer": 2}

@@ -130,7 +130,10 @@ class TestRatioTailsGaussRoute:
     The references are F_Z and P(Z > z) from this mpmath snippet, printed
     to 40 digits.  The breakpoints matter: with whole octaves in place of
     half ones, the references of the two points near 1e-280 were 3e-10 and
-    2e-11 off.
+    2e-11 off.  So does the scaling: each integrand is divided by its
+    largest value on the breakpoints, as quad stops on an absolute error
+    estimate (unscaled, the references near 2.9e-45, 8.9e-96, 9.9e-276 and
+    5.2e-282 were 3e-14 to 5e-14 off).
 
         from mpmath import mp, mpf, gammainc, gamma, exp, quad, inf
         mp.dps = 50
@@ -144,8 +147,12 @@ class TestRatioTailsGaussRoute:
             pts = [0] + sorted(t for t in pts if mpf(10) ** -30 < t < 1e4 * (m2 + 1)) + [inf]
             pdf = lambda u: u ** (m2 - 1) * exp(-u) / gamma(m2)
             y = lambda u: z * (th2 * u + 1) / th1
-            return (quad(lambda u: gammainc(m1, 0, y(u), regularized=True) * pdf(u), pts),
-                    quad(lambda u: gammainc(m1, y(u), inf, regularized=True) * pdf(u), pts))
+            out = []
+            for tail in (lambda u: gammainc(m1, 0, y(u), regularized=True),
+                         lambda u: gammainc(m1, y(u), inf, regularized=True)):
+                peak = max(tail(t) * pdf(t) for t in pts[1:-1])
+                out.append(peak * quad(lambda u: tail(u) * pdf(u) / peak, pts))
+            return out
     """
 
     # (m1, theta1, m2, theta2, z): (F_Z(z), P(Z > z))
@@ -153,19 +160,19 @@ class TestRatioTailsGaussRoute:
         (0.5, 31.6, 2, 1000.0, 60.0): (9.999999889615741877122064918822175526583e-1, 1.103842581228779350811778244734167114394e-8),
         (4.7, 31.6, 6, 1000.0, 3.0): (9.999999998104365161360877513364559552609e-1, 1.895634838639122486635440447391205665442e-10),
         (0.5, 31.6, 6, 1000.0, 3.0): (9.999999999997379508829168935109538319803e-1, 2.620491170831064890461680197268551362056e-13),
-        (2.5, 1.0, 6, 1000.0, 44.0): (1.0, 2.940494097958332050513177519743832245236e-45),
+        (2.5, 1.0, 6, 1000.0, 44.0): (1.0, 2.940494097958230843784401810512328643855e-45),
         (0.5, 31.6, 2, 1000.0, 0.01): (6.766924488510934725376651924141105635038e-1, 3.233075511489065274623348075858894364962e-1),
-        (1.5, 0.1, 6, 1000.0, 15.0): (1.0, 8.905376697496398390588850415507031638671e-96),
+        (1.5, 0.1, 6, 1000.0, 15.0): (1.0, 8.905376697496847236565979731961018866738e-96),
         (0.5, 0.1, 0.5, 0.001, 0.01): (3.453598348149502465480689974908670959996e-1, 6.546401651850497534519310025091329039356e-1),
         (2.5, 31.6, 0.5, 1000.0, 0.01): (1.059793751450363081593556061739098482039e-2, 9.894020624854963691840644393826090151775e-1),
         (4.7, 31.6, 3.3, 1000.0, 3.0): (9.999901365838408752588946422159244553593e-1, 9.863416159124741105357784075544640744872e-6),
         (2.5, 0.1, 3.3, 0.001, 3.0): (9.999999999889237466100608304437907668155e-1, 1.107625338993916955620923318447072128149e-11),
-        (4.7, 31.6, 2, 2.0, 0.01): (7.905378048560767317542340391003859910348e-15, 9.999999999999920946219514392326824576596e-1),
+        (4.7, 31.6, 2, 2.0, 0.01): (7.905378048560767317542340391003859910347e-15, 9.999999999999920946219514392326824576596e-1),
         (0.5, 31.6, 6, 0.001, 1000.0): (9.999999999999985251160238866719819704499e-1, 1.474883976113328018029550121100858429093e-15),
         (2, 31.6, 1.5, 2.0, 3.0): (6.508670320616756371152249905020052931322e-2, 9.349132967938324362884775009497994706868e-1),
-        (1, 1.0, 0.5, 0.001, 60.0): (9.999999999999999999999999914949248925489e-1, 8.505075107386354840096028033852445789685e-27),
-        (2.5, 0.1, 6, 2.0, 60.0): (1.0, 9.935674995826174793620366712793129439728e-276),
-        (0.5, 0.1, 3.3, 1000.0, 60.0): (1.0, 5.202475266034470494187851052345938187264e-282),
+        (1, 1.0, 0.5, 0.001, 60.0): (9.999999999999999999999999914949248925489e-1, 8.505075107386354840096028033854320579515e-27),
+        (2.5, 0.1, 6, 2.0, 60.0): (1.0, 9.935674995826702556876338446012126213968e-276),
+        (0.5, 0.1, 3.3, 1000.0, 60.0): (1.0, 5.202475266034733693747710438599605379602e-282),
         (4.7, 31.6, 0.5, 2.0, 60.0): (3.245735835446176491775899360569994958034e-1, 6.754264164553823508224100639430005041632e-1),
         (0.5, 0.1, 2, 2.0, 3.0): (9.9999999999999999752650402850557448112e-1, 2.473495971494425518880038492821568641302e-18),
     }
@@ -285,6 +292,18 @@ class TestRatioTailsCountSum:
         assert an.ratio_tails(1e308, an.RatioParams(2, 1e-3, 2, 1.0)) == (1.0, 0.0)
         assert an.ratio_tails(1e308, an.RatioParams(2.5, 1e-3, 2, 1.0)) == (1.0, 0.0)
 
+    def test_threshold_whose_ratio_underflows(self):
+        # c = z/theta1 underflows to 0: P(N1 = a) takes its limit at c = 0,
+        # and c theta2 is formed from z.  At z = 5e-324, F_Z ~ 1e-648 is 0 in
+        # floats; at z = 1e-320, c theta2 ~ 1e-30 does not underflow, and the
+        # reference F_Z is a 50-digit mpmath quadrature over X2 (the sums at
+        # 200 digits agree to 20)
+        assert an.ratio_tails(5e-324, an.RatioParams(2, 10, 2, 1)) == (0.0, 1.0)
+        fz, s = an.ratio_tails(1e-320, an.RatioParams(2, 1e10, 2, 1e300))
+        assert fz == pytest.approx(2.999933203467917211742522318765929970552e-60,
+                                   rel=sf.REL_TOL, abs=0.0)
+        assert s == pytest.approx(1.0, rel=sf.REL_TOL, abs=0.0)
+
     def test_slow_negative_binomial_tail_raises(self):
         # m2 = 0.01 and rho = 1 - 1e-9: s = 0.81 > 1/2, and the terms of
         # P(N2 >= 1) shrink by a factor rho each, far too slowly for MAX_TERMS
@@ -330,7 +349,7 @@ class TestTailIntegralIdentity:
                 * math.exp(eta / 2) * eta ** (-(m + j + 1) / 2)
                 * sf.whittaker_w((j - m + 1) / 2, -(m + j) / 2, eta)
                 for j in range(m_rd))
-            got = an._ln_blocks(1, m_rd, 1.0 / w, 1.0, m, theta0, False, math.inf)[1]
+            got = an._ln_blocks(1, m_rd, 1.0 / w, 1.0, m, theta0, math.inf)[1]
             assert got == pytest.approx(math.log(literal), rel=1e-11), (m_rd, m, eta)
 
 
@@ -425,7 +444,7 @@ class TestShiftedBlocks:
         checked = 0
         for theta in (0.05, 1.0, 1e4):
             for upper in (math.inf, x):
-                got = an._ln_blocks(64, m, theta, x, shape, theta0, False, upper)
+                got = an._ln_blocks(64, m, theta, x, shape, theta0, upper)
                 for k in (1, 6, 64):
                     if got[k] < math.log(1e-300):
                         continue
@@ -436,15 +455,16 @@ class TestShiftedBlocks:
 
     def test_blocks_do_not_depend_on_count(self):
         # block k is the same whether a call stops at k or goes further
-        full = an._ln_blocks(40, 4, 0.7, 3.0, 2.0, 3.16, False, 3.0)
-        assert [an._ln_blocks(k, 4, 0.7, 3.0, 2.0, 3.16, False, 3.0)[k]
+        full = an._ln_blocks(40, 4, 0.7, 3.0, 2.0, 3.16, 3.0)
+        assert [an._ln_blocks(k, 4, 0.7, 3.0, 2.0, 3.16, 3.0)[k]
                 for k in range(41)] == full
 
 
 class TestConvolvedIntegral:
     # J_d = integral_0^U (U-t)^d t^(s-1) e^(-rho t) dt
-    #     = U^(d+s) B(s, d+1) M(s, d+s+1, -rho U), the sdf and feasibility
-    # inner integral, on both sides of the signed-sum cap |rho U| = 30
+    #     = U^(d+s) B(s, d+1) M(s, d+s+1, -rho U), the inner integral of the
+    # paper's sdf and feasibility sums (tests/paper_closed_form.py), on both
+    # sides of the signed-sum cap |rho U| = 30
     def test_against_mpmath_kummer(self):
         import mpmath as mp
         upper = 2.0
@@ -452,7 +472,7 @@ class TestConvolvedIntegral:
             for s in (0.5, 1.0, 2.0, 2.5, 4.0, 6.0):
                 for mag in (0.0, 1e-10, 5.0, 29.0, 31.0, 45.0, 100.0, 500.0):
                     for w in (mag, -mag):
-                        got = an._ln_conv_integrals(61, s, w / upper, upper)
+                        got = paper.ln_conv_integrals(61, s, w / upper, upper)
                         for d, ln_j in enumerate(got):
                             ref = ((d + s) * mp.log(upper) + mp.log(mp.beta(s, d + 1))
                                    + mp.log(mp.hyp1f1(s, d + s + 1, -w)))
@@ -468,7 +488,7 @@ class TestConvolvedIntegral:
             for s in (0.5, 1.0, 2.0, 2.5, 4.0, 6.0):
                 for mag in (0.0, 1e-10, 5.0, 29.0, 31.0, 45.0, 100.0, 500.0):
                     for w in (mag, -mag):
-                        got = an._ln_conv_integrals(61, s, w / upper, upper)
+                        got = paper.ln_conv_integrals(61, s, w / upper, upper)
                         for d, ln_j in enumerate(got):
                             ref = ((d + s) * mp.log(upper) + mp.log(mp.beta(s, d + 1))
                                    + mp.log(mp.hyp1f1(s, d + s + 1, -w)))
@@ -484,7 +504,7 @@ class TestConvolvedIntegral:
         import mpmath as mp
         theta, x, shape, theta0 = 1.0, 6.0, 6.0, 0.05
         for m, ks in ((6, range(13)), (2, (16, 32)), (4, (16, 32))):
-            got = an._ln_blocks(max(ks), m, theta, x, shape, theta0, True, x)
+            got = paper.convolved_blocks(max(ks), m, theta, x, shape, theta0)
             with mp.workdps(30):
                 for k in ks:
                     def integrand(b):
@@ -770,15 +790,17 @@ class TestRouting:
 
     def test_closed_form_where_kappa_allows(self, fig2a_cfg, monkeypatch):
         # K = 3 at 6 bpcu: the bound ((1 + s) / (1 - s))^L on kappa is
-        # near 1, so no Gauss rule is built; at 1 bpcu the rules are
+        # near 1, so idl and idl_dt build no Gauss rule; sdf, positive at
+        # every L, builds them there, and idl at 1 bpcu
         built = []
         monkeypatch.setattr(an, "_direct_link_nodes", lambda *args: built.append(args))
-        for proto in QUAD:
+        for proto in (Protocol.IDL, Protocol.IDL_DT):
             an.cdf_conditional(63.0, fig2a_cfg, proto, 3)
         assert not built
-        with pytest.raises(TypeError):   # the stand-in returns no rules
-            an.cdf_conditional(1.0, fig2a_cfg, Protocol.IDL, 3)
-        assert built
+        for x, proto in ((63.0, Protocol.SDF), (1.0, Protocol.IDL)):
+            with pytest.raises(TypeError):   # the stand-in returns no rules
+                an.cdf_conditional(x, fig2a_cfg, proto, 3)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("scenario,m_rd,power_db,x,proto,relays", [
         ("fig3", 2, 10.0, 7.0, Protocol.IDL, 3), ("fig4", 4, 0.0, 3.0, Protocol.IDL_DT, 3),
@@ -813,6 +835,27 @@ class TestRouting:
                           else [0, hi / 4, hi / 2, hi])
         assert got == pytest.approx(float(ref), rel=sf.REL_TOL, abs=0.0)
 
+    def test_sdf_never_evaluates_a_block(self, fig2a_cfg, fig2b_cfg, fig3_cfg, fig4_cfg,
+                                         monkeypatch):
+        # every sdf F(x | L) is the positive integral: no sdf evaluation
+        # reaches the blocks, or the Kummer and Beta kernels of the paper's
+        # convolved form, on any shipped config, at rates 0.5..10 and L up
+        # to 24; idl still sums blocks where kappa allows
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        for module, name in ((an, "_ln_blocks"), (sf, "ln_kummer_m"), (sf, "ln_beta")):
+            monkeypatch.setattr(module, name, reached)
+        for cfg in (fig2a_cfg, fig2b_cfg, fig3_cfg, fig4_cfg):
+            for rate in np.arange(0.5, 10.25, 0.5):
+                assert 0.0 <= an.outage(cfg, Protocol.SDF, rate, cfg.is_cognitive) <= 1.0
+                x = an.outage_threshold(Protocol.SDF, rate)
+                assert all(0.0 <= v <= 1.0 for v in an._conditional_cdfs(x, cfg, Protocol.SDF, 24))
+        with pytest.raises(Reached):
+            an.outage(fig2b_cfg, Protocol.IDL, 6.0)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(scenario=st.sampled_from(["fig2a", "fig3", "fig4"]), m_rd=st.integers(1, 4),
            power_db=st.floats(-5.0, 30.0), x=st.floats(1.0, 16.0),
@@ -825,10 +868,10 @@ class TestRouting:
 
 
 class TestRouteByBound:
-    """A direct-link F(x | L) is the closed form iff the a-priori bound
-    ((1 + s) / (1 - s))^L <= _KAPPA_MAX holds; every p[n] is the positive
-    integral, and the paper's closed forms stay within 2 REL_TOL of the
-    production values wherever their own kappa allows."""
+    """An idl or idl_dt F(x | L) is the closed form iff the a-priori bound
+    ((1 + s) / (1 - s))^L <= _KAPPA_MAX holds; every sdf F(x | L) and every
+    p[n] is the positive integral, and the paper's closed forms stay within
+    2 REL_TOL of the production values wherever their own kappa allows."""
 
     @pytest.mark.parametrize("x", [0.3, 3.0, 15.0, 63.0])
     @pytest.mark.parametrize("proto", sorted(QUAD, key=str))
@@ -840,7 +883,8 @@ class TestRouteByBound:
                             or real(rules, exps))
         an._conditional_cdfs(x, cfg, proto, relays)
         s = an.ratio_tails(x, an.first_hop_ratio_params(cfg))[1]
-        assert positive == [n for n in range(relays + 1) if not paper.bound_holds(s, n)]
+        assert positive == [n for n in range(1, relays + 1)
+                            if not paper.closed_in_production(s, n, proto)]
 
     def test_feasibility_takes_no_block(self, fig2b_cfg, fig3_cfg, monkeypatch):
         sweep_cfg = dataclasses.replace(fig3_cfg, k=16, rp=LinkSpec(2, fig3_cfg.rp.avg_power))

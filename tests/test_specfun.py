@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdrs import analytic as an
 from fdrs import specfun as sf
+
+import paper_closed_form as paper
 
 mp.mp.dps = 40
 
@@ -441,15 +442,9 @@ class TestCompositions:
 
 
 class TestTruncatedExpPower:
-    """The power chain E_k of the convolved blocks (analytic._ln_blocks):
-    at theta = 1, E_{k,d} = ln [t^d] (sum_{j<m} t^j/j!)^k."""
-
-    @staticmethod
-    def chain(count, m):
-        with an.shared_blocks():
-            an._ln_blocks(count, m, 1.0, 1.0, 1.0, 1.0, True, 1.0)
-            (chain,) = [v for key, v in an._SHARED_BLOCKS.get().items() if key[0] == "chain"]
-        return chain
+    """The power chain E_k of the paper's convolved blocks
+    (paper_closed_form.convolved_chain): at theta = 1,
+    E_{k,d} = ln [t^d] (sum_{j<m} t^j/j!)^k."""
 
     def test_matches_composition_enumeration(self):
         # c_{k,m}(d) sums the multinomial weights k!/prod_j (k_j! j!^k_j)
@@ -459,7 +454,7 @@ class TestTruncatedExpPower:
         for m in range(1, 7):
             base = [Fraction(1, math.factorial(j)) for j in range(m)]
             exact = [Fraction(1)]
-            chain = self.chain(64, m)
+            chain = paper.convolved_chain(64, m, 1.0)
             for k in range(65):
                 if k:
                     exact = [sum(exact[d - j] * b for j, b in enumerate(base)
